@@ -16,7 +16,7 @@ from pathlib import Path
 
 import click
 
-from .cqa import build_cqa_instance, enumerate_key_repairs
+from .cqa import build_cqa_instance
 from .errors import (
     BoundsExceededError,
     InputError,

@@ -95,7 +95,7 @@ def parse_program(text: str) -> Program:
 
     def parse_term() -> Term:
         nonlocal i
-        kind, value = tokens[i]
+        kind, value = tokens[i] if i < len(tokens) else ("end", "end of input")
         if kind == "number":
             i += 1
             return Term("const", int(value))

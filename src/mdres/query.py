@@ -141,7 +141,7 @@ def parse_query(text: str, schema: Schema) -> ConjunctiveQuery:
 
     def parse_term():
         nonlocal i
-        kind, value = tokens[i]
+        kind, value = tokens[i] if i < len(tokens) else ("end", "end of input")
         if kind == "number":
             i += 1
             return Const(value)

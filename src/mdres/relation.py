@@ -320,7 +320,7 @@ def load_csv_dir(schema: Schema, directory: str | Path) -> Instance:
         if not path.is_file():
             raise InputError(f"missing data file for relation {rschema.name}: {path}")
         rel_rows, rel_tids = _read_csv(
-            rschema, path.read_text(encoding="utf-8"), str(path)
+            rschema, path.read_text(encoding="utf-8-sig"), str(path)
         )
         rows[rschema.name] = rel_rows
         if rel_tids is not None:

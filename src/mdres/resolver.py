@@ -23,7 +23,7 @@ from .dsets import DisjointSet
 from .errors import BoundsExceededError, InputError, NotEligibleError
 from .mds import Classification, MDSet, classify
 from .relation import Instance, Position, diff_changeset
-from .taclosure import TAPartition, linked_pairs, ta_closure
+from .taclosure import TAPartition, link_groups, ta_closure, union_groups
 
 CHOICES = ("values", "values+fresh")
 
@@ -48,9 +48,7 @@ def merge_partition(d: Instance, mdset: MDSet) -> list[MergeBlock]:
     """
     ds: DisjointSet[Position] = DisjointSet()
     for md in mdset.mds:
-        for t1, t2 in linked_pairs(md, d, mdset.sims):
-            for left, right in md.rhs:
-                ds.union(Position(t1, left), Position(t2, right))
+        union_groups(ds, link_groups(md, d, mdset.sims), md.rhs)
     blocks = []
     for group in ds.groups():
         positions = tuple(sorted(group))

@@ -84,20 +84,26 @@ def verify_transitivity(
 ) -> list[tuple[str, str, str]]:
     """All violating triples (x, y, z) over the domain, with x ~ y ~ z, x !~ z.
 
-    Triples are reported with x < z lexicographically and sorted.
+    Triples are reported with x < z lexicographically and sorted. Each
+    distinct value pair is tested once to build neighbour lists; a violation
+    is then a pair of neighbours of y that are not neighbours of each other.
     """
     values = sorted(set(domain))
     if spec.kind == "eq":
         return []
-    violations = []
+    near: dict[str, set[str]] = {v: set() for v in values}
     for i, x in enumerate(values):
         for z in values[i + 1 :]:
             if similar(spec, x, z):
-                continue
-            for y in values:
-                if y == x or y == z:
-                    continue
-                if similar(spec, x, y) and similar(spec, y, z):
+                near[x].add(z)
+                near[z].add(x)
+    violations = []
+    for y in values:
+        around = sorted(near[y])
+        for i, x in enumerate(around):
+            near_x = near[x]
+            for z in around[i + 1 :]:
+                if z not in near_x:
                     violations.append((x, y, z))
     violations.sort()
     return violations
@@ -188,7 +194,7 @@ def parse_sims(
             path = base_dir / tm.group(1)
             if not path.is_file():
                 raise ParseError(f"similarity {name!r}: no such table file {path}", lineno)
-            pairs = load_table(path.read_text(encoding="utf-8"), str(path))
+            pairs = load_table(path.read_text(encoding="utf-8-sig"), str(path))
             spec = SimilaritySpec(
                 name=name, kind="table", pairs=pairs,
                 transitive=_table_transitive(pairs),

@@ -13,7 +13,7 @@ what makes the fast resolution path a one-shot computation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .dsets import DisjointSet
@@ -33,21 +33,37 @@ class TAPartition:
 
     blocks: tuple[tuple[Position, ...], ...]
     counts: tuple[tuple[tuple[str, int], ...], ...]
+    _block_index: dict[Position, int] = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
+    _attr_index: dict[Attr, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
+
+    def __post_init__(self):
+        block_index: dict[Position, int] = {}
+        attr_index: dict[Attr, list[int]] = {}
+        for i, block in enumerate(self.blocks):
+            for p in block:
+                block_index[p] = i
+            for attr in {p.attr for p in block}:
+                attr_index.setdefault(attr, []).append(i)
+        object.__setattr__(self, "_block_index", block_index)
+        object.__setattr__(
+            self, "_attr_index", {a: tuple(ix) for a, ix in attr_index.items()}
+        )
 
     def __len__(self) -> int:
         return len(self.blocks)
 
     def block_of(self, pos: Position) -> int:
-        for i, block in enumerate(self.blocks):
-            if pos in block:
-                return i
-        raise InputError(f"position {pos} is not in the partition")
+        try:
+            return self._block_index[pos]
+        except KeyError:
+            raise InputError(f"position {pos} is not in the partition") from None
 
     def blocks_at(self, attr: Attr) -> tuple[int, ...]:
-        return tuple(
-            i for i, block in enumerate(self.blocks)
-            if any(p.attr == attr for p in block)
-        )
+        return self._attr_index.get(attr, ())
 
     def candidates(self, i: int) -> tuple[str, ...]:
         """Most frequent values of block i, sorted."""
@@ -68,8 +84,19 @@ class TAPartition:
         ]
 
 
-def _lhs_checker(md: MD, instance: Instance, sims: Mapping[str, SimilaritySpec]):
-    checks = []
+def link_groups(
+    md: MD, instance: Instance, sims: Mapping[str, SimilaritySpec]
+) -> list[tuple[list[int], list[int]]]:
+    """Groups (left tids, right tids) of tuples satisfying the conditions of md.
+
+    Every cross pair inside a group satisfies the conditions, and every
+    satisfying pair lies in exactly one group. Rows are grouped by their
+    condition values; right-hand keys are bucketed on the equality part, so
+    the remaining conditions are tested once per pair of distinct keys in a
+    bucket rather than once per pair of tuples. For a self-matched relation
+    the pairs include a tuple with itself.
+    """
+    eq, rest = [], []
     for c in md.lhs:
         li = instance.schema.relation(c.left[0]).index(c.left[1])
         ri = instance.schema.relation(c.right[0]).index(c.right[1])
@@ -77,31 +104,66 @@ def _lhs_checker(md: MD, instance: Instance, sims: Mapping[str, SimilaritySpec])
             spec = sims[c.sim]
         except KeyError:
             raise InputError(f"no similarity spec for {c.sim!r}") from None
-        checks.append((li, ri, spec))
+        (eq if spec.kind == "eq" else rest).append((li, ri, spec))
+    conds = eq + rest
+    n_eq = len(eq)
+    specs = [spec for _, _, spec in rest]
 
-    def holds(row_left: tuple[str, ...], row_right: tuple[str, ...]) -> bool:
-        return all(
-            similar(spec, row_left[li], row_right[ri]) for li, ri, spec in checks
-        )
+    left: dict[tuple[str, ...], list[int]] = {}
+    for tid, row in instance.rows(md.left_rel):
+        left.setdefault(tuple([row[li] for li, _, _ in conds]), []).append(tid)
+    right: dict[tuple[str, ...], list[int]] = {}
+    for tid, row in instance.rows(md.right_rel):
+        right.setdefault(tuple([row[ri] for _, ri, _ in conds]), []).append(tid)
+    buckets: dict[tuple[str, ...], list] = {}
+    for key, tids in right.items():
+        buckets.setdefault(key[:n_eq], []).append((key[n_eq:], tids))
 
-    return holds
+    groups = []
+    for key, ltids in left.items():
+        rest_left = key[n_eq:]
+        for rest_right, rtids in buckets.get(key[:n_eq], ()):
+            if all(
+                similar(spec, a, b)
+                for spec, a, b in zip(specs, rest_left, rest_right)
+            ):
+                groups.append((ltids, rtids))
+    return groups
+
+
+def union_groups(
+    ds: DisjointSet[Position],
+    groups: list[tuple[list[int], list[int]]],
+    rhs: tuple[tuple[Attr, Attr], ...],
+) -> None:
+    """Link the target positions of every group as a star.
+
+    A complete bipartite link set is connected, so |L| + |R| unions per
+    target pair give the same classes as the |L| * |R| linked pairs.
+    """
+    for ltids, rtids in groups:
+        t1, t2 = ltids[0], rtids[0]
+        for left, right in rhs:
+            hub = Position(t1, left)
+            for t in rtids:
+                ds.union(hub, Position(t, right))
+            hub = Position(t2, right)
+            for t in ltids:
+                ds.union(Position(t, left), hub)
 
 
 def linked_pairs(md: MD, instance: Instance, sims: Mapping[str, SimilaritySpec]):
     """Ordered tuple pairs (left tid, right tid) satisfying the conditions of md.
 
-    For a self-matched relation the pairs range over all ordered pairs,
-    including a tuple with itself.
+    The sorted expansion of link_groups. For a self-matched relation the
+    pairs range over all ordered pairs, including a tuple with itself.
     """
-    holds = _lhs_checker(md, instance, sims)
-    left_rows = list(instance.rows(md.left_rel))
-    right_rows = list(instance.rows(md.right_rel))
-    out = []
-    for t1, row1 in left_rows:
-        for t2, row2 in right_rows:
-            if holds(row1, row2):
-                out.append((t1, t2))
-    return out
+    return sorted(
+        (t1, t2)
+        for ltids, rtids in link_groups(md, instance, sims)
+        for t1 in ltids
+        for t2 in rtids
+    )
 
 
 def ta_closure(d: Instance, mdset: MDSet) -> TAPartition:
@@ -109,15 +171,16 @@ def ta_closure(d: Instance, mdset: MDSet) -> TAPartition:
     universe = d.positions(mdset.changeable)
     ds: DisjointSet[Position] = DisjointSet(universe)
     graph = mdset.graph
+    groups: dict[str, list] = {}
     for mi in mdset.mds:
         feeders = sorted(previous_set(graph, mi.mid))
         for mj_id in feeders:
             mj = mdset.by_id(mj_id)
             if (mj.left_rel, mj.right_rel) != (mi.left_rel, mi.right_rel):
                 continue  # conditions type-check only against the same pair
-            for t1, t2 in linked_pairs(mj, d, mdset.sims):
-                for left, right in mi.rhs:
-                    ds.union(Position(t1, left), Position(t2, right))
+            if mj_id not in groups:
+                groups[mj_id] = link_groups(mj, d, mdset.sims)
+            union_groups(ds, groups[mj_id], mi.rhs)
     blocks = sorted(tuple(sorted(g)) for g in ds.groups())
     counts = tuple(
         tuple(sorted(Counter(d.value(p) for p in block).items()))

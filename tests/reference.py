@@ -38,6 +38,25 @@ def ref_levenshtein(a: str, b: str) -> int:
     return dist(len(a), len(b))
 
 
+def ref_verify_transitivity(spec, domain) -> list[tuple[str, str, str]]:
+    """Violating triples (x, y, z), x < z, by trying every middle value."""
+    values = sorted(set(domain))
+    if spec.kind == "eq":
+        return []
+    violations = []
+    for i, x in enumerate(values):
+        for z in values[i + 1 :]:
+            if similar(spec, x, z):
+                continue
+            for y in values:
+                if y == x or y == z:
+                    continue
+                if similar(spec, x, y) and similar(spec, y, z):
+                    violations.append((x, y, z))
+    violations.sort()
+    return violations
+
+
 def _lhs_pairs(md, instance: Instance, sims):
     """Ordered tuple-id pairs satisfying the similarity condition of one MD."""
     left = instance.tids(md.left_rel)

@@ -125,6 +125,14 @@ def test_answers_rewrite_refusal_exits_2(tmp_path):
     assert res.stderr.startswith("not eligible:")
 
 
+def test_truncated_query_exits_1(tmp_path):
+    qfile = tmp_path / "q.txt"
+    qfile.write_text("Q(x) :- R(")
+    res = invoke(args_for("majority_column", "answers", "--query", str(qfile)))
+    assert res.exit_code == 1
+    assert res.stderr == "error: expected a term, got 'end of input'\n"
+
+
 def test_oracle_bounds_exit_3():
     res = invoke(args_for("dup_groups", "oracle", "--max-tuples", "2"))
     assert res.exit_code == 3

@@ -136,6 +136,12 @@ def test_missing_dot_rejected():
         parse_program("p(a)")
 
 
+def test_truncated_atom_rejected():
+    for truncated in ("p(", "p(X) :- q("):
+        with pytest.raises(ParseError, match="got 'end of input'"):
+            parse_program(truncated)
+
+
 def test_stray_token_rejected():
     with pytest.raises(ParseError):
         parse_program("p(a). -> q(b).")

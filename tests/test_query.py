@@ -46,6 +46,9 @@ def test_parse_rejects():
         parse_query("Q('a') :- R(x, y, z)", schema)
     with pytest.raises(ParseError, match="trailing"):
         parse_query("Q(x) :- R(x, y, z). extra", schema)
+    for truncated in ("Q(", "Q(x) :- R("):
+        with pytest.raises(ParseError, match="got 'end of input'"):
+            parse_query(truncated, schema)
 
 
 def test_eval_direct(majority_column):

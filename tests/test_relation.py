@@ -96,6 +96,12 @@ def test_csv_round_trip(tmp_path, dup_groups):
     assert back.tids("R") == dup_groups.instance.tids("R")
 
 
+def test_csv_utf8_bom_accepted(tmp_path, dup_groups):
+    (tmp_path / "R.csv").write_text("\ufeffA,B\na,b\n", encoding="utf-8")
+    inst = load_csv_dir(dup_groups.schema, tmp_path)
+    assert inst.row("R", 1) == ("a", "b")
+
+
 def test_csv_header_mismatch_rejected(tmp_path, dup_groups):
     (tmp_path / "R.csv").write_text("#tid,A,Z\n1,a,b\n", encoding="utf-8")
     with pytest.raises(InputError):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdres import (
     InputError,
@@ -14,7 +15,8 @@ from mdres import (
 )
 from mdres.similarity import EQUALITY, SimilaritySpec, load_table
 
-from reference import ref_levenshtein
+from generators import VALUE_POOL, rand_table_sim
+from reference import ref_levenshtein, ref_verify_transitivity
 
 
 def test_levenshtein_known_values():
@@ -64,6 +66,20 @@ def test_verify_transitivity_lev_triple():
     assert check_transitivity(lev1, {"aa", "ab"}).transitive is True
 
 
+@settings(max_examples=150, derandomize=True, deadline=None, print_blob=False)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_verify_transitivity_matches_cubic_reference(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        spec = SimilaritySpec(name="l", kind="lev", max_distance=rng.randint(0, 2))
+        domain = {"".join(rng.choice("ab") for _ in range(rng.randint(1, 4)))
+                  for _ in range(rng.randint(0, 12))}
+    else:
+        spec = rand_table_sim(rng)
+        domain = set(rng.sample(VALUE_POOL + ("y", "z"), rng.randint(0, 6)))
+    assert verify_transitivity(spec, domain) == ref_verify_transitivity(spec, domain)
+
+
 def test_undeclared_lev_never_upgraded():
     lev1 = SimilaritySpec(name="l", kind="lev", max_distance=1)
     assert check_transitivity(lev1, {"aa"}).transitive is False
@@ -91,15 +107,18 @@ def test_load_table_symmetric_and_strict():
 
 def test_parse_sims_declarations(tmp_path):
     (tmp_path / "p.csv").write_text("x,y\n", encoding="utf-8")
+    (tmp_path / "bom.csv").write_text("\ufeffx,y\n", encoding="utf-8")
     text = (
         "sim e = eq\n"
         "sim l = lev <= 2 [transitive]\n"
         "sim t = table p.csv\n"
+        "sim b = table bom.csv\n"
     )
     specs = parse_sims(text, tmp_path)
     assert specs["e"].kind == "eq"
     assert specs["l"].max_distance == 2 and specs["l"].declared_transitive
     assert specs["t"].pairs == frozenset({("x", "y"), ("y", "x")})
+    assert specs["b"].pairs == specs["t"].pairs  # a UTF-8 BOM is not a value
     # table verdicts are exact immediately
     assert specs["t"].transitive is True
 

@@ -1,9 +1,23 @@
-from mdres import emit_datalog, load_instance, parse_mds, parse_schema, ta_closure
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from mdres import (
+    emit_datalog,
+    load_instance,
+    merge_partition,
+    parse_mds,
+    parse_schema,
+    ta_closure,
+)
+from mdres.dsets import DisjointSet
 from mdres.relation import Position
-from mdres.taclosure import datalog_partition
+from mdres.similarity import SimilaritySpec
+from mdres.taclosure import datalog_partition, link_groups, linked_pairs
 
 from conftest import load_bundle
-from reference import ref_ta_blocks
+from generators import rand_table_sim
+from reference import _lhs_pairs, ref_linked_position_pairs, ref_ta_blocks
 
 
 def test_two_rule_cycle_blocks(two_rule_cycle):
@@ -100,3 +114,61 @@ def test_partition_json(two_rule_cycle):
     payload = part.as_json()
     assert payload[0]["positions"][0] == ["R", 1, "A"]
     assert payload[0]["values"] == {"a1": 1, "a2": 1, "b1": 1, "b2": 1}
+
+
+LINK_SCHEMA = parse_schema(
+    "relation R(A:str, B:str, C:str)\nrelation S(E:str, F:str, G:str)"
+)
+LINK_VALUES = ("u", "v", "w", "x", "uv", "vw", "uvw", "wu")
+
+
+def _rand_link_case(rng):
+    """Instance and MD set mixing `=`, `lev <= k` and table conjuncts."""
+    sims = {
+        "l": SimilaritySpec(name="l", kind="lev", max_distance=rng.randint(0, 2)),
+        "t": rand_table_sim(rng, "t"),
+    }
+    attrs = {r.name: r.attrs for r in LINK_SCHEMA.relations}
+    lines = []
+    for _ in range(rng.randint(1, 3)):
+        left, right = rng.choice((("R", "R"), ("R", "S"), ("S", "S")))
+        conjuncts = []
+        for _ in range(rng.randint(1, 3)):
+            op = rng.choice(("=", "~l", "~t"))
+            conjuncts.append(
+                f"{left}[{rng.choice(attrs[left])}] {op} "
+                f"{right}[{rng.choice(attrs[right])}]"
+            )
+        lines.append(
+            f"{', '.join(dict.fromkeys(conjuncts))} -> "
+            f"{left}[{rng.choice(attrs[left])}] == {right}[{rng.choice(attrs[right])}]"
+        )
+    mdset = parse_mds(";".join(lines), LINK_SCHEMA, sims)
+    rows = {
+        rel: [[rng.choice(LINK_VALUES) for _ in range(3)]
+              for _ in range(rng.randint(1, 7))]
+        for rel in ("R", "S")
+    }
+    return load_instance(LINK_SCHEMA, rows), mdset
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, print_blob=False)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_link_groups_match_nested_loop(seed):
+    inst, mdset = _rand_link_case(random.Random(seed))
+    for md in mdset.mds:
+        expanded = [
+            (t1, t2)
+            for ltids, rtids in link_groups(md, inst, mdset.sims)
+            for t1 in ltids
+            for t2 in rtids
+        ]
+        assert len(expanded) == len(set(expanded)), md  # one group per pair
+        assert sorted(expanded) == _lhs_pairs(md, inst, mdset.sims), md
+        assert linked_pairs(md, inst, mdset.sims) == _lhs_pairs(md, inst, mdset.sims)
+    assert ta_closure(inst, mdset).blocks == ref_ta_blocks(inst, mdset)
+    ds = DisjointSet()
+    for p, q in ref_linked_position_pairs(inst, mdset):
+        ds.union(p, q)
+    expected = sorted(tuple(sorted(g)) for g in ds.groups())
+    assert [b.positions for b in merge_partition(inst, mdset)] == expected
