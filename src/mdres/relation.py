@@ -46,11 +46,19 @@ class RelationSchema:
     name: str
     attrs: tuple[str, ...]
     tags: tuple[str, ...]
+    _index: dict[str, int] = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_index", {attr: i for i, attr in enumerate(self.attrs)}
+        )
 
     def index(self, attr: str) -> int:
         try:
-            return self.attrs.index(attr)
-        except ValueError:
+            return self._index[attr]
+        except KeyError:
             raise InputError(
                 f"relation {self.name} has no attribute {attr!r}"
             ) from None

@@ -155,28 +155,55 @@ class OracleBounds:
     max_states: int = 200_000
 
 
-def _canonize_fresh(
-    instance: Instance, sentinel: str, base: int, k: int
-) -> Instance:
-    """Relabel fresh values onto a canonical ladder of lengths.
+class _Cells:
+    """The fixed cell layout of the oracle's chase states.
+
+    A chase step changes values, never tids or attributes, so every state is
+    its tuple of values at the positions of d in sorted order. That tuple is
+    the visited-set key, and it is walked in position order when fresh values
+    are renamed.
+    """
+
+    def __init__(self, d: Instance):
+        self.schema = d.schema
+        self.positions = d.positions()
+        self.slot = {pos: i for i, pos in enumerate(self.positions)}
+        self.rows = [
+            (rel, tid, tuple(
+                self.slot[Position(tid, (rel, attr))]
+                for attr in d.schema.relation(rel).attrs
+            ))
+            for rel, table in d.data.items()
+            for tid in table
+        ]
+        self.rels = tuple(d.data)
+
+    def values(self, instance: Instance) -> tuple[str, ...]:
+        return tuple(instance.value(pos) for pos in self.positions)
+
+    def instance(self, values: tuple[str, ...]) -> Instance:
+        data: dict[str, dict[int, tuple[str, ...]]] = {rel: {} for rel in self.rels}
+        for rel, tid, slots in self.rows:
+            data[rel][tid] = tuple(values[i] for i in slots)
+        return Instance(self.schema, data)
+
+
+def _canonize_fresh(values: list[str], sentinel: str, base: int, k: int) -> None:
+    """Relabel fresh values, in place, onto a canonical ladder of lengths.
 
     Fresh values introduced along different chase paths are interchangeable
     (mutually dissimilar, dissimilar to everything stored); renaming them by
-    first occurrence collapses isomorphic states in the visited set.
+    first occurrence in position order collapses isomorphic states in the
+    visited set.
     """
     mapping: dict[str, str] = {}
-    changes: dict[Position, str] = {}
-    for pos in instance.positions():
-        value = instance.value(pos)
-        if sentinel not in value:
-            continue
-        target = mapping.get(value)
-        if target is None:
-            target = sentinel * (base + (k + 1) * (len(mapping) + 1))
-            mapping[value] = target
-        if target != value:
-            changes[pos] = target
-    return instance.with_values(changes) if changes else instance
+    for i, value in enumerate(values):
+        if sentinel in value:
+            target = mapping.get(value)
+            if target is None:
+                target = sentinel * (base + (k + 1) * (len(mapping) + 1))
+                mapping[value] = target
+            values[i] = target
 
 
 def enumerate_mris_oracle(
@@ -200,22 +227,22 @@ def enumerate_mris_oracle(
         )
     max_depth = b.max_depth if b.max_depth is not None else 2 * len(mdset.mds) + 2
     sentinel, base, k = _fresh_params(d, mdset)
-    visited = {d.key()}
-    frontier = [ChaseState.start(d, mdset)]
+    cells = _Cells(d)
+    start = cells.values(d)
+    visited = {start}
+    frontier = [(ChaseState.start(d, mdset), start)]
     stable: list[Instance] = []
     depth = 0
     while frontier:
         next_frontier = []
-        for state in frontier:
+        for state, values in frontier:
             if state.stable:
                 stable.append(state.instance)
                 continue
             if depth >= max_depth:
                 continue
             open_blocks = [blk for blk in state.blocks if not blk.uniform]
-            used = len(
-                {v for v in state.instance.active_domain() if sentinel in v}
-            )
+            used = len({v for v in values if sentinel in v})
             pools = []
             for i, blk in enumerate(open_blocks):
                 if len(blk.values) + 1 > b.max_values:
@@ -225,16 +252,14 @@ def enumerate_mris_oracle(
                     )
                 fresh = sentinel * (base + (k + 1) * (used + i + 1))
                 pools.append(blk.values + (fresh,))
+            slots = [[cells.slot[pos] for pos in blk.positions] for blk in open_blocks]
             for combo in product(*pools):
-                changes = {
-                    pos: value
-                    for blk, value in zip(open_blocks, combo)
-                    for pos in blk.positions
-                }
-                inst = _canonize_fresh(
-                    state.instance.with_values(changes), sentinel, base, k
-                )
-                key = inst.key()
+                succ = list(values)
+                for block_slots, value in zip(slots, combo):
+                    for i in block_slots:
+                        succ[i] = value
+                _canonize_fresh(succ, sentinel, base, k)
+                key = tuple(succ)
                 if key in visited:
                     continue
                 visited.add(key)
@@ -242,8 +267,9 @@ def enumerate_mris_oracle(
                     raise BoundsExceededError(
                         f"chase state space exceeds {b.max_states} instances"
                     )
+                inst = cells.instance(key)
                 next_frontier.append(
-                    ChaseState(inst, depth + 1, merge_partition(inst, mdset))
+                    (ChaseState(inst, depth + 1, merge_partition(inst, mdset)), key)
                 )
         frontier = next_frontier
         depth += 1
