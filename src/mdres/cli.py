@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -24,7 +24,7 @@ from .errors import (
     NotEligibleError,
 )
 from .mds import MDSet, classify, parse_mds
-from .query import eval_rewritten, is_ujcq, parse_query, resolved_answers, rewrite
+from .query import is_ujcq, parse_query, resolved_answers, rewrite
 from .relation import (
     Instance,
     instance_as_json,
@@ -66,8 +66,6 @@ class RunConfig:
     max_depth: int | None = None
     max_materialized: int = 1024
     fmt: str = "json"
-    seed: int | None = None
-    threads: int | None = None
 
     def bounds(self) -> OracleBounds:
         return OracleBounds(
@@ -121,10 +119,6 @@ def run(command: str, cfg: RunConfig):
         raise InputError(f"unknown format {cfg.fmt!r} (expected one of {FORMATS})")
     if cfg.mode not in MODES:
         raise InputError(f"unknown mode {cfg.mode!r} (expected one of {MODES})")
-    if cfg.threads is not None and cfg.threads < 1:
-        raise InputError("--threads must be at least 1")
-    # --seed and --threads are accepted for reproducibility plumbing; nothing
-    # here consumes randomness and execution is sequential at these scales.
 
     if command == "classify":
         _, mdset = _load(cfg)
@@ -289,14 +283,6 @@ def _common_options(fn):
         click.option("--mds", type=str, default=None, help="MD file."),
         click.option("--sims", type=str, default=None, help="Similarity definitions file."),
         click.option("--format", "fmt", type=str, default="json", help="json or text."),
-        click.option("--seed", type=int, default=None, help="Reserved; recorded only."),
-        click.option(
-            "--threads",
-            type=int,
-            default=None,
-            envvar="MDRES_THREADS",
-            help="Accepted for compatibility; execution is sequential.",
-        ),
     ]
     for opt in reversed(options):
         fn = opt(fn)

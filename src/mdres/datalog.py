@@ -12,9 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterable
 
 from .errors import ParseError
+from .join import Const, Var, join
 
 _VAR_RE = re.compile(r"^[A-Z]\w*$")
 
@@ -36,18 +36,9 @@ _TOKEN_RE = re.compile(
 
 
 @dataclass(frozen=True)
-class Term:
-    kind: str  # "var" | "const"
-    value: object
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True)
 class Atom:
     pred: str
-    terms: tuple[Term, ...]
+    terms: tuple[Var | Const, ...]
 
     @property
     def arity(self) -> int:
@@ -93,22 +84,22 @@ def parse_program(text: str) -> Program:
         i += 1
         return value
 
-    def parse_term() -> Term:
+    def parse_term() -> Var | Const:
         nonlocal i
         kind, value = tokens[i] if i < len(tokens) else ("end", "end of input")
         if kind == "number":
             i += 1
-            return Term("const", int(value))
+            return Const(int(value))
         if kind == "string":
             i += 1
-            return Term("const", value[1:-1].replace("''", "'"))
+            return Const(value[1:-1].replace("''", "'"))
         if kind == "ident":
             i += 1
             if value == "_":
-                return Term("var", f"_anon{next(fresh)}")
+                return Var(f"_anon{next(fresh)}")
             if _VAR_RE.match(value) or value.startswith("_"):
-                return Term("var", value)
-            return Term("const", value)
+                return Var(value)
+            return Const(value)
         raise ParseError(f"expected a term, got {value!r}")
 
     def parse_atom() -> Atom:
@@ -143,36 +134,17 @@ def parse_program(text: str) -> Program:
                 body.append(parse_atom())
                 note_arity(body[-1])
             expect("dot")
-            head_vars = {t.value for t in head.terms if t.kind == "var"}
-            body_vars = {t.value for a in body for t in a.terms if t.kind == "var"}
+            head_vars = {t.name for t in head.terms if isinstance(t, Var)}
+            body_vars = {t.name for a in body for t in a.terms if isinstance(t, Var)}
             if not head_vars <= body_vars:
                 raise ParseError(f"unsafe rule: {head.pred} head variables unbound")
             program.rules.append(Rule(head, tuple(body)))
         else:
             expect("dot")
-            if any(t.kind == "var" for t in head.terms):
+            if any(isinstance(t, Var) for t in head.terms):
                 raise ParseError(f"fact {head.pred} contains variables")
             program.facts.append(head)
     return program
-
-
-def _match(atom: Atom, values: tuple, binding: dict) -> dict | None:
-    out = binding
-    copied = False
-    for term, value in zip(atom.terms, values):
-        if term.kind == "const":
-            if term.value != value:
-                return None
-        else:
-            bound = out.get(term.value, _match)
-            if bound is _match:
-                if not copied:
-                    out = dict(out)
-                    copied = True
-                out[term.value] = value
-            elif bound != value:
-                return None
-    return out
 
 
 def evaluate(program: Program) -> dict[str, set[tuple]]:
@@ -184,28 +156,18 @@ def evaluate(program: Program) -> dict[str, set[tuple]]:
         )
     delta = {pred: set(rows) for pred, rows in derived.items()}
 
-    def join(rule: Rule, pivot: int) -> Iterable[tuple]:
-        def rec(k: int, binding: dict):
-            if k == len(rule.body):
-                yield tuple(binding[t.value] if t.kind == "var" else t.value
-                            for t in rule.head.terms)
-                return
-            atom = rule.body[k]
-            source = delta if k == pivot else derived
-            for values in source.get(atom.pred, ()):
-                nb = _match(atom, values, binding)
-                if nb is not None:
-                    yield from rec(k + 1, nb)
-
-        yield from rec(0, {})
-
     while True:
         fresh: dict[str, set[tuple]] = {}
         for rule in program.rules:
-            for pivot in range(len(rule.body)):
-                if rule.body[pivot].pred not in delta:
+            body = [atom.terms for atom in rule.body]
+            for pivot, atom in enumerate(rule.body):
+                if atom.pred not in delta:
                     continue
-                for row in join(rule, pivot):
+                sources = [
+                    (delta if k == pivot else derived).get(a.pred, ())
+                    for k, a in enumerate(rule.body)
+                ]
+                for row in join(rule.head.terms, body, sources):
                     if row not in derived.get(rule.head.pred, set()):
                         fresh.setdefault(rule.head.pred, set()).add(row)
         if not fresh:

@@ -1,0 +1,82 @@
+"""Terms and the one conjunctive join behind every evaluation in the package.
+
+Plain query answers, rewritten answers (the same join over winner views),
+the oracle's per-MRI answers and datalog rule bodies all run through `join`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str
+
+    def __str__(self) -> str:
+        return self.name
+
+
+@dataclass(frozen=True)
+class Const:
+    value: str  # datalog constants may also be integers
+
+    def __str__(self) -> str:
+        return f"'{self.value}'"
+
+
+def join(
+    head: Sequence[Var | Const],
+    body: Sequence[Sequence[Var | Const]],
+    sources: Sequence[Iterable[tuple]],
+) -> Iterator[tuple]:
+    """Head tuples of every binding of the body atoms to the given rows.
+
+    `body` holds one term sequence per atom and `sources` one row iterable
+    per atom, read once. Atoms are joined in the given order. Each atom's
+    rows go into a hash index keyed on the positions whose variables earlier
+    atoms bind; rows that miss one of the atom's constants, or disagree on a
+    variable repeated inside the atom, are dropped while the index is built.
+    A binding is the tuple of variable values in the order the variables are
+    first bound, so a lookup reads fixed slots. Every head variable must
+    occur in the body. A head tuple comes once per binding; callers that
+    want a set build one.
+    """
+    slots: dict[str, int] = {}
+    plans = []
+    for terms, rows in zip(body, sources):
+        consts, repeats, keyed, lookup = [], [], [], []
+        first: dict[str, int] = {}
+        for j, term in enumerate(terms):
+            if isinstance(term, Const):
+                consts.append((j, term.value))
+            elif term.name in slots:
+                keyed.append(j)
+                lookup.append(slots[term.name])
+            elif term.name in first:
+                repeats.append((j, first[term.name]))
+            else:
+                first[term.name] = j
+        new = tuple(first.values())
+        index: dict[tuple, list[tuple]] = {}
+        for row in rows:
+            if all(row[j] == v for j, v in consts) and all(
+                row[j] == row[i] for j, i in repeats
+            ):
+                key = tuple(row[j] for j in keyed)
+                index.setdefault(key, []).append(tuple(row[j] for j in new))
+        for name in first:
+            slots[name] = len(slots)
+        plans.append((lookup, index))
+    out = [(slots[t.name], None) if isinstance(t, Var) else (None, t.value) for t in head]
+
+    def extend(k: int, binding: tuple) -> Iterator[tuple]:
+        if k == len(plans):
+            yield tuple(c if s is None else binding[s] for s, c in out)
+            return
+        lookup, index = plans[k]
+        for values in index.get(tuple(binding[s] for s in lookup), ()):
+            yield from extend(k + 1, binding + values)
+
+    yield from extend(0, ())

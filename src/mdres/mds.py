@@ -404,10 +404,6 @@ def build_md_graph(mdset: MDSet) -> MDGraph:
     return MDGraph(vertices, frozenset(edges))
 
 
-def changeable_attrs(mdset: MDSet) -> frozenset[Attr]:
-    return mdset.changeable
-
-
 def previous_set(graph: MDGraph, mid: str) -> frozenset[str]:
     """All MDs with a directed path into mid, plus mid itself."""
     if mid not in graph.vertices:
@@ -430,22 +426,6 @@ def _components(pairs: Iterable[tuple], universe: Iterable) -> list[tuple]:
     blocks = [tuple(sorted(g)) for g in ds.groups()]
     blocks.sort()
     return blocks
-
-
-def lr_components(md: MD) -> tuple[AttrPartition, AttrPartition]:
-    """Connected components of the left-hand conditions and right-hand matches.
-
-    Two attributes are related when some condition (resp. match) of the MD
-    mentions them together; components are the transitive closure.
-    """
-    lhs_pairs = [(c.left, c.right) for c in md.lhs]
-    rhs_pairs = list(md.rhs)
-    lhs_universe = {a for p in lhs_pairs for a in p}
-    rhs_universe = {a for p in rhs_pairs for a in p}
-    return (
-        AttrPartition("L-component", tuple(_components(lhs_pairs, lhs_universe))),
-        AttrPartition("R-component", tuple(_components(rhs_pairs, rhs_universe))),
-    )
 
 
 def eqr_classes(mdset: MDSet) -> AttrPartition:

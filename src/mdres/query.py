@@ -7,9 +7,14 @@ instance. Two evaluation paths produce them:
   changeable attributes is replaced by a copy that existentially ignores the
   stored value and instead demands, for every free variable at a changeable
   position, that the bound value win a strict majority inside the closure
-  block of the witness position. Polynomial, no instances materialized.
+  block of the witness position. Evaluated on the dirty instance, that is
+  the original query over one view per atom in which each such position
+  holds its block's unique winner (rows whose block has none drop out).
+  Polynomial, no instances materialized.
 - oracle: evaluate the query on every MRI produced by the exhaustive chase
   and intersect the answer sets.
+
+Every evaluation is the one indexed join of `join.py`.
 
 Join safety (what the rewrite needs): no constant sits at a changeable
 position, and no non-free variable with two or more occurrences does.
@@ -21,26 +26,11 @@ import re
 from dataclasses import dataclass
 
 from .errors import BoundsExceededError, InputError, NotEligibleError, ParseError
+from .join import Const, Var, join
 from .mds import MDSet, classify, eqr_class
 from .relation import Attr, Instance, Position, Schema
 from .resolver import OracleBounds, enumerate_mris_oracle
 from .taclosure import ta_closure
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class Const:
-    value: str
-
-    def __str__(self) -> str:
-        return f"'{self.value}'"
 
 
 @dataclass(frozen=True)
@@ -206,37 +196,8 @@ def parse_query(text: str, schema: Schema) -> ConjunctiveQuery:
 # Plain evaluation
 
 def _eval_tuples(q: ConjunctiveQuery, d: Instance) -> set[tuple[str, ...]]:
-    results: set[tuple[str, ...]] = set()
-
-    def rec(k: int, binding: dict):
-        if k == len(q.atoms):
-            results.add(tuple(binding[v.name] for v in q.head))
-            return
-        atom = q.atoms[k]
-        for _, row in d.rows(atom.rel):
-            nb = binding
-            copied = False
-            ok = True
-            for term, value in zip(atom.terms, row):
-                if isinstance(term, Const):
-                    if term.value != value:
-                        ok = False
-                        break
-                else:
-                    bound = nb.get(term.name)
-                    if bound is None:
-                        if not copied:
-                            nb = dict(nb)
-                            copied = True
-                        nb[term.name] = value
-                    elif bound != value:
-                        ok = False
-                        break
-            if ok:
-                rec(k + 1, nb)
-
-    rec(0, {})
-    return results
+    sources = [[row for _, row in d.rows(atom.rel)] for atom in q.atoms]
+    return set(join(q.head, [atom.terms for atom in q.atoms], sources))
 
 
 def eval_cq(q: ConjunctiveQuery, d: Instance) -> AnswerSet:
@@ -413,7 +374,10 @@ def eval_rewritten(rq: RewrittenQuery, d: Instance) -> AnswerSet:
     position must have a unique most frequent value, and that value is what
     the free variable binds to. Summing the per-relation counts of the
     match-class over TA-linked tuples is exactly the block frequency table,
-    so no per-candidate iteration is needed.
+    so no per-candidate iteration is needed. Evaluation is therefore plain
+    evaluation of the original query over one view per atom: each condition
+    position holds its block's unique winner, and a row drops out when one
+    of those blocks has no unique winner.
     """
     mdset = rq.mdset
     partition = ta_closure(d, mdset)
@@ -426,49 +390,18 @@ def eval_rewritten(rq: RewrittenQuery, d: Instance) -> AnswerSet:
             winner_cache[i] = pool[0] if len(pool) == 1 else None
         return winner_cache[i]
 
-    results: set[tuple[str, ...]] = set()
-
-    def rec(k: int, binding: dict):
-        if k == len(rq.atoms):
-            results.add(tuple(binding[v.name] for v in rq.head))
-            return
-        ra = rq.atoms[k]
-        atom = ra.original
-        skip = {c.pos for c in ra.conditions}
-        for tid, row in d.rows(atom.rel):
-            nb = dict(binding)
-            ok = True
-            for j, (term, value) in enumerate(zip(atom.terms, row)):
-                if j in skip:
-                    continue
-                if isinstance(term, Const):
-                    if term.value != value:
-                        ok = False
-                        break
-                else:
-                    bound = nb.get(term.name)
-                    if bound is None:
-                        nb[term.name] = value
-                    elif bound != value:
-                        ok = False
-                        break
-            if not ok:
-                continue
+    def view(ra: RewrittenAtom) -> list[tuple[str, ...]]:
+        rows = []
+        for tid, row in d.rows(ra.original.rel):
+            values = list(row)
             for c in ra.conditions:
-                w = winner(Position(tid, c.attr))
-                if w is None:
-                    ok = False
-                    break
-                bound = nb.get(c.var)
-                if bound is None:
-                    nb[c.var] = w
-                elif bound != w:
-                    ok = False
-                    break
-            if ok:
-                rec(k + 1, nb)
+                values[c.pos] = winner(Position(tid, c.attr))
+            if None not in values:
+                rows.append(tuple(values))
+        return rows
 
-    rec(0, {})
+    body = [ra.original.terms for ra in rq.atoms]
+    results = set(join(rq.head, body, [view(ra) for ra in rq.atoms]))
     return AnswerSet(tuple(sorted(results)), "rewrite")
 
 

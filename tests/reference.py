@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from mdres import Instance, MDSet, eval_cq, similar
+from mdres import Instance, MDSet, similar
+from mdres.query import Const
 from mdres.relation import Position
 
 
@@ -177,11 +178,47 @@ def _feeders(mdset: MDSet, mid: str) -> set[str]:
     return reach
 
 
+def ref_eval_cq(q, d: Instance) -> set[tuple[str, ...]]:
+    """Direct answers by nested loops: every row of each atom is tried
+    against every partial binding."""
+    results: set[tuple[str, ...]] = set()
+
+    def rec(k: int, binding: dict):
+        if k == len(q.atoms):
+            results.add(tuple(binding[v.name] for v in q.head))
+            return
+        atom = q.atoms[k]
+        for _, row in d.rows(atom.rel):
+            nb = binding
+            copied = False
+            ok = True
+            for term, value in zip(atom.terms, row):
+                if isinstance(term, Const):
+                    if term.value != value:
+                        ok = False
+                        break
+                else:
+                    bound = nb.get(term.name)
+                    if bound is None:
+                        if not copied:
+                            nb = dict(nb)
+                            copied = True
+                        nb[term.name] = value
+                    elif bound != value:
+                        ok = False
+                        break
+            if ok:
+                rec(k + 1, nb)
+
+    rec(0, {})
+    return results
+
+
 def ref_certain_answers(query, instances) -> frozenset[tuple[str, ...]]:
     """Intersection of the direct answers over a family of instances."""
     result: frozenset | None = None
     for inst in instances:
-        answers = frozenset(eval_cq(query, inst).tuples)
+        answers = frozenset(ref_eval_cq(query, inst))
         result = answers if result is None else (result & answers)
         if not result:
             break

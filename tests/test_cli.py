@@ -148,6 +148,12 @@ def test_missing_input_exits_1(tmp_path):
     assert "--data is required" in res2.stderr
 
 
+def test_removed_threads_option_is_a_usage_error():
+    res = invoke(args_for("dup_groups", "classify", "--threads", "2"))
+    assert res.exit_code == 2
+    assert "No such option" in res.stderr
+
+
 def test_emit_datalog_raw_text():
     res = invoke(args_for("two_rule_cycle", "emit-datalog"))
     assert res.exit_code == 0, res.output

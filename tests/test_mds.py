@@ -5,11 +5,9 @@ from mdres import (
     NotEligibleError,
     ParseError,
     build_md_graph,
-    changeable_attrs,
     eqr_class,
     eqr_classes,
     equivalent_sets,
-    lr_components,
     parse_mds,
     parse_schema,
     previous_set,
@@ -100,7 +98,7 @@ def test_graph_detects_cycles(two_rule_cycle):
 
 
 def test_changeable_attrs(hard_chain):
-    assert changeable_attrs(hard_chain.mdset) == frozenset(
+    assert hard_chain.mdset.changeable == frozenset(
         {("R", "B"), ("S", "F"), ("R", "C"), ("S", "G")}
     )
 
@@ -135,23 +133,6 @@ def test_eqr_classes_three_md_closure():
     assert eqr_class(mdset, ("T", "L")) == (("S", "K"), ("T", "L"), ("T", "M"))
     # unchangeable attributes sit in their own singleton class
     assert eqr_class(mdset, ("R", "A")) == (("R", "A"),)
-
-
-def test_lr_components():
-    schema = parse_schema(
-        "relation R(A:str, C:str, E:str, G:str, I:str)\n"
-        "relation S(B:str, F:str, H:str, J:str)"
-    )
-    mdset = parse_mds(
-        "R[A] ~s S[B], R[C] ~s S[B], R[E] ~s S[F] -> R[G] == S[H]",
-        schema, sims_for("s"),
-    )
-    l_part, r_part = lr_components(mdset.mds[0])
-    assert sorted(sorted(c) for c in l_part.blocks) == [
-        [("R", "A"), ("R", "C"), ("S", "B")],
-        [("R", "E"), ("S", "F")],
-    ]
-    assert sorted(sorted(c) for c in r_part.blocks) == [[("R", "G"), ("S", "H")]]
 
 
 def test_equivalent_sets_bound_pair():

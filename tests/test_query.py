@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mdres import (
     NotEligibleError,
@@ -7,14 +8,17 @@ from mdres import (
     eval_cq,
     eval_rewritten,
     is_ujcq,
+    load_instance,
     parse_query,
+    parse_schema,
     resolved_answers,
     rewrite,
 )
+from mdres.datalog import evaluate, parse_program
 from mdres.errors import BoundsExceededError, InputError, ParseError
 
 from conftest import load_bundle
-from reference import ref_certain_answers
+from reference import ref_certain_answers, ref_eval_cq
 
 
 def test_parse_shape(majority_column):
@@ -203,3 +207,62 @@ def test_answerset_helpers(majority_column):
     assert ("c2",) in ans
     assert len(ans) == 3
     assert ans.as_json() == [["c1"], ["c2"], ["c3"]]
+
+
+JOIN_SCHEMA = parse_schema("relation R(A:str, B:str)\nrelation S(C:str, D:str, E:str)")
+JOIN_VALUES = ("u", "v")
+JOIN_TERMS = ("x", "y", "z", "w", "'u'", "'v'")
+
+
+def _rows(arity):
+    return st.lists(
+        st.tuples(*[st.sampled_from(JOIN_VALUES)] * arity), max_size=6
+    )
+
+
+@st.composite
+def _queries(draw):
+    """(head, atoms) with 1-4 atoms; each atom is (relation, terms)."""
+    atoms = []
+    for _ in range(draw(st.integers(1, 4))):
+        rel = draw(st.sampled_from(("R", "S")))
+        arity = JOIN_SCHEMA.relation(rel).arity
+        atoms.append((rel, tuple(draw(st.sampled_from(JOIN_TERMS)) for _ in range(arity))))
+    body_vars = sorted({t for _, terms in atoms for t in terms if "'" not in t})
+    head = draw(st.lists(st.sampled_from(body_vars), max_size=3)) if body_vars else []
+    return tuple(head), tuple(atoms)
+
+
+def _body(atoms, rename):
+    return ", ".join(f"{rel}({', '.join(map(rename, terms))})" for rel, terms in atoms)
+
+
+def _datalog_var(term):
+    return term if "'" in term else term.upper()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, print_blob=False)
+@given(_rows(2), _rows(3), _queries())
+@example([("u", "v")], [("v", "u", "u")], (("x", "w"), (("R", ("x", "y")), ("S", ("z", "w", "'u'")))))
+@example([("u", "u"), ("u", "v")], [], ((), (("R", ("x", "x")),)))
+@example([], [("u", "v", "v")], (("x",), (("S", ("x", "y", "z")), ("R", ("x", "y")))))
+@example(
+    [("u", "v"), ("v", "u")], [("v", "u", "u")],
+    (("x", "z"), (("R", ("x", "y")), ("R", ("y", "z")), ("S", ("y", "z", "w")), ("R", ("w", "x")))),
+)
+def test_eval_cq_matches_nested_loop(r_rows, s_rows, query):
+    """eval_cq and datalog.evaluate, both on the indexed join, give the
+    nested-loop answers: 1-4 atoms, constants, repeated variables, cross
+    products, empty relations and boolean queries."""
+    head, atoms = query
+    q = parse_query(f"Q({', '.join(head)}) :- {_body(atoms, str)}", JOIN_SCHEMA)
+    d = load_instance(JOIN_SCHEMA, {"R": r_rows, "S": s_rows})
+    expected = ref_eval_cq(q, d)
+    assert eval_cq(q, d).tuples == tuple(sorted(expected))
+    # the same rule in datalog; a leading head constant gives boolean queries a head term
+    facts = [f"r({a!r}, {b!r})." for a, b in r_rows]
+    facts += [f"s({a!r}, {b!r}, {c!r})." for a, b, c in s_rows]
+    lowered = [(rel.lower(), terms) for rel, terms in atoms]
+    rule = f"q({', '.join(['1', *map(str.upper, head)])}) :- {_body(lowered, _datalog_var)}."
+    derived = evaluate(parse_program("\n".join(facts + [rule])))
+    assert {row[1:] for row in derived.get("q", set())} == expected
