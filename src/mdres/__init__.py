@@ -55,10 +55,8 @@ from .relation import (
     write_csv_dir,
 )
 from .resolver import (
-    ChaseState,
     MRIFamily,
     OracleBounds,
-    chase_step,
     enumerate_mris_oracle,
     fast_mri_family,
     is_stable,
@@ -85,7 +83,6 @@ __all__ = [
     "AttrPartition",
     "BoundsExceededError",
     "ChangeSet",
-    "ChaseState",
     "Classification",
     "Conjunct",
     "ConjunctiveQuery",
@@ -108,7 +105,6 @@ __all__ = [
     "TAPartition",
     "build_cqa_instance",
     "build_md_graph",
-    "chase_step",
     "check_all",
     "check_transitivity",
     "classify",

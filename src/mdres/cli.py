@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import click
 
@@ -24,12 +23,13 @@ from .errors import (
     NotEligibleError,
 )
 from .mds import MDSet, classify, parse_mds
-from .query import is_ujcq, parse_query, resolved_answers, rewrite
+from .query import is_ujcq, parse_query, resolved_answers
 from .relation import (
     Instance,
     instance_as_json,
     load_csv_dir,
     load_schema,
+    read_text,
 )
 from .resolver import OracleBounds, enumerate_mris_oracle, fast_mri_family
 from .similarity import check_all, load_sims
@@ -88,7 +88,7 @@ def _load(cfg: RunConfig) -> tuple[Instance, MDSet]:
     instance = load_csv_dir(schema, cfg.data)
     sims = load_sims(cfg.sims) if cfg.sims else {}
     checked = check_all(sims, instance.active_domain())
-    mds_text = Path(cfg.mds).read_text(encoding="utf-8")
+    mds_text = read_text(cfg.mds)
     mdset = parse_mds(mds_text, schema, checked)
     return instance, mdset
 
@@ -163,20 +163,19 @@ def run(command: str, cfg: RunConfig):
     if command == "answers":
         instance, mdset = _load(cfg)
         _require(cfg, "query")
-        query = parse_query(Path(cfg.query).read_text(encoding="utf-8"), mdset.schema)
+        query = parse_query(read_text(cfg.query), mdset.schema)
         ok, witness = is_ujcq(query, mdset)
-        answers = resolved_answers(query, instance, mdset, cfg.mode, cfg.bounds())
-        payload = {
+        answers = resolved_answers(
+            query, instance, mdset, cfg.mode, cfg.bounds(), ujcq=(ok, witness)
+        )
+        return {
             "query": str(query),
             "ujcq": ok,
             "witness": witness,
             "mode": answers.provenance,
             "answers": answers.as_json(),
+            "rewritten": answers.rewritten.render() if answers.rewritten else None,
         }
-        payload["rewritten"] = (
-            rewrite(query, mdset).render() if answers.provenance == "rewrite" else None
-        )
-        return payload
 
     if command == "emit-datalog":
         instance, mdset = _load(cfg)

@@ -23,11 +23,11 @@ position, and no non-free variable with two or more occurrences does.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BoundsExceededError, InputError, NotEligibleError, ParseError
 from .join import Const, Var, join
-from .mds import MDSet, classify, eqr_class
+from .mds import Classification, MDSet, classify, eqr_class
 from .relation import Attr, Instance, Position, Schema
 from .resolver import OracleBounds, enumerate_mris_oracle
 from .taclosure import ta_closure
@@ -61,6 +61,8 @@ class ConjunctiveQuery:
 class AnswerSet:
     tuples: tuple[tuple[str, ...], ...]
     provenance: str  # "direct" | "rewrite" | "oracle"
+    # the rewritten query behind a "rewrite" answer set
+    rewritten: RewrittenQuery | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -317,18 +319,27 @@ def _render_rewritten(ra: RewrittenAtom, schema: Schema) -> str:
     return f"exists {primed_vars} ({' & '.join(pieces)})"
 
 
-def rewrite(q: ConjunctiveQuery, mdset: MDSet) -> RewrittenQuery:
+def rewrite(
+    q: ConjunctiveQuery,
+    mdset: MDSet,
+    *,
+    ujcq: tuple[bool, str | None] | None = None,
+    cls: Classification | None = None,
+) -> RewrittenQuery:
     """Instance-independent rewriting of a join-safe query.
 
     Atoms without free variables at changeable positions pass through. Every
     other atom gets a primed copy (the stored value at those positions is
     existentially quantified away) plus one strict-majority condition per
-    affected position, summed over the position's match-class.
+    affected position, summed over the position's match-class. A caller that
+    already holds is_ujcq(q, mdset) or classify(mdset) passes it as `ujcq` or
+    `cls`.
     """
-    ok, witness = is_ujcq(q, mdset)
+    ok, witness = ujcq if ujcq is not None else is_ujcq(q, mdset)
     if not ok:
         raise NotEligibleError(f"query is not join-safe for rewriting: {witness}")
-    cls = classify(mdset)
+    if cls is None:
+        cls = classify(mdset)
     if not cls.fast:
         raise NotEligibleError(
             f"rewriting applies to NonInteracting, SimpleCycle and HitSimpleCycle "
@@ -402,7 +413,7 @@ def eval_rewritten(rq: RewrittenQuery, d: Instance) -> AnswerSet:
 
     body = [ra.original.terms for ra in rq.atoms]
     results = set(join(rq.head, body, [view(ra) for ra in rq.atoms]))
-    return AnswerSet(tuple(sorted(results)), "rewrite")
+    return AnswerSet(tuple(sorted(results)), "rewrite", rq)
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +425,18 @@ def resolved_answers(
     mdset: MDSet,
     mode: str = "auto",
     bounds: OracleBounds | None = None,
+    ujcq: tuple[bool, str | None] | None = None,
 ) -> AnswerSet:
     """Answers true on every minimal resolved instance.
 
     mode "rewrite" insists on the fast path and raises NotEligibleError when
     the query or the MD set disqualifies it; "oracle" intersects over the
     enumerated MRIs; "auto" prefers the rewrite and falls back to the oracle.
+    A caller that already holds is_ujcq(q, mdset) passes it as `ujcq`.
     """
     if mode not in ("auto", "rewrite", "oracle"):
         raise InputError(f"unknown answer mode {mode!r}")
-    ok, witness = is_ujcq(q, mdset)
+    ok, witness = ujcq if ujcq is not None else is_ujcq(q, mdset)
     cls = classify(mdset)
     fast_ok = ok and cls.fast
     if mode == "rewrite" or (mode == "auto" and fast_ok):
@@ -436,7 +449,7 @@ def resolved_answers(
             raise NotEligibleError(
                 "rewrite path not available: " + "; ".join(reasons)
             )
-        return eval_rewritten(rewrite(q, mdset), d)
+        return eval_rewritten(rewrite(q, mdset, ujcq=(ok, witness), cls=cls), d)
     try:
         mris, _ = enumerate_mris_oracle(d, mdset, bounds)
     except BoundsExceededError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +25,7 @@ Attr = tuple[str, str]
 DOMAIN_TAGS = ("str", "int")
 
 _INT_RE = re.compile(r"^-?\d+$")
+_CANONICAL_INT_RE = re.compile(r"0|-?[1-9][0-9]*")  # what str(int(v)) yields
 _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
 
 
@@ -134,8 +136,16 @@ def parse_schema(text: str) -> Schema:
     return Schema(tuple(relations))
 
 
+def read_text(path: str | Path, encoding: str = "utf-8") -> str:
+    """The contents of a text file; bytes that do not decode raise InputError."""
+    try:
+        return Path(path).read_text(encoding=encoding)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def load_schema(path: str | Path) -> Schema:
-    return parse_schema(Path(path).read_text(encoding="utf-8"))
+    return parse_schema(read_text(path))
 
 
 @dataclass(eq=False)
@@ -225,7 +235,7 @@ def _check_value(rel: RelationSchema, rownum: int, attr: str, tag: str, value: s
         raise InputError(
             f"relation {rel.name}, row {rownum}, attribute {attr}: blank value"
         )
-    if tag == "int" and not (_INT_RE.match(value) and str(int(value)) == value):
+    if tag == "int" and not _CANONICAL_INT_RE.fullmatch(value):
         raise InputError(
             f"relation {rel.name}, row {rownum}, attribute {attr}: "
             f"{value!r} is not a canonical integer"
@@ -308,7 +318,10 @@ def _read_csv(rschema: RelationSchema, text: str, source: str):
             raw_tid, record = record[0], record[1:]
             if not _INT_RE.match(raw_tid.strip()):
                 raise InputError(f"{source}, row {rownum}: bad tid {raw_tid!r}")
-            tids.append(int(raw_tid))
+            try:
+                tids.append(int(raw_tid))
+            except ValueError:  # more digits than int() converts
+                raise InputError(f"{source}, row {rownum}: tid has too many digits") from None
         if len(record) != rschema.arity:
             raise InputError(
                 f"{source}, row {rownum}: expected {rschema.arity} values, "
@@ -325,11 +338,9 @@ def load_csv_dir(schema: Schema, directory: str | Path) -> Instance:
     tids: dict[str, list[int]] = {}
     for rschema in schema.relations:
         path = directory / f"{rschema.name}.csv"
-        if not path.is_file():
+        if not os.path.isfile(path):
             raise InputError(f"missing data file for relation {rschema.name}: {path}")
-        rel_rows, rel_tids = _read_csv(
-            rschema, path.read_text(encoding="utf-8-sig"), str(path)
-        )
+        rel_rows, rel_tids = _read_csv(rschema, read_text(path, "utf-8-sig"), str(path))
         rows[rschema.name] = rel_rows
         if rel_tids is not None:
             tids[rschema.name] = rel_tids

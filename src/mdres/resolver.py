@@ -2,9 +2,10 @@
 
 A chase step recomputes, on the current instance, which positions are linked
 by the MDs (the merge partition) and assigns every non-uniform block a single
-value. An instance is stable when all blocks are uniform; stable endpoints
-are the resolved instances, and the ones changing the fewest positions of
-the original instance are the minimal resolved instances (MRIs).
+value: one of its current values or a fresh one. An instance is stable when
+all blocks are uniform; stable endpoints are the resolved instances, and the
+ones changing the fewest positions of the original instance are the minimal
+resolved instances (MRIs).
 
 The oracle enumerates chase runs breadth-first and is the ground truth the
 fast path is checked against. The fast path applies when the classifier
@@ -15,17 +16,17 @@ one of its most frequent values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, product
 from math import prod
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from .dsets import DisjointSet
-from .errors import BoundsExceededError, InputError, NotEligibleError
-from .mds import Classification, MDSet, classify
-from .relation import Instance, Position, diff_changeset
+from .errors import BoundsExceededError, NotEligibleError
+from .mds import MD, Classification, MDSet, classify
+from .relation import Instance, Position
 from .taclosure import TAPartition, link_groups, ta_closure, union_groups
-
-CHOICES = ("values", "values+fresh")
 
 
 @dataclass(frozen=True)
@@ -70,21 +71,6 @@ def is_stable(d: Instance, mdset: MDSet) -> bool:
     return all(block.uniform for block in merge_partition(d, mdset))
 
 
-@dataclass
-class ChaseState:
-    instance: Instance
-    depth: int = 0
-    blocks: list[MergeBlock] = field(default_factory=list)
-
-    @classmethod
-    def start(cls, d: Instance, mdset: MDSet) -> "ChaseState":
-        return cls(d, 0, merge_partition(d, mdset))
-
-    @property
-    def stable(self) -> bool:
-        return all(block.uniform for block in self.blocks)
-
-
 def _fresh_params(instance: Instance, mdset: MDSet) -> tuple[str, int, int]:
     """(sentinel char, base length, max edit bound) for building fresh values.
 
@@ -110,42 +96,6 @@ def _fresh_params(instance: Instance, mdset: MDSet) -> tuple[str, int, int]:
     return chr(code), longest, k
 
 
-def _fresh_values(instance: Instance, mdset: MDSet, n: int) -> list[str]:
-    sentinel, longest, k = _fresh_params(instance, mdset)
-    return [sentinel * (longest + (k + 1) * (i + 1)) for i in range(n)]
-
-
-def chase_step(state: ChaseState, mdset: MDSet, choice: str = "values") -> list[ChaseState]:
-    """All successors of a chase state.
-
-    A stable state has exactly one successor: itself, one step deeper. An
-    unstable state has one successor per combination of block assignments;
-    with choice "values" each non-uniform block may take any of its current
-    values, with "values+fresh" also a fresh value seen nowhere else (one
-    distinct fresh value per block).
-    """
-    if choice not in CHOICES:
-        raise InputError(f"unknown choice policy {choice!r} (expected {CHOICES})")
-    open_blocks = [b for b in state.blocks if not b.uniform]
-    if not open_blocks:
-        nxt = ChaseState(state.instance, state.depth + 1, state.blocks)
-        return [nxt]
-    pools: list[tuple[str, ...]] = [b.values for b in open_blocks]
-    if choice == "values+fresh":
-        fresh = _fresh_values(state.instance, mdset, len(open_blocks))
-        pools = [pool + (fresh[i],) for i, pool in enumerate(pools)]
-    successors = []
-    for combo in product(*pools):
-        changes = {
-            pos: value
-            for block, value in zip(open_blocks, combo)
-            for pos in block.positions
-        }
-        inst = state.instance.with_values(changes)
-        successors.append(ChaseState(inst, state.depth + 1, merge_partition(inst, mdset)))
-    return successors
-
-
 @dataclass(frozen=True)
 class OracleBounds:
     max_tuples: int = 12
@@ -153,39 +103,6 @@ class OracleBounds:
     max_depth: int | None = None  # defaults to 2 * |MDs| + 2
     max_materialized: int = 1024
     max_states: int = 200_000
-
-
-class _Cells:
-    """The fixed cell layout of the oracle's chase states.
-
-    A chase step changes values, never tids or attributes, so every state is
-    its tuple of values at the positions of d in sorted order. That tuple is
-    the visited-set key, and it is walked in position order when fresh values
-    are renamed.
-    """
-
-    def __init__(self, d: Instance):
-        self.schema = d.schema
-        self.positions = d.positions()
-        self.slot = {pos: i for i, pos in enumerate(self.positions)}
-        self.rows = [
-            (rel, tid, tuple(
-                self.slot[Position(tid, (rel, attr))]
-                for attr in d.schema.relation(rel).attrs
-            ))
-            for rel, table in d.data.items()
-            for tid in table
-        ]
-        self.rels = tuple(d.data)
-
-    def values(self, instance: Instance) -> tuple[str, ...]:
-        return tuple(instance.value(pos) for pos in self.positions)
-
-    def instance(self, values: tuple[str, ...]) -> Instance:
-        data: dict[str, dict[int, tuple[str, ...]]] = {rel: {} for rel in self.rels}
-        for rel, tid, slots in self.rows:
-            data[rel][tid] = tuple(values[i] for i in slots)
-        return Instance(self.schema, data)
 
 
 def _canonize_fresh(values: list[str], sentinel: str, base: int, k: int) -> None:
@@ -204,6 +121,140 @@ def _canonize_fresh(values: list[str], sentinel: str, base: int, k: int) -> None
                 target = sentinel * (base + (k + 1) * (len(mapping) + 1))
                 mapping[value] = target
             values[i] = target
+
+
+def _projection(slots: list[int]):
+    """Function from a state to its values at the given slots (a memo key)."""
+    return itemgetter(*slots) if slots else lambda values: ()
+
+
+class ChaseSpace:
+    """The chase on one instance, with every state a flat tuple of values.
+
+    A chase step changes values, never tids or attributes, so a state is its
+    tuple of values at the positions of d in sorted order (its slots). That
+    tuple is the visited-set key, and it is walked in slot order when fresh
+    values are renamed.
+
+    An MD's link groups depend only on the state's values at the MD's
+    condition slots, and a chase step often changes target slots only, so
+    they are memoised per MD on that projection; a miss runs link_groups and
+    union_groups on the state's instance. The merged blocks are memoised on
+    the projection onto every MD's condition slots.
+    """
+
+    def __init__(self, d: Instance, mdset: MDSet):
+        self.schema = d.schema
+        self.sims = mdset.sims
+        self.positions = d.positions()
+        self.slot = {pos: i for i, pos in enumerate(self.positions)}
+        self.rows = [
+            (rel, tid, tuple(
+                self.slot[Position(tid, (rel, attr))]
+                for attr in d.schema.relation(rel).attrs
+            ))
+            for rel, table in d.data.items()
+            for tid in table
+        ]
+        self.rels = tuple(d.data)
+        self.sentinel, self.base, self.k = _fresh_params(d, mdset)
+        self._links: list[tuple[MD, Callable, dict]] = []
+        conditions: set[int] = set()
+        for md in mdset.mds:
+            slots = {
+                self.slot[Position(tid, attr)]
+                for c in md.lhs
+                for rel, attr in ((md.left_rel, c.left), (md.right_rel, c.right))
+                for tid in d.tids(rel)
+            }
+            conditions |= slots
+            self._links.append((md, _projection(sorted(slots)), {}))
+        self._conditions = _projection(sorted(conditions))
+        self._blocks: dict[tuple, list[tuple[int, ...]]] = {}
+
+    def values(self, instance: Instance) -> tuple[str, ...]:
+        return tuple(instance.value(pos) for pos in self.positions)
+
+    def instance(self, values: tuple[str, ...]) -> Instance:
+        data: dict[str, dict[int, tuple[str, ...]]] = {rel: {} for rel in self.rels}
+        for rel, tid, slots in self.rows:
+            data[rel][tid] = tuple(values[i] for i in slots)
+        return Instance(self.schema, data)
+
+    def fresh(self, i: int) -> str:
+        """Rung i of the ladder of fresh values."""
+        return self.sentinel * (self.base + (self.k + 1) * (i + 1))
+
+    def blocks(self, values: tuple[str, ...]) -> list[tuple[int, ...]]:
+        """Sorted slot blocks, of two slots or more, that the MDs link on a state."""
+        key = self._conditions(values)
+        blocks = self._blocks.get(key)
+        if blocks is None:
+            ds: DisjointSet[int] = DisjointSet()
+            instance = None
+            for md, project, memo in self._links:
+                md_key = project(values)
+                groups = memo.get(md_key)
+                if groups is None:
+                    if instance is None:
+                        instance = self.instance(values)
+                    linked: DisjointSet[Position] = DisjointSet()
+                    union_groups(linked, link_groups(md, instance, self.sims), md.rhs)
+                    groups = memo[md_key] = [
+                        [self.slot[p] for p in g] for g in linked.groups() if len(g) > 1
+                    ]
+                for first, *rest in groups:
+                    for i in rest:
+                        ds.union(first, i)
+            blocks = self._blocks[key] = sorted(tuple(sorted(g)) for g in ds.groups())
+        return blocks
+
+    def open_blocks(self, values: tuple[str, ...]) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
+        """(slots, sorted distinct values) of every block whose values differ.
+
+        A state is stable when it has none.
+        """
+        out = []
+        for block in self.blocks(values):
+            pool = {values[i] for i in block}
+            if len(pool) > 1:
+                out.append((block, tuple(sorted(pool))))
+        return out
+
+    def successors(
+        self,
+        values: tuple[str, ...],
+        open_blocks: list[tuple[tuple[int, ...], tuple[str, ...]]],
+        max_values: int = OracleBounds.max_values,
+    ) -> Iterator[tuple[str, ...]]:
+        """The chase step: all successors of a state, with fresh values canonized.
+
+        A stable state has none. Otherwise there is one successor per
+        combination of block assignments, in product order: each open block
+        takes one of its current values or a fresh value seen nowhere else
+        (a distinct one per block). Duplicates are not removed. Raises
+        BoundsExceededError when a block offers more than max_values
+        assignments.
+        """
+        if not open_blocks:
+            return
+        sentinel = self.sentinel
+        used = len({v for v in values if sentinel in v})
+        pools = []
+        for i, (block, pool) in enumerate(open_blocks):
+            if len(pool) + 1 > max_values:
+                raise BoundsExceededError(
+                    f"block at {self.positions[block[0]]} offers "
+                    f"{len(pool) + 1} assignments, bound is {max_values}"
+                )
+            pools.append(pool + (self.fresh(used + i),))
+        for combo in product(*pools):
+            succ = list(values)
+            for (block, _), value in zip(open_blocks, combo):
+                for i in block:
+                    succ[i] = value
+            _canonize_fresh(succ, sentinel, self.base, self.k)
+            yield tuple(succ)
 
 
 def enumerate_mris_oracle(
@@ -226,64 +277,43 @@ def enumerate_mris_oracle(
             f"instance has {d.total_tuples} tuples, oracle bound is {b.max_tuples}"
         )
     max_depth = b.max_depth if b.max_depth is not None else 2 * len(mdset.mds) + 2
-    sentinel, base, k = _fresh_params(d, mdset)
-    cells = _Cells(d)
-    start = cells.values(d)
+    space = ChaseSpace(d, mdset)
+    start = space.values(d)
     visited = {start}
-    frontier = [(ChaseState.start(d, mdset), start)]
-    stable: list[Instance] = []
+    frontier = [start]
+    stable: list[tuple[str, ...]] = []
     depth = 0
     while frontier:
         next_frontier = []
-        for state, values in frontier:
-            if state.stable:
-                stable.append(state.instance)
+        for values in frontier:
+            open_blocks = space.open_blocks(values)
+            if not open_blocks:
+                stable.append(values)
                 continue
             if depth >= max_depth:
                 continue
-            open_blocks = [blk for blk in state.blocks if not blk.uniform]
-            used = len({v for v in values if sentinel in v})
-            pools = []
-            for i, blk in enumerate(open_blocks):
-                if len(blk.values) + 1 > b.max_values:
-                    raise BoundsExceededError(
-                        f"block at {blk.positions[0]} offers "
-                        f"{len(blk.values) + 1} assignments, bound is {b.max_values}"
-                    )
-                fresh = sentinel * (base + (k + 1) * (used + i + 1))
-                pools.append(blk.values + (fresh,))
-            slots = [[cells.slot[pos] for pos in blk.positions] for blk in open_blocks]
-            for combo in product(*pools):
-                succ = list(values)
-                for block_slots, value in zip(slots, combo):
-                    for i in block_slots:
-                        succ[i] = value
-                _canonize_fresh(succ, sentinel, base, k)
-                key = tuple(succ)
-                if key in visited:
+            for succ in space.successors(values, open_blocks, b.max_values):
+                if succ in visited:
                     continue
-                visited.add(key)
+                visited.add(succ)
                 if len(visited) > b.max_states:
                     raise BoundsExceededError(
                         f"chase state space exceeds {b.max_states} instances"
                     )
-                inst = cells.instance(key)
-                next_frontier.append(
-                    (ChaseState(inst, depth + 1, merge_partition(inst, mdset)), key)
-                )
+                next_frontier.append(succ)
         frontier = next_frontier
         depth += 1
     if not stable:
         raise BoundsExceededError(f"no stable instance within depth {max_depth}")
-    by_change = [(len(diff_changeset(d, s)), s) for s in stable]
-    min_change = min(n for n, _ in by_change)
-    mris = sorted((s for n, s in by_change if n == min_change), key=Instance.key)
-    if len(mris) > b.max_materialized:
+    changes = [sum(x != y for x, y in zip(start, s)) for s in stable]
+    min_change = min(changes)
+    winners = [s for n, s in zip(changes, stable) if n == min_change]
+    if len(winners) > b.max_materialized:
         raise BoundsExceededError(
-            f"{len(mris)} minimal resolved instances exceed the materialization "
+            f"{len(winners)} minimal resolved instances exceed the materialization "
             f"bound {b.max_materialized}"
         )
-    return mris, min_change
+    return sorted(map(space.instance, winners), key=Instance.key), min_change
 
 
 @dataclass

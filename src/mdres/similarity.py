@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import InputError, ParseError
+from .relation import read_text
 
 KINDS = ("eq", "lev", "table")
 
@@ -184,6 +186,8 @@ def parse_sims(
             spec = SimilaritySpec(name=name, kind="eq", declared_transitive=True,
                                   transitive=True)
         elif lm := _LEV_BODY.match(body):
+            if len(lm.group(1)) > 9:
+                raise ParseError(f"edit-distance bound {lm.group(1)[:12]}... is too large", lineno)
             spec = SimilaritySpec(
                 name=name,
                 kind="lev",
@@ -192,9 +196,9 @@ def parse_sims(
             )
         elif tm := _TABLE_BODY.match(body):
             path = base_dir / tm.group(1)
-            if not path.is_file():
+            if not os.path.isfile(path):
                 raise ParseError(f"similarity {name!r}: no such table file {path}", lineno)
-            pairs = load_table(path.read_text(encoding="utf-8-sig"), str(path))
+            pairs = load_table(read_text(path, "utf-8-sig"), str(path))
             spec = SimilaritySpec(
                 name=name, kind="table", pairs=pairs,
                 transitive=_table_transitive(pairs),
@@ -207,4 +211,4 @@ def parse_sims(
 
 def load_sims(path: str | Path) -> dict[str, SimilaritySpec]:
     path = Path(path)
-    return parse_sims(path.read_text(encoding="utf-8"), path.parent)
+    return parse_sims(read_text(path), path.parent)

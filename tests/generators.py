@@ -97,6 +97,34 @@ def rand_hsc_case(rng: random.Random):
     return schema, instance, mdset
 
 
+def rand_chain_case(rng: random.Random):
+    """Schema, instance and a chain shaped like fixtures/hard_chain.
+
+    The first MD targets the columns the second MD's conditions read, so a
+    chase step can change which tuples the second MD links. Which columns
+    play the three parts (first condition, shared, last target) is drawn at
+    random, and so is whether the second MD repeats the first condition.
+    """
+    schema = parse_schema(
+        "relation R(A:str, B:str, C:str)\nrelation S(E:str, F:str, G:str)"
+    )
+    sims = {"s": rand_table_sim(rng)}
+    first, shared, last = (
+        (f"R[{'ABC'[i]}]", f"S[{'EFG'[i]}]") for i in rng.sample(range(3), 3)
+    )
+    cond1 = f"{first[0]} {rng.choice(('=', '~s'))} {first[1]}"
+    cond2 = f"{shared[0]} {rng.choice(('=', '~s'))} {shared[1]}"
+    if rng.random() < 0.3:
+        cond2 = f"{cond1}, {cond2}"
+    mdset = parse_mds(
+        f"{cond1} -> {shared[0]} == {shared[1]};"
+        f"{cond2} -> {last[0]} == {last[1]}",
+        schema, sims,
+    )
+    instance = rand_instance(rng, schema, max_tuples=7)
+    return schema, instance, mdset
+
+
 def rand_instance(rng: random.Random, schema: Schema, max_tuples: int = 8) -> Instance:
     rows: dict[str, list[list[str]]] = {r.name: [] for r in schema.relations}
     names = list(rows)

@@ -10,9 +10,18 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from mdres import Instance, MDSet, similar
+from mdres import (
+    BoundsExceededError,
+    Instance,
+    MDSet,
+    OracleBounds,
+    diff_changeset,
+    merge_partition,
+    similar,
+)
 from mdres.query import Const
 from mdres.relation import Position
+from mdres.resolver import _fresh_params
 
 
 def ref_levenshtein(a: str, b: str) -> int:
@@ -251,3 +260,127 @@ def ref_key_repairs(instance: Instance, rel: str, key: tuple[str, ...]):
     for combo in itertools.product(*per_group):
         repairs.append(frozenset(combo))
     return sorted(repairs, key=sorted)
+
+
+class _RefCells:
+    """The fixed cell layout of the reference oracle's chase states: the tuple
+    of values at the positions of d in sorted order."""
+
+    def __init__(self, d: Instance):
+        self.schema = d.schema
+        self.positions = d.positions()
+        self.slot = {pos: i for i, pos in enumerate(self.positions)}
+        self.rows = [
+            (rel, tid, tuple(
+                self.slot[Position(tid, (rel, attr))]
+                for attr in d.schema.relation(rel).attrs
+            ))
+            for rel, table in d.data.items()
+            for tid in table
+        ]
+        self.rels = tuple(d.data)
+
+    def values(self, instance: Instance) -> tuple[str, ...]:
+        return tuple(instance.value(pos) for pos in self.positions)
+
+    def instance(self, values: tuple[str, ...]) -> Instance:
+        data: dict[str, dict[int, tuple[str, ...]]] = {rel: {} for rel in self.rels}
+        for rel, tid, slots in self.rows:
+            data[rel][tid] = tuple(values[i] for i in slots)
+        return Instance(self.schema, data)
+
+
+def _ref_canonize_fresh(values: list[str], sentinel: str, base: int, k: int) -> None:
+    """Rename fresh values, in place, by first occurrence in position order."""
+    mapping: dict[str, str] = {}
+    for i, value in enumerate(values):
+        if sentinel in value:
+            target = mapping.get(value)
+            if target is None:
+                target = sentinel * (base + (k + 1) * (len(mapping) + 1))
+                mapping[value] = target
+            values[i] = target
+
+
+class _RefState:
+    def __init__(self, instance: Instance, blocks):
+        self.instance = instance
+        self.blocks = blocks
+
+    @property
+    def stable(self) -> bool:
+        return all(block.uniform for block in self.blocks)
+
+
+def ref_enumerate_mris_oracle(
+    d: Instance, mdset: MDSet, bounds: OracleBounds | None = None
+) -> tuple[list[Instance], int]:
+    """The chase oracle with the merge partition recomputed on every state.
+
+    Each unseen state is rebuilt as an Instance and sent through
+    merge_partition; the change set is diffed instance against instance. The
+    bounds are checked in the same order, with the same messages, as
+    enumerate_mris_oracle.
+    """
+    b = bounds or OracleBounds()
+    if d.total_tuples > b.max_tuples:
+        raise BoundsExceededError(
+            f"instance has {d.total_tuples} tuples, oracle bound is {b.max_tuples}"
+        )
+    max_depth = b.max_depth if b.max_depth is not None else 2 * len(mdset.mds) + 2
+    sentinel, base, k = _fresh_params(d, mdset)
+    cells = _RefCells(d)
+    start = cells.values(d)
+    visited = {start}
+    frontier = [(_RefState(d, merge_partition(d, mdset)), start)]
+    stable: list[Instance] = []
+    depth = 0
+    while frontier:
+        next_frontier = []
+        for state, values in frontier:
+            if state.stable:
+                stable.append(state.instance)
+                continue
+            if depth >= max_depth:
+                continue
+            open_blocks = [blk for blk in state.blocks if not blk.uniform]
+            used = len({v for v in values if sentinel in v})
+            pools = []
+            for i, blk in enumerate(open_blocks):
+                if len(blk.values) + 1 > b.max_values:
+                    raise BoundsExceededError(
+                        f"block at {blk.positions[0]} offers "
+                        f"{len(blk.values) + 1} assignments, bound is {b.max_values}"
+                    )
+                fresh = sentinel * (base + (k + 1) * (used + i + 1))
+                pools.append(blk.values + (fresh,))
+            slots = [[cells.slot[pos] for pos in blk.positions] for blk in open_blocks]
+            for combo in itertools.product(*pools):
+                succ = list(values)
+                for block_slots, value in zip(slots, combo):
+                    for i in block_slots:
+                        succ[i] = value
+                _ref_canonize_fresh(succ, sentinel, base, k)
+                key = tuple(succ)
+                if key in visited:
+                    continue
+                visited.add(key)
+                if len(visited) > b.max_states:
+                    raise BoundsExceededError(
+                        f"chase state space exceeds {b.max_states} instances"
+                    )
+                inst = cells.instance(key)
+                next_frontier.append((_RefState(inst, merge_partition(inst, mdset)), key))
+        frontier = next_frontier
+        depth += 1
+    if not stable:
+        raise BoundsExceededError(f"no stable instance within depth {max_depth}")
+    by_change = [(len(diff_changeset(d, s)), s) for s in stable]
+    min_change = min(n for n, _ in by_change)
+    mris = sorted((s for n, s in by_change if n == min_change), key=Instance.key)
+    if len(mris) > b.max_materialized:
+        raise BoundsExceededError(
+            f"{len(mris)} minimal resolved instances exceed the materialization "
+            f"bound {b.max_materialized}"
+        )
+    return mris, min_change

@@ -5,6 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+import mdres.cli
 from mdres.cli import main
 
 from conftest import FIXTURES
@@ -131,6 +132,37 @@ def test_truncated_query_exits_1(tmp_path):
     res = invoke(args_for("majority_column", "answers", "--query", str(qfile)))
     assert res.exit_code == 1
     assert res.stderr == "error: expected a term, got 'end of input'\n"
+
+
+def test_non_utf8_input_exits_1(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "R.csv").write_bytes(b"A,B\n\xe9t\xe9,c1\n")
+    res = invoke(args_for("dup_groups", "classify", "--data", str(data)))
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    qfile = tmp_path / "q.txt"
+    qfile.write_bytes(b"Q(x) :- R(x, \xff)")
+    res = invoke(args_for("majority_column", "answers", "--query", str(qfile)))
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+
+
+def test_answers_computes_verdicts_once(monkeypatch):
+    import mdres.query
+
+    calls = []
+    for name in ("classify", "is_ujcq", "rewrite"):
+        for module in (mdres.cli, mdres.query):
+            original = getattr(module, name, None)
+            if original is not None:
+                def counted(*args, _original=original, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    res = invoke(args_for("majority_column", "answers", query="query.txt"))
+    assert res.exit_code == 0
+    assert sorted(calls) == ["classify", "is_ujcq", "rewrite"]
 
 
 def test_oracle_bounds_exit_3():

@@ -1,12 +1,14 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdres import (
     BoundsExceededError,
     NotEligibleError,
     OracleBounds,
-    chase_step,
     diff_changeset,
     enumerate_mris_oracle,
     fast_mri_family,
@@ -19,10 +21,11 @@ from mdres import (
     similar,
 )
 from mdres.relation import Position
-from mdres.resolver import ChaseState, _fresh_values
+from mdres.resolver import ChaseSpace
 
 from conftest import load_bundle
-from reference import ref_modifiable, ref_stable
+from generators import rand_chain_case, rand_hsc_case, rand_ni_case
+from reference import ref_enumerate_mris_oracle, ref_modifiable, ref_stable
 
 
 def test_merge_partition_dup_groups(dup_groups):
@@ -54,33 +57,37 @@ def test_stability(dup_groups):
     assert ref_stable(dup_groups.variant("D1"), dup_groups.mdset)
 
 
+def _expand(space, values):
+    return list(space.successors(values, space.open_blocks(values)))
+
+
 def test_chase_step_counts_values_only(dup_groups):
-    state = ChaseState.start(dup_groups.instance, dup_groups.mdset)
-    succ = chase_step(state, dup_groups.mdset)
+    space = ChaseSpace(dup_groups.instance, dup_groups.mdset)
+    succ = [
+        s for s in _expand(space, space.values(dup_groups.instance))
+        if not any(space.sentinel in v for v in s)
+    ]
     # two open blocks with two candidate values each
     assert len(succ) == 4
-    assert all(s.depth == 1 for s in succ)
-    assert all(is_stable(s.instance, dup_groups.mdset) for s in succ)
+    assert all(is_stable(space.instance(s), dup_groups.mdset) for s in succ)
 
 
 def test_chase_step_counts_with_fresh(dup_groups):
-    state = ChaseState.start(dup_groups.instance, dup_groups.mdset)
-    succ = chase_step(state, dup_groups.mdset, choice="values+fresh")
+    space = ChaseSpace(dup_groups.instance, dup_groups.mdset)
+    succ = _expand(space, space.values(dup_groups.instance))
     # each block gains one fresh option: (2+1) * (2+1)
     assert len(succ) == 9
 
 
-def test_chase_step_on_stable_instance_is_identity(dup_groups):
+def test_chase_step_on_stable_instance_is_empty(dup_groups):
     d1 = dup_groups.variant("D1")
-    state = ChaseState.start(d1, dup_groups.mdset)
-    succ = chase_step(state, dup_groups.mdset)
-    assert len(succ) == 1
-    assert succ[0].instance == d1
-    assert succ[0].depth == 1
+    space = ChaseSpace(d1, dup_groups.mdset)
+    assert _expand(space, space.values(d1)) == []
 
 
 def test_fresh_values_dissimilar_everywhere(two_rule_cycle):
-    fresh = _fresh_values(two_rule_cycle.instance, two_rule_cycle.mdset, 3)
+    space = ChaseSpace(two_rule_cycle.instance, two_rule_cycle.mdset)
+    fresh = [space.fresh(i) for i in range(3)]
     assert len(set(fresh)) == 3
     domain = two_rule_cycle.instance.active_domain()
     spec = two_rule_cycle.sims["s"]
@@ -138,6 +145,58 @@ def test_oracle_bounds_enforced(two_rule_cycle):
             two_rule_cycle.instance, two_rule_cycle.mdset,
             bounds=OracleBounds(max_states=5),
         )
+
+
+def _oracle_outcome(oracle, d, mdset, bounds):
+    try:
+        mris, min_change = oracle(d, mdset, bounds)
+    except BoundsExceededError as exc:
+        return str(exc)
+    return [m.key() for m in mris], min_change
+
+
+CASES = {"ni": rand_ni_case, "hsc": rand_hsc_case, "chain": rand_chain_case}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
+@given(
+    st.sampled_from(sorted(CASES)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=3),
+)
+def test_oracle_matches_per_state_reference(kind, seed, states, values, depth):
+    _, d, mdset = CASES[kind](random.Random(seed))
+    for bounds in (
+        None,
+        OracleBounds(max_states=states),
+        OracleBounds(max_values=values),
+        OracleBounds(max_depth=depth),
+    ):
+        assert _oracle_outcome(enumerate_mris_oracle, d, mdset, bounds) == (
+            _oracle_outcome(ref_enumerate_mris_oracle, d, mdset, bounds)
+        ), bounds
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
+@given(st.sampled_from(sorted(CASES)), st.integers(min_value=0, max_value=2**32 - 1))
+def test_memoised_blocks_match_merge_partition(kind, seed):
+    _, d, mdset = CASES[kind](random.Random(seed))
+    space = ChaseSpace(d, mdset)
+    pending, seen = [space.values(d)], set()
+    while pending and len(seen) < 200:
+        values = pending.pop()
+        if values in seen:
+            continue
+        seen.add(values)
+        expected = [
+            tuple(space.slot[p] for p in block.positions)
+            for block in merge_partition(space.instance(values), mdset)
+            if len(block.positions) > 1
+        ]
+        assert space.blocks(values) == expected
+        pending.extend(space.successors(values, space.open_blocks(values), max_values=99))
 
 
 def test_fast_family_matches_oracle_on_fixtures():
