@@ -32,7 +32,7 @@ from .relation import (
     read_text,
 )
 from .resolver import OracleBounds, enumerate_mris_oracle, fast_mri_family
-from .similarity import check_all, load_sims
+from .similarity import load_sims
 from .taclosure import emit_datalog, ta_closure
 
 COMMANDS = (
@@ -87,9 +87,10 @@ def _load(cfg: RunConfig) -> tuple[Instance, MDSet]:
     schema = load_schema(cfg.schema)
     instance = load_csv_dir(schema, cfg.data)
     sims = load_sims(cfg.sims) if cfg.sims else {}
-    checked = check_all(sims, instance.active_domain())
     mds_text = read_text(cfg.mds)
-    mdset = parse_mds(mds_text, schema, checked)
+    # lev verdicts are checked against the whole active domain when the
+    # classifier first reads them, which only a two-MD chain does
+    mdset = parse_mds(mds_text, schema, sims, domain=instance.active_domain)
     return instance, mdset
 
 

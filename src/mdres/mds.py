@@ -22,14 +22,14 @@ equivalent sets and component structure; everything else is Unknown.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .dsets import DisjointSet
 from .errors import InputError, NotEligibleError, ParseError
 from .relation import Attr, Schema, format_attr
-from .similarity import EQUALITY, SimilaritySpec
+from .similarity import EQUALITY, SimilaritySpec, check_transitivity
 
 FAST_LABELS = frozenset({"NonInteracting", "SimpleCycle", "HitSimpleCycle"})
 
@@ -80,11 +80,20 @@ class MD:
 
 @dataclass(eq=False)
 class MDSet:
-    """A standard-form set of MDs together with its schema and similarities."""
+    """A standard-form set of MDs together with its schema and similarities.
+
+    `domain`, when given, returns the values that unchecked transitivity
+    verdicts are checked against; it is called only when a verdict is first
+    needed (see `transitive`).
+    """
 
     mds: tuple[MD, ...]
     schema: Schema
     sims: dict[str, SimilaritySpec]
+    domain: Callable[[], Iterable[str]] | None = field(default=None, repr=False)
+    _verdicts: dict[SimilaritySpec, bool] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def by_id(self, mid: str) -> MD:
         for md in self.mds:
@@ -103,10 +112,19 @@ class MDSet:
     def sims_used(self) -> frozenset[str]:
         return frozenset(name for md in self.mds for name in md.sims_used)
 
-    def with_sims(self, sims: Mapping[str, SimilaritySpec]) -> "MDSet":
-        merged = dict(self.sims)
-        merged.update(sims)
-        return MDSet(self.mds, self.schema, merged)
+    def transitive(self, spec: SimilaritySpec) -> bool | None:
+        """The spec's transitivity verdict, None when it cannot be decided.
+
+        An unchecked spec is checked against the set's domain on first read,
+        and the verdict is kept for later reads.
+        """
+        if spec.transitive is not None or self.domain is None:
+            return spec.transitive
+        verdict = self._verdicts.get(spec)
+        if verdict is None:
+            verdict = check_transitivity(spec, self.domain()).transitive
+            self._verdicts[spec] = verdict
+        return verdict
 
 
 @dataclass(frozen=True)
@@ -260,13 +278,17 @@ def _attr_tag(schema: Schema, attr: Attr) -> str:
 
 
 def parse_mds(
-    text: str, schema: Schema, sims: Mapping[str, SimilaritySpec] | None = None
+    text: str,
+    schema: Schema,
+    sims: Mapping[str, SimilaritySpec] | None = None,
+    domain: Callable[[], Iterable[str]] | None = None,
 ) -> MDSet:
     """Parse MD text into a standard-form MDSet.
 
     MDs are separated by `;`. Ids m1, m2, ... are assigned in input order;
     MDs with the same left-hand side are merged (their right-hand sides are
-    concatenated) and ids reassigned over the merged list.
+    concatenated) and ids reassigned over the merged list. `domain` becomes
+    the set's `MDSet.domain`.
     """
     sims = dict(sims or {})
     sims.setdefault("=", EQUALITY)
@@ -344,7 +366,9 @@ def parse_mds(
         for i, key in enumerate(order, start=1)
     )
     used = {c.sim for md in mds for c in md.lhs}
-    return MDSet(mds, schema, {n: s for n, s in sims.items() if n in used or n == "="})
+    return MDSet(
+        mds, schema, {n: s for n, s in sims.items() if n in used or n == "="}, domain
+    )
 
 
 def _normalize(conjuncts: Sequence[Conjunct], matches: Sequence[tuple[Attr, Attr]]):
@@ -609,7 +633,9 @@ def _classify_chain(mdset: MDSet, sims: Mapping[str, SimilaritySpec]) -> Classif
     syntactic_easy = side_ok[_SIDE_L] and side_ok[_SIDE_R]
 
     used = sorted(m1.sims_used | m2.sims_used)
-    flags = {name: (sims[name].transitive if name in sims else None) for name in used}
+    flags = {
+        name: (mdset.transitive(sims[name]) if name in sims else None) for name in used
+    }
     non_transitive = sorted(n for n, f in flags.items() if f is False)
     unchecked = sorted(n for n, f in flags.items() if f is None)
 
@@ -651,9 +677,10 @@ def classify(
 ) -> Classification:
     """Structural classification of an MD set.
 
-    `sims` overrides the set's similarity specs; pass specs whose transitivity
-    verdicts were checked against the instance at hand when chain labels
-    should be decided rather than Unknown.
+    `sims` overrides the set's similarity specs. A two-MD chain reads their
+    transitivity verdicts: specs checked against the instance at hand, or
+    specs the set checks against its own domain on first read. Without
+    either, an unchecked lev verdict leaves the chain Unknown.
     """
     sims = dict(sims) if sims is not None else mdset.sims
     g = mdset.graph

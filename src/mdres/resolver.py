@@ -28,6 +28,11 @@ from .mds import MD, Classification, MDSet, classify
 from .relation import Instance, Position
 from .taclosure import TAPartition, link_groups, ta_closure, union_groups
 
+# How far a fresh value may outgrow the longest stored value. Rungs of the
+# fresh ladder grow by the largest edit-distance bound plus one, so without a
+# limit a huge bound would make every fresh value a huge string.
+FRESH_LADDER_LIMIT = 1024
+
 
 @dataclass(frozen=True)
 class MergeBlock:
@@ -182,8 +187,18 @@ class ChaseSpace:
         return Instance(self.schema, data)
 
     def fresh(self, i: int) -> str:
-        """Rung i of the ladder of fresh values."""
-        return self.sentinel * (self.base + (self.k + 1) * (i + 1))
+        """Rung i of the ladder of fresh values.
+
+        Raises BoundsExceededError instead of building one more than
+        FRESH_LADDER_LIMIT characters longer than every stored value.
+        """
+        length = self.base + (self.k + 1) * (i + 1)
+        if length - self.base > FRESH_LADDER_LIMIT:
+            raise BoundsExceededError(
+                f"fresh value {i + 1} needs {length} characters under edit-distance "
+                f"bound {self.k}, limit is {self.base + FRESH_LADDER_LIMIT}"
+            )
+        return self.sentinel * length
 
     def blocks(self, values: tuple[str, ...]) -> list[tuple[int, ...]]:
         """Sorted slot blocks, of two slots or more, that the MDs link on a state."""

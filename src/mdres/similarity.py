@@ -10,7 +10,13 @@ is also transitive matters to the classifier, so every spec carries a
   mentions decides the question for every domain.
 - lev(k): transitive only if declared so in the sims file, and the declaration
   is downgraded when the active domain it is checked against exhibits a
-  violating triple. It is never upgraded.
+  violating triple. It is never upgraded. The verdict is taken on first
+  read, not at load: an MD set loaded with a domain checks an unchecked spec
+  the first time the classifier asks (`MDSet.transitive`) and keeps the
+  answer.
+
+`similar` answers an edit-distance question with `within_distance`, which
+fills only the diagonal band of the DP that can stay within the bound.
 """
 
 from __future__ import annotations
@@ -69,15 +75,61 @@ def levenshtein(a: str, b: str) -> int:
     return previous[-1]
 
 
+def within_distance(a: str, b: str, k: int) -> bool:
+    """levenshtein(a, b) <= k, filling at most k + 1 cells per DP row.
+
+    Every step of an edit path away from the diagonals through the DP's two
+    corner cells must be paid back, so a path within k strays at most
+    (k - d) // 2 cells beyond them, d being the length difference (Ukkonen,
+    1985). Only that band is filled; cells outside it read as k + 1. The
+    check stops with False as soon as a whole row exceeds k, because every
+    edit path crosses every row.
+    """
+    if a == b:
+        return True
+    if len(a) < len(b):
+        a, b = b, a
+    n, m = len(a), len(b)
+    if n - m > k:
+        return False
+    if k >= n:
+        return True  # no two strings this short are further apart
+    slack = (k - (n - m)) // 2  # how far the band reaches above the diagonal
+    reach = n - m + slack  # and below it
+    over = k + 1
+    previous = [j if j <= slack else over for j in range(m + 1)]
+    current = [over] * (m + 1)
+    for i in range(1, n + 1):
+        if i <= reach:
+            current[0] = best = i
+            lo = 1
+        else:
+            lo = i - reach
+            current[lo - 1] = best = over
+        left = current[lo - 1]
+        ca = a[i - 1]
+        for j in range(lo, min(m, i + slack) + 1):
+            cell = previous[j - 1] + (ca != b[j - 1])  # substitution
+            if previous[j] + 1 < cell:
+                cell = previous[j] + 1  # deletion
+            if left + 1 < cell:
+                cell = left + 1  # insertion
+            current[j] = left = cell
+            if cell < best:
+                best = cell
+        if best > k:
+            return False
+        previous, current = current, previous
+    return previous[m] <= k
+
+
 def similar(spec: SimilaritySpec, a: str, b: str) -> bool:
     if a == b:
         return True
     if spec.kind == "eq":
         return False
     if spec.kind == "lev":
-        if abs(len(a) - len(b)) > spec.max_distance:
-            return False
-        return levenshtein(a, b) <= spec.max_distance
+        return within_distance(a, b, spec.max_distance)
     return (a, b) in spec.pairs
 
 
@@ -168,7 +220,8 @@ def parse_sims(
     Lines: `sim NAME = eq`, `sim NAME = lev <= K [transitive]`,
     `sim NAME = table FILE` (FILE relative to base_dir). Table specs get
     their transitivity verdict immediately; lev specs stay unchecked until
-    check_transitivity sees an active domain.
+    check_transitivity sees an active domain, or an MD set loaded with one
+    first reads them.
     """
     base_dir = Path(base_dir)
     specs: dict[str, SimilaritySpec] = {}

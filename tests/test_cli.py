@@ -165,6 +165,69 @@ def test_answers_computes_verdicts_once(monkeypatch):
     assert sorted(calls) == ["classify", "is_ujcq", "rewrite"]
 
 
+def test_transitivity_verdict_is_taken_only_by_chain_classification(
+    monkeypatch, tmp_path
+):
+    import mdres.similarity
+
+    calls = []
+    original = mdres.similarity.verify_transitivity
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mdres.similarity, "verify_transitivity", counted)
+    single = tmp_path / "single.txt"
+    single.write_text("R[A] ~s S[B] -> R[G] == S[H]\n", encoding="utf-8")
+    for command in ("resolve", "emit-datalog", "closure", "oracle", "classify"):
+        res = invoke(args_for("filtered_chain", command, mds=str(single)))
+        assert res.exit_code == 0, res.output
+    assert calls == []
+    declared = tmp_path / "sims.txt"
+    declared.write_text("sim p = lev <= 1 [transitive]\n", encoding="utf-8")
+    hit = tmp_path / "hit.txt"
+    hit.write_text(
+        "R[A] ~p R[A] -> R[C] == R[C];\n"
+        "R[C] ~p R[C] -> R[A] == R[A];\n"
+        "R[F] ~p R[F] -> R[A] == R[A];\n",
+        encoding="utf-8",
+    )
+    for mds, label in (("mds.txt", "SimpleCycle"), (str(hit), "HitSimpleCycle")):
+        for command in ("classify", "resolve"):
+            res = invoke(args_for("simple_cycle", command, mds=mds, sims=str(declared)))
+            assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["classification"]["label"] == label
+    assert calls == []
+
+    res = invoke(args_for("filtered_chain", "classify", "--format", "text"))
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines()[0] == "LinearPairEasy"
+    assert calls == ["s"]
+    res = invoke(args_for("filtered_chain", "resolve"))
+    assert res.exit_code == 2
+    assert "classifies as LinearPairEasy" in res.stderr
+    assert calls == ["s", "s"]
+
+
+def test_huge_edit_bound_refused_before_fresh_values(tmp_path):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "schema.txt").write_text("relation R(A:str, B:str)\n", encoding="utf-8")
+    (tmp_path / "data" / "R.csv").write_text("A,B\na1,b1\na2,b2\n", encoding="utf-8")
+    (tmp_path / "mds.txt").write_text("R[A] ~s R[A] -> R[B] == R[B]\n", encoding="utf-8")
+    (tmp_path / "sims.txt").write_text("sim s = lev <= 999999999\n", encoding="utf-8")
+    res = invoke([
+        "oracle",
+        "--schema", str(tmp_path / "schema.txt"),
+        "--data", str(tmp_path / "data"),
+        "--mds", str(tmp_path / "mds.txt"),
+        "--sims", str(tmp_path / "sims.txt"),
+    ])
+    assert res.exit_code == 3
+    assert res.stderr.startswith("bounds exceeded:") and res.stderr.count("\n") == 1
+    assert "edit-distance bound 999999999" in res.stderr
+
+
 def test_oracle_bounds_exit_3():
     res = invoke(args_for("dup_groups", "oracle", "--max-tuples", "2"))
     assert res.exit_code == 3

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdres import (
     InputError,
@@ -13,7 +13,7 @@ from mdres import (
     similar,
     verify_transitivity,
 )
-from mdres.similarity import EQUALITY, SimilaritySpec, load_table
+from mdres.similarity import EQUALITY, SimilaritySpec, load_table, within_distance
 
 from generators import VALUE_POOL, rand_table_sim
 from reference import ref_levenshtein, ref_verify_transitivity
@@ -33,6 +33,71 @@ def test_levenshtein_matches_recursive_reference():
         a = "".join(rng.choice("abcd") for _ in range(rng.randrange(7)))
         b = "".join(rng.choice("abcd") for _ in range(rng.randrange(7)))
         assert levenshtein(a, b) == ref_levenshtein(a, b)
+
+
+class _Reads(str):
+    """A string that counts reads of its characters by index."""
+
+    count = 0
+
+    def __getitem__(self, index):
+        _Reads.count += 1
+        return super().__getitem__(index)
+
+
+def _rows_until_cut(a: str, b: str, k: int) -> int:
+    """Rows of the full edit-distance DP, the longer string (a on ties) down
+    the side, up to the first row whose every cell exceeds k."""
+    if len(a) < len(b):
+        a, b = b, a
+    row = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(min(row[j] + 1, current[j - 1] + 1, row[j - 1] + (ca != cb)))
+        row = current
+        if min(row) > k:
+            return i
+    return len(a)
+
+
+_PAIRS = st.sampled_from(("ab", "abc")).flatmap(
+    lambda letters: st.tuples(
+        st.text(alphabet=letters, max_size=8), st.text(alphabet=letters, max_size=8)
+    )
+)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, print_blob=False)
+@given(_PAIRS, st.integers(min_value=0, max_value=5))
+@example(("", ""), 0)
+@example(("", "abab"), 3)
+@example(("", "abab"), 4)
+@example(("abba", ""), 5)
+@example(("abcab", "abcab"), 0)
+@example(("ab", "ba"), 2)
+@example(("abc", "cab"), 5)
+@example(("aaaaaaaa", "bbbbbbbb"), 5)
+def test_banded_check_matches_full_levenshtein(pair, k):
+    a, b = pair
+    spec = SimilaritySpec(name="l", kind="lev", max_distance=k)
+    assert similar(spec, a, b) == (ref_levenshtein(a, b) <= k)
+    # The check fills at most k + 1 band cells per row (one read of the
+    # shorter string each, plus one read of the row's own character) and
+    # stops after the first row whose every cell exceeds k.
+    _Reads.count = 0
+    assert within_distance(_Reads(a), _Reads(b), k) == (ref_levenshtein(a, b) <= k)
+    assert _Reads.count <= _rows_until_cut(a, b, k) * (k + 2)
+
+
+def test_banded_check_with_a_huge_bound():
+    huge = SimilaritySpec(name="l", kind="lev", max_distance=999_999_999)
+    assert similar(huge, "a" * 5000, "b" * 4000)
+    _Reads.count = 0
+    assert within_distance(_Reads("ab" * 5000), _Reads("b" * 10), 999_999_999)
+    assert _Reads.count == 0
+    assert not within_distance("a" * 50, "b" * 50, 49)
+    assert within_distance("a" * 50, "b" * 50, 50)
 
 
 def test_similar_kinds():
