@@ -68,6 +68,10 @@ class RunConfig:
     fmt: str = "json"
 
     def bounds(self) -> OracleBounds:
+        for name in ("max_tuples", "max_values", "max_depth", "max_materialized"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise InputError(f"--{name.replace('_', '-')} must be at least 0")
         return OracleBounds(
             max_tuples=self.max_tuples,
             max_values=self.max_values,

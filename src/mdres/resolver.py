@@ -8,10 +8,16 @@ ones changing the fewest positions of the original instance are the minimal
 resolved instances (MRIs).
 
 The oracle enumerates chase runs breadth-first and is the ground truth the
-fast path is checked against. The fast path applies when the classifier
-returns NonInteracting, SimpleCycle or HitSimpleCycle: the closure partition
-of the original instance determines all MRIs in one shot (per block, pick
-one of its most frequent values).
+fast path is checked against. It runs on ChaseSpace, where a state is a flat
+tuple of values. The merge partition is rebuilt from memos: each MD's links
+are kept as an interned link set per value of the MD's condition columns,
+and the merged blocks per tuple of link sets. Fresh values are the rungs of
+one ladder per space, renamed in each successor by first occurrence.
+
+The fast path applies when the classifier returns NonInteracting,
+SimpleCycle or HitSimpleCycle: the closure partition of the original
+instance determines all MRIs in one shot (per block, pick one of its most
+frequent values).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice, product
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Callable, Iterator
 
 from .dsets import DisjointSet
@@ -49,8 +55,9 @@ class MergeBlock:
 def merge_partition(d: Instance, mdset: MDSet) -> list[MergeBlock]:
     """Blocks of positions linked by the MDs on the instance d itself.
 
-    Unlike the closure partition, this is recomputed from the current values
-    during every chase step.
+    Unlike the closure partition, this reads the current values, not those of
+    the original instance. Singleton blocks are kept. The chase computes the
+    same blocks, without the singletons, through ChaseSpace.blocks.
     """
     ds: DisjointSet[Position] = DisjointSet()
     for md in mdset.mds:
@@ -110,24 +117,6 @@ class OracleBounds:
     max_states: int = 200_000
 
 
-def _canonize_fresh(values: list[str], sentinel: str, base: int, k: int) -> None:
-    """Relabel fresh values, in place, onto a canonical ladder of lengths.
-
-    Fresh values introduced along different chase paths are interchangeable
-    (mutually dissimilar, dissimilar to everything stored); renaming them by
-    first occurrence in position order collapses isomorphic states in the
-    visited set.
-    """
-    mapping: dict[str, str] = {}
-    for i, value in enumerate(values):
-        if sentinel in value:
-            target = mapping.get(value)
-            if target is None:
-                target = sentinel * (base + (k + 1) * (len(mapping) + 1))
-                mapping[value] = target
-            values[i] = target
-
-
 def _projection(slots: list[int]):
     """Function from a state to its values at the given slots (a memo key)."""
     return itemgetter(*slots) if slots else lambda values: ()
@@ -138,14 +127,17 @@ class ChaseSpace:
 
     A chase step changes values, never tids or attributes, so a state is its
     tuple of values at the positions of d in sorted order (its slots). That
-    tuple is the visited-set key, and it is walked in slot order when fresh
-    values are renamed.
+    tuple is the visited-set key; fresh values in it are rungs of one ladder
+    built per space, so states share them.
 
-    An MD's link groups depend only on the state's values at the MD's
-    condition slots, and a chase step often changes target slots only, so
-    they are memoised per MD on that projection; a miss runs link_groups and
-    union_groups on the state's instance. The merged blocks are memoised on
-    the projection onto every MD's condition slots.
+    An MD's links depend only on the state's values at the MD's condition
+    slots, and a chase step often changes target slots only, so they are
+    memoised per MD on that projection. A miss runs link_groups on the
+    state's instance and keeps the groups as an MD link set: one sorted
+    tuple of slots per group and target pair, interned by content. The
+    merged blocks are memoised on the projection onto every MD's condition
+    slots and, behind that, on the tuple of the MDs' link sets, so a new
+    condition projection that links the same way merges nothing.
     """
 
     def __init__(self, d: Instance, mdset: MDSet):
@@ -163,7 +155,9 @@ class ChaseSpace:
         ]
         self.rels = tuple(d.data)
         self.sentinel, self.base, self.k = _fresh_params(d, mdset)
-        self._links: list[tuple[MD, Callable, dict]] = []
+        self._ladder: list[str] = []
+        self._rungs: dict[str, int] = {}
+        self._links: list[tuple[MD, Callable, dict[tuple, int]]] = []
         conditions: set[int] = set()
         for md in mdset.mds:
             slots = {
@@ -175,7 +169,10 @@ class ChaseSpace:
             conditions |= slots
             self._links.append((md, _projection(sorted(slots)), {}))
         self._conditions = _projection(sorted(conditions))
+        self._link_ids: dict[tuple[tuple[int, ...], ...], int] = {}
+        self._link_sets: list[tuple[tuple[int, ...], ...]] = []
         self._blocks: dict[tuple, list[tuple[int, ...]]] = {}
+        self._merged: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     def values(self, instance: Instance) -> tuple[str, ...]:
         return tuple(instance.value(pos) for pos in self.positions)
@@ -187,41 +184,70 @@ class ChaseSpace:
         return Instance(self.schema, data)
 
     def fresh(self, i: int) -> str:
-        """Rung i of the ladder of fresh values.
+        """Rung i of the ladder of fresh values; the same object on every call.
 
         Raises BoundsExceededError instead of building one more than
         FRESH_LADDER_LIMIT characters longer than every stored value.
         """
+        ladder = self._ladder
+        if i < len(ladder):
+            return ladder[i]
         length = self.base + (self.k + 1) * (i + 1)
         if length - self.base > FRESH_LADDER_LIMIT:
             raise BoundsExceededError(
                 f"fresh value {i + 1} needs {length} characters under edit-distance "
                 f"bound {self.k}, limit is {self.base + FRESH_LADDER_LIMIT}"
             )
-        return self.sentinel * length
+        while len(ladder) <= i:
+            rung = self.sentinel * (self.base + (self.k + 1) * (len(ladder) + 1))
+            self._rungs[rung] = len(ladder)
+            ladder.append(rung)
+        return ladder[i]
+
+    def _link_set(self, md: MD, instance: Instance) -> int:
+        """Id of the interned link set of md on an instance."""
+        slot = self.slot
+        links = set()
+        for ltids, rtids in link_groups(md, instance, self.sims):
+            for left, right in md.rhs:
+                link = {slot[Position(t, left)] for t in ltids}
+                link.update(slot[Position(t, right)] for t in rtids)
+                if len(link) > 1:
+                    links.add(tuple(sorted(link)))
+        content = tuple(sorted(links))
+        lid = self._link_ids.get(content)
+        if lid is None:
+            lid = self._link_ids[content] = len(self._link_sets)
+            self._link_sets.append(content)
+        return lid
 
     def blocks(self, values: tuple[str, ...]) -> list[tuple[int, ...]]:
         """Sorted slot blocks, of two slots or more, that the MDs link on a state."""
         key = self._conditions(values)
         blocks = self._blocks.get(key)
         if blocks is None:
-            ds: DisjointSet[int] = DisjointSet()
+            ids = []
             instance = None
             for md, project, memo in self._links:
                 md_key = project(values)
-                groups = memo.get(md_key)
-                if groups is None:
+                lid = memo.get(md_key)
+                if lid is None:
                     if instance is None:
                         instance = self.instance(values)
-                    linked: DisjointSet[Position] = DisjointSet()
-                    union_groups(linked, link_groups(md, instance, self.sims), md.rhs)
-                    groups = memo[md_key] = [
-                        [self.slot[p] for p in g] for g in linked.groups() if len(g) > 1
-                    ]
-                for first, *rest in groups:
-                    for i in rest:
-                        ds.union(first, i)
-            blocks = self._blocks[key] = sorted(tuple(sorted(g)) for g in ds.groups())
+                    lid = memo[md_key] = self._link_set(md, instance)
+                ids.append(lid)
+            ids = tuple(ids)
+            blocks = self._merged.get(ids)
+            if blocks is None:
+                ds: DisjointSet[int] = DisjointSet()
+                for lid in ids:
+                    for first, *rest in self._link_sets[lid]:
+                        for i in rest:
+                            ds.union(first, i)
+                blocks = self._merged[ids] = sorted(
+                    tuple(sorted(g)) for g in ds.groups()
+                )
+            self._blocks[key] = blocks
         return blocks
 
     def open_blocks(self, values: tuple[str, ...]) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
@@ -250,11 +276,20 @@ class ChaseSpace:
         (a distinct one per block). Duplicates are not removed. Raises
         BoundsExceededError when a block offers more than max_values
         assignments.
+
+        Fresh values introduced along different chase paths are
+        interchangeable (mutually dissimilar, dissimilar to everything
+        stored), so each successor renames them onto the ladder by first
+        occurrence in slot order, which collapses isomorphic states in the
+        visited set. The first occurrence of a value is at a head: the
+        first slot of an open block, or the first slot of a fresh value
+        kept outside the open blocks. So only the heads are read, in slot
+        order, to number a combination's fresh values.
         """
         if not open_blocks:
             return
-        sentinel = self.sentinel
-        used = len({v for v in values if sentinel in v})
+        rungs = self._rungs
+        used = len({v for v in values if v in rungs})
         pools = []
         for i, (block, pool) in enumerate(open_blocks):
             if len(pool) + 1 > max_values:
@@ -263,13 +298,38 @@ class ChaseSpace:
                     f"{len(pool) + 1} assignments, bound is {max_values}"
                 )
             pools.append(pool + (self.fresh(used + i),))
+        # A successor is read off `values + assignment` by one itemgetter;
+        # the assignment holds each block's value, then each fresh value
+        # kept outside the open blocks.
+        n = len(values)
+        source = list(range(n))
+        heads = []
+        for i, (block, _) in enumerate(open_blocks):
+            heads.append((block[0], i))
+            for s in block:
+                source[s] = n + i
+        kept: dict[str, int] = {}
+        for s, v in enumerate(values):
+            if source[s] == s and v in rungs:
+                j = kept.get(v)
+                if j is None:
+                    j = kept[v] = len(open_blocks) + len(kept)
+                    heads.append((s, j))
+                source[s] = n + j
+        order = [j for _, j in sorted(heads)]
+        kept_values = tuple(kept)
+        take = itemgetter(*source)
+        ladder = self._ladder
         for combo in product(*pools):
-            succ = list(values)
-            for (block, _), value in zip(open_blocks, combo):
-                for i in block:
-                    succ[i] = value
-            _canonize_fresh(succ, sentinel, self.base, self.k)
-            yield tuple(succ)
+            assignment = combo + kept_values
+            renamed: dict[str, str] = {}
+            for j in order:
+                v = assignment[j]
+                if v in rungs and v not in renamed:
+                    renamed[v] = ladder[len(renamed)]
+            if renamed:
+                assignment = tuple([renamed.get(v, v) for v in assignment])
+            yield take(values + assignment)
 
 
 def enumerate_mris_oracle(
@@ -320,7 +380,7 @@ def enumerate_mris_oracle(
         depth += 1
     if not stable:
         raise BoundsExceededError(f"no stable instance within depth {max_depth}")
-    changes = [sum(x != y for x, y in zip(start, s)) for s in stable]
+    changes = [sum(map(ne, start, s)) for s in stable]
     min_change = min(changes)
     winners = [s for n, s in zip(changes, stable) if n == min_change]
     if len(winners) > b.max_materialized:

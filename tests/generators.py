@@ -125,6 +125,36 @@ def rand_chain_case(rng: random.Random):
     return schema, instance, mdset
 
 
+def rand_overlap_chain_case(rng: random.Random):
+    """Schema, instance and a chain shaped like fixtures/overlap_pair.
+
+    The first MD targets R[C] and S[G]. The second MD's conditions read that
+    target in two or three conjuncts, against each other or against a
+    condition column, so which tuples it links moves as the chase fills in
+    the target. Every conjunct is `=` or the table sim.
+    """
+    schema = parse_schema(
+        "relation R(A:str, B:str, C:str, H:str)\nrelation S(E:str, F:str, G:str, I:str)"
+    )
+    sims = {"s": rand_table_sim(rng)}
+    first = [("R[A]", "S[E]")]
+    if rng.random() < 0.5:
+        first.append(("R[B]", "S[F]"))
+    reads = [("R[C]", "S[G]"), ("R[A]", "S[G]"), ("R[C]", "S[E]"),
+             ("R[B]", "S[G]"), ("R[C]", "S[F]")]
+    second = rng.sample(reads, rng.randrange(2, 4))
+
+    def conds(pairs):
+        return ", ".join(f"{a} {rng.choice(('=', '~s'))} {b}" for a, b in pairs)
+
+    mdset = parse_mds(
+        f"{conds(first)} -> R[C] == S[G];{conds(second)} -> R[H] == S[I]",
+        schema, sims,
+    )
+    instance = rand_instance(rng, schema, max_tuples=7)
+    return schema, instance, mdset
+
+
 def rand_instance(rng: random.Random, schema: Schema, max_tuples: int = 8) -> Instance:
     rows: dict[str, list[list[str]]] = {r.name: [] for r in schema.relations}
     names = list(rows)

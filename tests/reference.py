@@ -299,16 +299,35 @@ class _RefCells:
         return Instance(self.schema, data)
 
 
-def _ref_canonize_fresh(values: list[str], sentinel: str, base: int, k: int) -> None:
-    """Rename fresh values, in place, by first occurrence in position order."""
-    mapping: dict[str, str] = {}
-    for i, value in enumerate(values):
-        if sentinel in value:
-            target = mapping.get(value)
-            if target is None:
-                target = sentinel * (base + (k + 1) * (len(mapping) + 1))
-                mapping[value] = target
-            values[i] = target
+def ref_successors(values, blocks, sentinel: str, base: int, k: int):
+    """Successors of a chase state, in product order, with fresh values renamed.
+
+    `blocks` lists (slots, sorted distinct values) of every open block. Each
+    block takes one of its values or a fresh run of the sentinel numbered
+    past the state's fresh values; then every fresh value is renamed, slot by
+    slot, onto the ladder by first occurrence. A stable state has none.
+    """
+    if not blocks:
+        return []
+    used = len({v for v in values if sentinel in v})
+    pools = [
+        pool + (sentinel * (base + (k + 1) * (used + i + 1)),)
+        for i, (_, pool) in enumerate(blocks)
+    ]
+    out = []
+    for combo in itertools.product(*pools):
+        succ = list(values)
+        for (slots, _), value in zip(blocks, combo):
+            for i in slots:
+                succ[i] = value
+        mapping: dict[str, str] = {}
+        for i, value in enumerate(succ):
+            if sentinel in value:
+                if value not in mapping:
+                    mapping[value] = sentinel * (base + (k + 1) * (len(mapping) + 1))
+                succ[i] = mapping[value]
+        out.append(tuple(succ))
+    return out
 
 
 class _RefState:
@@ -353,24 +372,17 @@ def ref_enumerate_mris_oracle(
             if depth >= max_depth:
                 continue
             open_blocks = [blk for blk in state.blocks if not blk.uniform]
-            used = len({v for v in values if sentinel in v})
-            pools = []
-            for i, blk in enumerate(open_blocks):
+            for blk in open_blocks:
                 if len(blk.values) + 1 > b.max_values:
                     raise BoundsExceededError(
                         f"block at {blk.positions[0]} offers "
                         f"{len(blk.values) + 1} assignments, bound is {b.max_values}"
                     )
-                fresh = sentinel * (base + (k + 1) * (used + i + 1))
-                pools.append(blk.values + (fresh,))
-            slots = [[cells.slot[pos] for pos in blk.positions] for blk in open_blocks]
-            for combo in itertools.product(*pools):
-                succ = list(values)
-                for block_slots, value in zip(slots, combo):
-                    for i in block_slots:
-                        succ[i] = value
-                _ref_canonize_fresh(succ, sentinel, base, k)
-                key = tuple(succ)
+            blocks = [
+                ([cells.slot[pos] for pos in blk.positions], blk.values)
+                for blk in open_blocks
+            ]
+            for key in ref_successors(values, blocks, sentinel, base, k):
                 if key in visited:
                     continue
                 visited.add(key)

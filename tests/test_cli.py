@@ -234,6 +234,24 @@ def test_oracle_bounds_exit_3():
     assert res.stderr.startswith("bounds exceeded:")
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--max-tuples", "-1"),
+    ("--max-values", "-3"),
+    ("--max-depth", "-1"),
+    ("--max-materialized", "-2"),
+])
+def test_negative_oracle_bound_exits_1(option, value):
+    for argv in (
+        args_for("dup_groups", "oracle", option, value),
+        args_for("majority_column", "answers", "--mode", "oracle", option, value,
+                 query="query.txt"),
+    ):
+        res = invoke(argv)
+        assert res.exit_code == 1, res.output
+        assert res.stderr == f"error: {option} must be at least 0\n"
+        assert res.stdout == ""
+
+
 def test_missing_input_exits_1(tmp_path):
     res = invoke(args_for("dup_groups", "classify", "--mds", "absent.txt"))
     assert res.exit_code == 1

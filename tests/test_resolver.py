@@ -20,12 +20,22 @@ from mdres import (
     resolved_values,
     similar,
 )
-from mdres.relation import Position
+from mdres.relation import Position, load_instance
 from mdres.resolver import ChaseSpace
 
-from conftest import load_bundle
-from generators import rand_chain_case, rand_hsc_case, rand_ni_case
-from reference import ref_enumerate_mris_oracle, ref_modifiable, ref_stable
+from conftest import FIXTURES, load_bundle
+from generators import (
+    rand_chain_case,
+    rand_hsc_case,
+    rand_ni_case,
+    rand_overlap_chain_case,
+)
+from reference import (
+    ref_enumerate_mris_oracle,
+    ref_modifiable,
+    ref_stable,
+    ref_successors,
+)
 
 
 def test_merge_partition_dup_groups(dup_groups):
@@ -155,7 +165,12 @@ def _oracle_outcome(oracle, d, mdset, bounds):
     return [m.key() for m in mris], min_change
 
 
-CASES = {"ni": rand_ni_case, "hsc": rand_hsc_case, "chain": rand_chain_case}
+CASES = {
+    "ni": rand_ni_case,
+    "hsc": rand_hsc_case,
+    "chain": rand_chain_case,
+    "overlap": rand_overlap_chain_case,
+}
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
@@ -197,6 +212,85 @@ def test_memoised_blocks_match_merge_partition(kind, seed):
         ]
         assert space.blocks(values) == expected
         pending.extend(space.successors(values, space.open_blocks(values), max_values=99))
+
+
+def _checked_successors(space, mdset, values):
+    """The chase step on a state, checked against ref_successors over the
+    open blocks of merge_partition; every fresh value must be a ladder rung."""
+    got = list(space.successors(values, space.open_blocks(values), max_values=99))
+    blocks = [
+        (tuple(space.slot[p] for p in block.positions), block.values)
+        for block in merge_partition(space.instance(values), mdset)
+        if not block.uniform
+    ]
+    assert got == ref_successors(values, blocks, space.sentinel, space.base, space.k)
+    for succ in got:
+        for v in succ:
+            if space.sentinel in v:
+                assert v is space.fresh((len(v) - space.base) // (space.k + 1) - 1)
+    return got
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
+@given(st.sampled_from(sorted(CASES)), st.integers(min_value=0, max_value=2**32 - 1))
+def test_successors_match_reference(kind, seed):
+    _, d, mdset = CASES[kind](random.Random(seed))
+    space = ChaseSpace(d, mdset)
+    pending, seen = [space.values(d)], set()
+    while pending and len(seen) < 200:
+        values = pending.pop()
+        if values in seen:
+            continue
+        seen.add(values)
+        pending.extend(_checked_successors(space, mdset, values))
+
+
+def test_successors_rename_kept_and_shared_rungs():
+    # Slots: tid t holds A, B, C at 3(t-1), 3(t-1)+1, 3(t-1)+2. The blocks
+    # are {t2.B, t3.B} and {t4.B, t5.B}; t1.B and every C stay outside them.
+    schema = parse_schema("relation R(A:str, B:str, C:str)")
+    rows = [["c", "p", "u"], ["a", "q", "u"], ["a", "x", "u"],
+            ["b", "r", "u"], ["b", "y", "u"]]
+    d = load_instance(schema, {"R": rows})
+    mdset = parse_mds("R[A] = R[A] -> R[B] == R[B]", schema)
+    space = ChaseSpace(d, mdset)
+    start = space.values(d)
+
+    def state(fresh):
+        values = list(start)
+        for slot, rung in fresh.items():
+            values[slot] = space.fresh(rung)
+        return tuple(values)
+
+    states = [
+        # kept rung 0 before the first block, rung 1 only inside the first
+        # block, kept rung 2 after it and also in the second block's pool
+        state({1: 0, 4: 1, 8: 2, 10: 2}),
+        # the same rung in both blocks' pools, a kept rung after both
+        state({4: 0, 10: 0, 14: 1}),
+        # kept rungs on both sides of the first block, the second block
+        # holding the only copy of a rung
+        state({1: 0, 5: 1, 13: 2}),
+    ]
+    for values in states:
+        got = _checked_successors(space, mdset, values)
+        assert len(got) == 9
+    # choosing x for the first block drops rung 1, so the kept rung 2 moves down
+    renamed = list(space.successors(states[0], space.open_blocks(states[0])))
+    assert renamed[3][8] is space.fresh(1)
+
+
+def test_oracle_matches_reference_on_fixtures():
+    for root in sorted(p for p in FIXTURES.iterdir() if p.is_dir()):
+        for mds in sorted(root.glob("mds*.txt")):
+            for sims in sorted(root.glob("sims*.txt")) or [None]:
+                bundle = load_bundle(root.name, mds.name, sims.name if sims else None)
+                label = (root.name, mds.name, sims and sims.name)
+                assert _oracle_outcome(
+                    enumerate_mris_oracle, bundle.instance, bundle.mdset, None
+                ) == _oracle_outcome(
+                    ref_enumerate_mris_oracle, bundle.instance, bundle.mdset, None
+                ), label
 
 
 def test_fast_family_matches_oracle_on_fixtures():
