@@ -70,6 +70,7 @@ from .similarity import (
     check_transitivity,
     levenshtein,
     load_sims,
+    neighbours,
     parse_sims,
     similar,
     verify_transitivity,
@@ -127,6 +128,7 @@ __all__ = [
     "load_sims",
     "merge_partition",
     "modifiable_positions",
+    "neighbours",
     "parse_mds",
     "parse_query",
     "parse_schema",

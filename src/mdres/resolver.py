@@ -22,14 +22,14 @@ frequent values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice, product
 from math import prod
 from operator import itemgetter, ne
 from typing import Callable, Iterator
 
 from .dsets import DisjointSet
-from .errors import BoundsExceededError, NotEligibleError
+from .errors import BoundsExceededError, InputError, NotEligibleError
 from .mds import MD, Classification, MDSet, classify
 from .relation import Instance, Position
 from .taclosure import TAPartition, link_groups, ta_closure, union_groups
@@ -115,6 +115,13 @@ class OracleBounds:
     max_depth: int | None = None  # defaults to 2 * |MDs| + 2
     max_materialized: int = 1024
     max_states: int = 200_000
+
+    def __post_init__(self):
+        # A negative bound is bad input, not a search that ran out of room.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and value < 0:
+                raise InputError(f"{f.name} must be at least 0")
 
 
 def _projection(slots: list[int]):

@@ -17,6 +17,12 @@ is also transitive matters to the classifier, so every spec carries a
 
 `similar` answers an edit-distance question with `within_distance`, which
 fills only the diagonal band of the DP that can stay within the bound.
+
+`neighbours` answers the same question for a whole set of values at once,
+without testing every pair: a table spec reads its adjacency (built once per
+spec from its pairs), and an edit-distance spec probes a PASS-JOIN segment
+index (Li, Deng, Wang & Feng, PVLDB 2011) and confirms each candidate with
+`similar`. The pair linker and the transitivity verdict both read it.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ import csv
 import io
 import os
 import re
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -43,12 +50,23 @@ class SimilaritySpec:
     pairs: frozenset[tuple[str, str]] = frozenset()
     declared_transitive: bool = False
     transitive: bool | None = None  # None = not yet checked against a domain
+    # table: value -> the other values it is paired with, derived from pairs
+    adjacency: dict[str, tuple[str, ...]] = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"similarity {self.name!r}: unknown kind {self.kind!r}")
         if self.kind == "lev" and self.max_distance < 0:
             raise InputError(f"similarity {self.name!r}: negative distance bound")
+        adjacency: dict[str, list[str]] = {}
+        for a, b in sorted(self.pairs):
+            if a != b:
+                adjacency.setdefault(a, []).append(b)
+        object.__setattr__(
+            self, "adjacency", {a: tuple(bs) for a, bs in adjacency.items()}
+        )
 
 
 # Built-in equality, available in MD conditions as `=`.
@@ -133,27 +151,103 @@ def similar(spec: SimilaritySpec, a: str, b: str) -> bool:
     return (a, b) in spec.pairs
 
 
+def neighbours(spec: SimilaritySpec, values: Iterable[str]) -> dict[str, list[str]]:
+    """Map each of the values to those of them similar to it, itself first.
+
+    u is listed under v exactly when similar(spec, v, u). Values are
+    compared in pairs only where an index cannot rule the pair out.
+    """
+    if spec.kind == "eq":
+        return {v: [v] for v in values}
+    if spec.kind == "table":
+        present = set(values)
+        adjacency = spec.adjacency
+        return {
+            v: [v, *filter(present.__contains__, adjacency.get(v, ()))]
+            for v in present
+        }
+    return _lev_neighbours(spec, list(dict.fromkeys(values)))
+
+
+def _segments(length: int, k: int) -> list[tuple[int, int]]:
+    """(start, size) of the k + 1 segments of a string of this length.
+
+    The first segments are one character shorter when the length does not
+    divide evenly, as in PASS-JOIN. Called only for length > k, so every
+    segment is non-empty.
+    """
+    size, longer = divmod(length, k + 1)
+    out, start = [], 0
+    for i in range(k + 1):
+        n = size + (i >= k + 1 - longer)
+        out.append((start, n))
+        start += n
+    return out
+
+
+def _lev_neighbours(spec: SimilaritySpec, values: list[str]) -> dict[str, list[str]]:
+    """Neighbour lists under lev <= k, from a PASS-JOIN segment index.
+
+    Values are indexed one at a time, and each probes those indexed before
+    it, so every pair is confirmed at most once. An indexed value r of
+    length > k is cut into k + 1 segments; k edits can touch at most k of
+    them, and a segment that survives sits in s at most k characters from
+    where it starts in r. So a probe s looks up, for each segment of each
+    length within k of its own, its substrings starting within k of the
+    segment's start. An indexed value of length <= k has an empty segment,
+    so every value of its length is a candidate. Only lengths present in
+    the data are visited, which keeps a huge bound cheap.
+    """
+    k = spec.max_distance
+    near = {v: [v] for v in values}
+    lengths = sorted({len(v) for v in values})
+    by_length: dict[int, list[str]] = {}
+    index: dict[tuple[int, int, str], list[str]] = {}
+    cuts: dict[int, list[tuple[int, int]]] = {}
+    for s in values:
+        n = len(s)
+        found: set[str] = set()
+        for length in lengths[bisect_left(lengths, n - k) : bisect_right(lengths, n + k)]:
+            bucket = by_length.get(length)
+            if not bucket:
+                continue
+            if length <= k:
+                found.update(bucket)
+                continue
+            for start, size in cuts[length]:
+                for at in range(max(0, start - k), min(n - size, start + k) + 1):
+                    found.update(index.get((length, start, s[at : at + size]), ()))
+        for r in found:
+            if similar(spec, s, r):
+                near[s].append(r)
+                near[r].append(s)
+        by_length.setdefault(n, []).append(s)
+        if n > k:
+            if n not in cuts:
+                cuts[n] = _segments(n, k)
+            for start, size in cuts[n]:
+                index.setdefault((n, start, s[start : start + size]), []).append(s)
+    return near
+
+
 def verify_transitivity(
     spec: SimilaritySpec, domain: Iterable[str]
 ) -> list[tuple[str, str, str]]:
     """All violating triples (x, y, z) over the domain, with x ~ y ~ z, x !~ z.
 
-    Triples are reported with x < z lexicographically and sorted. Each
-    distinct value pair is tested once to build neighbour lists; a violation
-    is then a pair of neighbours of y that are not neighbours of each other.
+    Triples are reported with x < z lexicographically and sorted. Neighbour
+    lists come from `neighbours`, so no pair of values is tested unless an
+    index leaves it as a candidate; a violation is then a pair of neighbours
+    of y that are not neighbours of each other, which costs the sum of the
+    squared degrees.
     """
     values = sorted(set(domain))
     if spec.kind == "eq":
         return []
-    near: dict[str, set[str]] = {v: set() for v in values}
-    for i, x in enumerate(values):
-        for z in values[i + 1 :]:
-            if similar(spec, x, z):
-                near[x].add(z)
-                near[z].add(x)
+    near = {v: set(ns) for v, ns in neighbours(spec, values).items()}
     violations = []
     for y in values:
-        around = sorted(near[y])
+        around = sorted(near[y] - {y})
         for i, x in enumerate(around):
             near_x = near[x]
             for z in around[i + 1 :]:

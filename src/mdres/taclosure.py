@@ -20,7 +20,7 @@ from .dsets import DisjointSet
 from .errors import InputError
 from .mds import MD, MDSet, previous_set
 from .relation import Attr, Instance, Position
-from .similarity import SimilaritySpec, similar
+from .similarity import SimilaritySpec, neighbours, similar
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,13 @@ def link_groups(
 
     Every cross pair inside a group satisfies the conditions, and every
     satisfying pair lies in exactly one group. Rows are grouped by their
-    condition values; right-hand keys are bucketed on the equality part, so
-    the remaining conditions are tested once per pair of distinct keys in a
-    bucket rather than once per pair of tuples. For a self-matched relation
-    the pairs include a tuple with itself.
+    condition values (`=`/`eq` conjuncts first). With equality conjuncts
+    only, a left key links the right key equal to it. Otherwise right keys
+    are bucketed on the equality part and the value of the first `lev`/
+    `table` conjunct, and a left key visits only the buckets of that value's
+    `neighbours`; the remaining conjuncts are tested with `similar`, once
+    per pair of keys that reach each other. For a self-matched relation the
+    pairs include a tuple with itself.
     """
     eq, rest = [], []
     for c in md.lhs:
@@ -106,8 +109,6 @@ def link_groups(
             raise InputError(f"no similarity spec for {c.sim!r}") from None
         (eq if spec.kind == "eq" else rest).append((li, ri, spec))
     conds = eq + rest
-    n_eq = len(eq)
-    specs = [spec for _, _, spec in rest]
 
     left: dict[tuple[str, ...], list[int]] = {}
     for tid, row in instance.rows(md.left_rel):
@@ -115,19 +116,25 @@ def link_groups(
     right: dict[tuple[str, ...], list[int]] = {}
     for tid, row in instance.rows(md.right_rel):
         right.setdefault(tuple([row[ri] for _, ri, _ in conds]), []).append(tid)
-    buckets: dict[tuple[str, ...], list] = {}
-    for key, tids in right.items():
-        buckets.setdefault(key[:n_eq], []).append((key[n_eq:], tids))
+    if not rest:
+        return [(ltids, right[key]) for key, ltids in left.items() if key in right]
 
+    probe = len(eq)  # key index of the conjunct the index answers
+    specs = [spec for _, _, spec in rest[1:]]
+    buckets: dict[tuple, list] = {}
+    for key, tids in right.items():
+        buckets.setdefault((key[:probe], key[probe]), []).append((key[probe + 1 :], tids))
+    near = neighbours(rest[0][2], {key[probe] for key in (*left, *right)})
     groups = []
     for key, ltids in left.items():
-        rest_left = key[n_eq:]
-        for rest_right, rtids in buckets.get(key[:n_eq], ()):
-            if all(
-                similar(spec, a, b)
-                for spec, a, b in zip(specs, rest_left, rest_right)
-            ):
-                groups.append((ltids, rtids))
+        head, rest_left = key[:probe], key[probe + 1 :]
+        for value in near[key[probe]]:
+            for rest_right, rtids in buckets.get((head, value), ()):
+                if not specs or all(
+                    similar(spec, a, b)
+                    for spec, a, b in zip(specs, rest_left, rest_right)
+                ):
+                    groups.append((ltids, rtids))
     return groups
 
 

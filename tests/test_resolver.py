@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mdres import (
     BoundsExceededError,
+    InputError,
     NotEligibleError,
     OracleBounds,
     diff_changeset,
@@ -155,6 +156,17 @@ def test_oracle_bounds_enforced(two_rule_cycle):
             two_rule_cycle.instance, two_rule_cycle.mdset,
             bounds=OracleBounds(max_states=5),
         )
+
+
+def test_negative_oracle_bounds_are_input_errors(dup_groups):
+    for name in ("max_tuples", "max_values", "max_depth", "max_materialized",
+                 "max_states"):
+        with pytest.raises(InputError, match=f"^{name} must be at least 0$"):
+            enumerate_mris_oracle(
+                dup_groups.instance, dup_groups.mdset, OracleBounds(**{name: -1})
+            )
+        assert getattr(OracleBounds(**{name: 0}), name) == 0
+    assert OracleBounds(max_depth=None).max_depth is None
 
 
 def _oracle_outcome(oracle, d, mdset, bounds):

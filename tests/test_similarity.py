@@ -9,6 +9,7 @@ from mdres import (
     check_all,
     check_transitivity,
     levenshtein,
+    neighbours,
     parse_sims,
     similar,
     verify_transitivity,
@@ -16,7 +17,7 @@ from mdres import (
 from mdres.similarity import EQUALITY, SimilaritySpec, load_table, within_distance
 
 from generators import VALUE_POOL, rand_table_sim
-from reference import ref_levenshtein, ref_verify_transitivity
+from reference import ref_levenshtein, ref_similar, ref_verify_transitivity
 
 
 def test_levenshtein_known_values():
@@ -98,6 +99,41 @@ def test_banded_check_with_a_huge_bound():
     assert _Reads.count == 0
     assert not within_distance("a" * 50, "b" * 50, 49)
     assert within_distance("a" * 50, "b" * 50, 50)
+
+
+def _lev(k: int) -> SimilaritySpec:
+    return SimilaritySpec(name="l", kind="lev", max_distance=k)
+
+
+def _table_case(seed: int):
+    rng = random.Random(seed)
+    spec = rand_table_sim(rng)
+    return spec, rng.sample(VALUE_POOL + ("y", "z"), rng.randint(0, 6))
+
+
+_LEV_CASES = st.tuples(
+    st.integers(min_value=0, max_value=3).map(_lev),
+    st.sampled_from(("ab", "abc", "abcd")).flatmap(
+        lambda letters: st.lists(st.text(alphabet=letters, max_size=10), max_size=14)
+    ),
+)
+_TABLE_CASES = st.integers(min_value=0, max_value=2**32 - 1).map(_table_case)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, print_blob=False)
+@given(st.one_of(_LEV_CASES, _TABLE_CASES))
+@example((_lev(1), ["ab", "b"]))  # a segment found k characters before its start
+@example((_lev(1), ["b", "ba"]))  # and k characters after it
+@example((_lev(2), ["abc", "a", "", "ab", "ba"]))  # values shorter than k + 1
+@example((_lev(3), ["abcabc", "cab", "abab", "b", "abcabc"]))  # a repeated value
+@example((_lev(0), ["a", "ab", "a"]))
+def test_neighbours_match_all_pairs(case):
+    spec, values = case
+    near = neighbours(spec, values)
+    assert set(near) == set(values)
+    for v, ns in near.items():
+        assert ns[0] == v and len(ns) == len(set(ns)), (v, ns)
+        assert set(ns) == {u for u in values if ref_similar(spec, v, u)}, v
 
 
 def test_similar_kinds():

@@ -1,11 +1,14 @@
 import random
+import string
 
 from hypothesis import given, settings, strategies as st
 
+import mdres.similarity
 from mdres import (
     emit_datalog,
     load_instance,
     merge_partition,
+    neighbours,
     parse_mds,
     parse_schema,
     ta_closure,
@@ -17,7 +20,12 @@ from mdres.taclosure import datalog_partition, link_groups, linked_pairs
 
 from conftest import load_bundle
 from generators import rand_table_sim
-from reference import _lhs_pairs, ref_linked_position_pairs, ref_ta_blocks
+from reference import (
+    _lhs_pairs,
+    ref_linked_position_pairs,
+    ref_similar,
+    ref_ta_blocks,
+)
 
 
 def test_two_rule_cycle_blocks(two_rule_cycle):
@@ -172,3 +180,53 @@ def test_link_groups_match_nested_loop(seed):
         ds.union(p, q)
     expected = sorted(tuple(sorted(g)) for g in ds.groups())
     assert [b.positions for b in merge_partition(inst, mdset)] == expected
+
+
+def test_huge_edit_bound_links_everything_without_looping_over_it():
+    huge = SimilaritySpec(name="l", kind="lev", max_distance=999_999_999)
+    values = ["", "a", "ab", "ba", "abc", "cab", "abcabc"]
+    near = neighbours(huge, values)
+    assert {v: set(ns) for v, ns in near.items()} == {
+        v: {u for u in values if ref_similar(huge, v, u)} for v in values
+    } == {v: set(values) for v in values}
+    schema = parse_schema("relation R(A:str, B:str)\nrelation S(E:str, F:str)")
+    inst = load_instance(schema, {
+        "R": [[v, str(i % 2)] for i, v in enumerate(values) if v],
+        "S": [["x", "0"], ["b", "1"], ["abcabcabc", "r"]],
+    })
+    mdset = parse_mds(
+        "R[A] ~l R[A] -> R[B] == R[B];\n"
+        "R[A] ~l S[E], R[B] = S[F] -> R[B] == S[F];\n"
+        "R[B] = S[F], R[A] ~l S[E] -> R[A] == S[E]",
+        schema, {"l": huge},
+    )
+    for md in mdset.mds:
+        assert linked_pairs(md, inst, mdset.sims) == _lhs_pairs(md, inst, mdset.sims), md
+
+
+def test_lev_linking_is_not_quadratic(monkeypatch):
+    """2,000 random words under lev <= 1: testing every pair of distinct keys
+    makes about 4M edit-distance checks; the neighbour index, a few hundred."""
+    rng = random.Random(2000)
+    words = set()
+    while len(words) < 2000:
+        words.add("".join(rng.choice(string.ascii_lowercase) for _ in range(8)))
+    schema = parse_schema("relation R(A:str, B:str)")
+    inst = load_instance(
+        schema, {"R": [[w, str(i % 7)] for i, w in enumerate(sorted(words))]}
+    )
+    mdset = parse_mds(
+        "R[A] ~s R[A] -> R[B] == R[B]", schema,
+        {"s": SimilaritySpec(name="s", kind="lev", max_distance=1)},
+    )
+    calls = 0
+    within = mdres.similarity.within_distance
+
+    def counted(a, b, k):
+        nonlocal calls
+        calls += 1
+        return within(a, b, k)
+
+    monkeypatch.setattr(mdres.similarity, "within_distance", counted)
+    ta_closure(inst, mdset)
+    assert calls < 20_000
