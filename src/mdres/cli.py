@@ -138,6 +138,8 @@ def run(command: str, cfg: RunConfig):
         }
 
     if command == "resolve":
+        if not 0 <= cfg.materialize <= sys.maxsize:
+            raise InputError(f"--materialize must be between 0 and {sys.maxsize}")
         instance, mdset = _load(cfg)
         family = fast_mri_family(instance, mdset)
         payload = {

@@ -1,4 +1,9 @@
-"""Tiny union-find used by the graph, closure and resolver modules."""
+"""Tiny union-find used by the graph, closure and resolver modules.
+
+Union by size; `find` halves paths (Tarjan & van Leeuwen, JACM 1984): each
+step points the item at its grandparent and moves there, so one pass both
+finds the root and shortens the path.
+"""
 
 from __future__ import annotations
 
@@ -9,10 +14,8 @@ T = TypeVar("T", bound=Hashable)
 
 class DisjointSet(Generic[T]):
     def __init__(self, items: Iterable[T] = ()):
-        self._parent: dict[T, T] = {}
-        self._size: dict[T, int] = {}
-        for item in items:
-            self.add(item)
+        self._parent: dict[T, T] = {item: item for item in items}
+        self._size: dict[T, int] = dict.fromkeys(self._parent, 1)
 
     def add(self, item: T) -> None:
         if item not in self._parent:
@@ -20,22 +23,28 @@ class DisjointSet(Generic[T]):
             self._size[item] = 1
 
     def find(self, item: T) -> T:
-        self.add(item)
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:  # path compression
-            self._parent[item], item = root, self._parent[item]
-        return root
+        """The root of item's class; an unseen item is added as a singleton."""
+        parent = self._parent
+        try:
+            up = parent[item]
+        except KeyError:
+            self.add(item)
+            return item
+        while up != item:
+            top = parent[up]
+            parent[item] = top  # halving: skip to the grandparent
+            item, up = top, parent[top]
+        return item
 
     def union(self, a: T, b: T) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return
-        if self._size[ra] < self._size[rb]:
+        size = self._size
+        if size[ra] < size[rb]:
             ra, rb = rb, ra
         self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
+        size[ra] += size[rb]
 
     def groups(self) -> list[set[T]]:
         """All classes, including singletons, in insertion-independent form."""

@@ -179,11 +179,12 @@ class Instance:
         wanted = None if attrs is None else set(attrs)
         out = []
         for rschema in self.schema.relations:
-            for tid in sorted(self.data.get(rschema.name, {})):
-                for attr in rschema.attrs:
-                    a = (rschema.name, attr)
-                    if wanted is None or a in wanted:
-                        out.append(Position(tid, a))
+            cols = [(rschema.name, attr) for attr in rschema.attrs]
+            if wanted is not None:
+                cols = [a for a in cols if a in wanted]
+            if cols:
+                tids = sorted(self.data.get(rschema.name, {}))
+                out += [Position(tid, a) for tid in tids for a in cols]
         out.sort()
         return out
 

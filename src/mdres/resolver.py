@@ -22,6 +22,7 @@ frequent values).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from itertools import islice, product
 from math import prod
@@ -32,7 +33,7 @@ from .dsets import DisjointSet
 from .errors import BoundsExceededError, InputError, NotEligibleError
 from .mds import MD, Classification, MDSet, classify
 from .relation import Instance, Position
-from .taclosure import TAPartition, link_groups, ta_closure, union_groups
+from .taclosure import TAPartition, link_groups, slot_map, ta_closure, union_groups
 
 # How far a fresh value may outgrow the longest stored value. Rungs of the
 # fresh ladder grow by the largest edit-distance bound plus one, so without a
@@ -59,15 +60,17 @@ def merge_partition(d: Instance, mdset: MDSet) -> list[MergeBlock]:
     the original instance. Singleton blocks are kept. The chase computes the
     same blocks, without the singletons, through ChaseSpace.blocks.
     """
-    ds: DisjointSet[Position] = DisjointSet()
+    positions = d.positions()
+    slots, values = slot_map(d, positions)
+    ds: DisjointSet[int] = DisjointSet()
     for md in mdset.mds:
-        union_groups(ds, link_groups(md, d, mdset.sims), md.rhs)
+        union_groups(ds, link_groups(md, d, mdset.sims), md.rhs, slots)
     blocks = []
-    for group in ds.groups():
-        positions = tuple(sorted(group))
-        values = tuple(sorted({d.value(p) for p in positions}))
-        blocks.append(MergeBlock(positions, values))
-    blocks.sort(key=lambda b: b.positions[0])
+    for group in sorted(sorted(g) for g in ds.groups()):
+        blocks.append(MergeBlock(
+            tuple([positions[i] for i in group]),
+            tuple(sorted({values[i] for i in group})),
+        ))
     return blocks
 
 
@@ -426,8 +429,11 @@ class MRIFamily:
         return self.assignment(tuple(pool[0] for pool in self.candidates))
 
     def materialize(self, limit: int = 1024) -> tuple[list[Instance], bool]:
+        """Up to `limit` MRIs, sorted, and whether the family has more."""
+        if limit < 0:
+            raise InputError("materialize limit must be at least 0")
         truncated = self.count > limit
-        combos = islice(product(*self.candidates), limit)
+        combos = islice(product(*self.candidates), min(limit, sys.maxsize))
         instances = sorted((self.assignment(c) for c in combos), key=Instance.key)
         return instances, truncated
 

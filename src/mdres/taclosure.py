@@ -8,11 +8,14 @@ a single value in any resolved instance reachable without extra edits.
 
 Similarities are always evaluated on the original instance here. That is
 what makes the fast resolution path a one-shot computation.
+
+The closure numbers the changeable positions once, in sorted order, and
+unions those slot numbers; Position tuples are built only for the partition
+it returns.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -138,25 +141,51 @@ def link_groups(
     return groups
 
 
+def slot_map(
+    d: Instance, positions: list[Position]
+) -> tuple[dict[Attr, dict[int, int]], list[str]]:
+    """Number the positions: slot i is positions[i].
+
+    Returns one map per attribute from tid to slot, and each slot's value.
+    """
+    slots: dict[Attr, dict[int, int]] = {}
+    values: list[str] = []
+    columns: dict[Attr, tuple[dict[int, tuple[str, ...]], int]] = {}
+    for i, (tid, attr) in enumerate(positions):
+        at = slots.get(attr)
+        if at is None:
+            at = slots[attr] = {}
+            rel, name = attr
+            columns[attr] = (d.data[rel], d.schema.relation(rel).index(name))
+        at[tid] = i
+        table, col = columns[attr]
+        values.append(table[tid][col])
+    return slots, values
+
+
 def union_groups(
-    ds: DisjointSet[Position],
+    ds: DisjointSet[int],
     groups: list[tuple[list[int], list[int]]],
     rhs: tuple[tuple[Attr, Attr], ...],
+    slots: Mapping[Attr, Mapping[int, int]],
 ) -> None:
-    """Link the target positions of every group as a star.
+    """Link the target slots of every group as a star.
 
-    A complete bipartite link set is connected, so |L| + |R| unions per
-    target pair give the same classes as the |L| * |R| linked pairs.
+    For each target pair, the slot of the first left tuple is the hub and
+    the |L| + |R| target slots are each unioned with it. A complete
+    bipartite link set is connected, so that gives the same classes as the
+    |L| * |R| linked pairs. `slots` maps each attribute to {tid: slot}.
     """
+    union = ds.union
     for ltids, rtids in groups:
-        t1, t2 = ltids[0], rtids[0]
+        t1 = ltids[0]
         for left, right in rhs:
-            hub = Position(t1, left)
-            for t in rtids:
-                ds.union(hub, Position(t, right))
-            hub = Position(t2, right)
+            lslot, rslot = slots[left], slots[right]
+            hub = lslot[t1]
             for t in ltids:
-                ds.union(Position(t, left), hub)
+                union(lslot[t], hub)
+            for t in rtids:
+                union(hub, rslot[t])
 
 
 def linked_pairs(md: MD, instance: Instance, sims: Mapping[str, SimilaritySpec]):
@@ -174,9 +203,16 @@ def linked_pairs(md: MD, instance: Instance, sims: Mapping[str, SimilaritySpec])
 
 
 def ta_closure(d: Instance, mdset: MDSet) -> TAPartition:
-    """Compute the closure partition of d under the MD set."""
+    """Compute the closure partition of d under the MD set.
+
+    Slot i is the i-th changeable position in sorted order. The link groups
+    of each feeding MD are unioned over slots; a block is the ascending list
+    of its slots, so the blocks come out sorted by their first position, and
+    the value counts are read off the same lists.
+    """
     universe = d.positions(mdset.changeable)
-    ds: DisjointSet[Position] = DisjointSet(universe)
+    slots, values = slot_map(d, universe)
+    ds: DisjointSet[int] = DisjointSet(range(len(universe)))
     graph = mdset.graph
     groups: dict[str, list] = {}
     for mi in mdset.mds:
@@ -187,13 +223,20 @@ def ta_closure(d: Instance, mdset: MDSet) -> TAPartition:
                 continue  # conditions type-check only against the same pair
             if mj_id not in groups:
                 groups[mj_id] = link_groups(mj, d, mdset.sims)
-            union_groups(ds, groups[mj_id], mi.rhs)
-    blocks = sorted(tuple(sorted(g)) for g in ds.groups())
-    counts = tuple(
-        tuple(sorted(Counter(d.value(p) for p in block).items()))
-        for block in blocks
-    )
-    return TAPartition(tuple(blocks), counts)
+            union_groups(ds, groups[mj_id], mi.rhs, slots)
+    find = ds.find
+    members: dict[int, list[int]] = {}
+    for i in range(len(universe)):
+        members.setdefault(find(i), []).append(i)
+    blocks, counts = [], []
+    for block in members.values():
+        tally: dict[str, int] = {}
+        for i in block:
+            value = values[i]
+            tally[value] = tally.get(value, 0) + 1
+        blocks.append(tuple([universe[i] for i in block]))
+        counts.append(tuple(sorted(tally.items())))
+    return TAPartition(tuple(blocks), tuple(counts))
 
 
 # ---------------------------------------------------------------------------

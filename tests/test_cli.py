@@ -83,6 +83,14 @@ def test_resolve_materialize_truncates():
     assert payload_all["truncated"] is False
 
 
+@pytest.mark.parametrize("value", ["-1", "99999999999999999999"])
+def test_materialize_out_of_range_exits_1(value):
+    res = invoke(args_for("dup_groups", "resolve", "--materialize", value))
+    assert res.exit_code == 1, res.output
+    assert res.stderr == f"error: --materialize must be between 0 and {sys.maxsize}\n"
+    assert res.stdout == ""
+
+
 def test_oracle_payload():
     res = invoke(args_for("dup_groups", "oracle"))
     assert res.exit_code == 0, res.output

@@ -329,6 +329,11 @@ def test_materialize_truncates(dup_groups):
     family = fast_mri_family(dup_groups.instance, dup_groups.mdset)
     materialized, truncated = family.materialize(limit=3)
     assert truncated and len(materialized) == 3
+    assert family.materialize(limit=0) == ([], True)
+    materialized, truncated = family.materialize(limit=10**20)
+    assert not truncated and len(materialized) == family.count
+    with pytest.raises(InputError):
+        family.materialize(limit=-1)
 
 
 def test_fast_family_refuses_slow_classes(hard_chain):

@@ -1,5 +1,6 @@
 import random
 import string
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -174,7 +175,13 @@ def test_link_groups_match_nested_loop(seed):
         assert len(expanded) == len(set(expanded)), md  # one group per pair
         assert sorted(expanded) == _lhs_pairs(md, inst, mdset.sims), md
         assert linked_pairs(md, inst, mdset.sims) == _lhs_pairs(md, inst, mdset.sims)
-    assert ta_closure(inst, mdset).blocks == ref_ta_blocks(inst, mdset)
+    part = ta_closure(inst, mdset)
+    ref_blocks = ref_ta_blocks(inst, mdset)
+    assert part.blocks == ref_blocks
+    assert part.counts == tuple(
+        tuple(sorted(Counter(inst.value(p) for p in block).items()))
+        for block in ref_blocks
+    )
     ds = DisjointSet()
     for p, q in ref_linked_position_pairs(inst, mdset):
         ds.union(p, q)
