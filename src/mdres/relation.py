@@ -14,6 +14,8 @@ import io
 import os
 import re
 from dataclasses import dataclass, field
+from itertools import chain, count, filterfalse, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -27,6 +29,9 @@ DOMAIN_TAGS = ("str", "int")
 _INT_RE = re.compile(r"^-?\d+$")
 _CANONICAL_INT_RE = re.compile(r"0|-?[1-9][0-9]*")  # what str(int(v)) yields
 _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
+# A CSV tid of at most this many ASCII digits is read in bulk: far below
+# sys.get_int_max_str_digits() (640 at the least), so int() cannot refuse it.
+_TID_DIGITS = 18
 
 
 def format_attr(attr: Attr) -> str:
@@ -243,6 +248,44 @@ def _check_value(rel: RelationSchema, rownum: int, attr: str, tag: str, value: s
         )
 
 
+def _rows_pass(rschema: RelationSchema, table: list[tuple[str, ...]]) -> bool:
+    """The row checks of _check_rows, a column at a time."""
+    if not table:
+        return True
+    if {*map(len, table)} != {rschema.arity} or "" in chain.from_iterable(table):
+        return False
+    return all(
+        all(map(_CANONICAL_INT_RE.fullmatch, map(itemgetter(col), table)))
+        for col, tag in enumerate(rschema.tags)
+        if tag == "int"
+    )
+
+
+def _check_rows(rschema: RelationSchema, table: list[tuple[str, ...]]) -> None:
+    """Check row by row; raises for the first bad row."""
+    for i, values in enumerate(table):
+        if len(values) != rschema.arity:
+            raise InputError(
+                f"relation {rschema.name}, row {i + 1}: "
+                f"expected {rschema.arity} values, got {len(values)}"
+            )
+        for attr, tag, value in zip(rschema.attrs, rschema.tags, values):
+            _check_value(rschema, i + 1, attr, tag, value)
+
+
+def _check_tids(tids: Mapping[str, Sequence[int]]) -> set[int]:
+    """Check tid by tid; raises for the first bad tid, else returns them all."""
+    used: set[int] = set()
+    for rel, given in tids.items():
+        for tid in given:
+            if isinstance(tid, bool) or not isinstance(tid, int) or tid < 1:
+                raise InputError(f"relation {rel}: tid {tid!r} is not a positive integer")
+            if tid in used:
+                raise InputError(f"duplicate tid {tid} (tids are unique across the instance)")
+            used.add(tid)
+    return used
+
+
 def load_instance(
     schema: Schema,
     rows: Mapping[str, Sequence[Sequence[str]]],
@@ -253,22 +296,22 @@ def load_instance(
     When `tids` supplies identifiers for a relation they are used (and must be
     unique across the instance); otherwise tids are assigned densely starting
     at 1, in input order, relation by relation in schema order.
+
+    The input is checked in bulk; only when a bulk check fails do the per-row
+    checks run, to find and word the first error.
     """
     tids = tids or {}
     for rel in rows:
         schema.relation(rel)  # raises for unknown names
     for rel in tids:
         schema.relation(rel)
-    used: set[int] = set()
-    for rel, given in tids.items():
-        for tid in given:
-            if not isinstance(tid, int) or tid < 1:
-                raise InputError(f"relation {rel}: tid {tid!r} is not a positive integer")
-            if tid in used:
-                raise InputError(f"duplicate tid {tid} (tids are unique across the instance)")
-            used.add(tid)
-    data: dict[str, dict[int, tuple[str, ...]]] = {r.name: {} for r in schema.relations}
-    counter = 1
+    # every given tid an int (not a bool), at least 1, and unique
+    given = list(chain.from_iterable(tids.values()))
+    used = set(given) if {*map(type, given)} <= {int} else None
+    if used is None or len(used) != len(given) or (given and min(given) < 1):
+        used = _check_tids(tids)
+    fresh = filterfalse(used.__contains__, count(1))  # the dense tids, in order
+    data: dict[str, dict[int, tuple[str, ...]]] = {}
     for rschema in schema.relations:
         rel_rows = rows.get(rschema.name, [])
         rel_tids = tids.get(rschema.name)
@@ -276,43 +319,38 @@ def load_instance(
             raise InputError(
                 f"relation {rschema.name}: {len(rel_tids)} tids for {len(rel_rows)} rows"
             )
-        for i, raw in enumerate(rel_rows):
-            values = tuple(str(v) for v in raw)
-            if len(values) != rschema.arity:
-                raise InputError(
-                    f"relation {rschema.name}, row {i + 1}: "
-                    f"expected {rschema.arity} values, got {len(values)}"
-                )
-            for attr, tag, value in zip(rschema.attrs, rschema.tags, values):
-                _check_value(rschema, i + 1, attr, tag, value)
-            if rel_tids is not None:
-                tid = rel_tids[i]
-            else:
-                while counter in used:
-                    counter += 1
-                tid = counter
-                used.add(tid)
-            data[rschema.name][tid] = values
+        table = list(map(tuple, rel_rows))
+        if not {*map(type, chain.from_iterable(table))} <= {str}:  # CSV cells are str
+            table = [tuple(map(str, row)) for row in table]
+        if not _rows_pass(rschema, table):
+            _check_rows(rschema, table)
+        if rel_tids is None:
+            rel_tids = islice(fresh, len(table))
+        data[rschema.name] = dict(zip(rel_tids, table))
     return Instance(schema, data)
 
 
-def _read_csv(rschema: RelationSchema, text: str, source: str):
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError(f"{source}: empty file (header row required)") from None
-    header = [h.strip() for h in header]
-    with_tid = bool(header) and header[0] == "#tid"
-    expected = (["#tid"] if with_tid else []) + list(rschema.attrs)
-    if header != expected:
-        raise InputError(
-            f"{source}: header {header!r} does not match schema "
-            f"(expected {expected!r})"
-        )
+def _plain_tids(raw: list[str]) -> bool:
+    """Every tid is 1 to _TID_DIGITS ASCII digits, so int() takes it as is."""
+    joined = "".join(raw)
+    lengths = {*map(len, raw)}
+    return (
+        joined.isascii() and joined.isdigit()
+        and 0 not in lengths and max(lengths) <= _TID_DIGITS
+    )
+
+
+def _read_records(
+    rschema: RelationSchema, records: list[list[str]], with_tid: bool, source: str
+):
+    """Read record by record; raises for the first bad record.
+
+    Also reads the tids that _plain_tids does not take but int() does, such
+    as ` 7` or `-3` (which load_instance then refuses).
+    """
     rows: list[list[str]] = []
     tids: list[int] = []
-    for rownum, record in enumerate(reader, start=1):
+    for rownum, record in enumerate(records, start=1):
         if not record:
             continue
         if with_tid:
@@ -332,10 +370,51 @@ def _read_csv(rschema: RelationSchema, text: str, source: str):
     return rows, (tids if with_tid else None)
 
 
+def _read_csv(rschema: RelationSchema, text: str, source: str):
+    """One relation's rows and tids (None without a #tid column).
+
+    The records are checked in bulk; the record-by-record loop runs only when
+    a bulk check fails.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{source}: empty file (header row required)") from None
+    except csv.Error as exc:
+        raise InputError(f"{source}, header row: {exc}") from None
+    header = [h.strip() for h in header]
+    with_tid = bool(header) and header[0] == "#tid"
+    expected = (["#tid"] if with_tid else []) + list(rschema.attrs)
+    if header != expected:
+        raise InputError(
+            f"{source}: header {header!r} does not match schema "
+            f"(expected {expected!r})"
+        )
+    records: list[list[str]] = []
+    try:
+        records.extend(reader)
+    except csv.Error as exc:  # say, a field over csv.field_size_limit()
+        _read_records(rschema, records, with_tid, source)  # an earlier bad row comes first
+        raise InputError(f"{source}, row {len(records) + 1}: {exc}") from None
+    rows = list(filter(None, records))  # a blank line reads as []
+    if rows and {*map(len, rows)} != {len(expected)}:
+        return _read_records(rschema, records, with_tid, source)
+    if not with_tid:
+        return rows, None
+    raw = list(map(itemgetter(0), rows))
+    if rows and not _plain_tids(raw):
+        return _read_records(rschema, records, with_tid, source)
+    values = map(itemgetter(*range(1, len(expected))), rows)
+    if rschema.arity == 1:
+        values = zip(values)  # itemgetter(1) gives the cell, not a 1-tuple
+    return list(values), list(map(int, raw))
+
+
 def load_csv_dir(schema: Schema, directory: str | Path) -> Instance:
     """Load one `<relation>.csv` per schema relation from a directory."""
     directory = Path(directory)
-    rows: dict[str, list[list[str]]] = {}
+    rows: dict[str, list[Sequence[str]]] = {}
     tids: dict[str, list[int]] = {}
     for rschema in schema.relations:
         path = directory / f"{rschema.name}.csv"

@@ -286,18 +286,22 @@ def check_all(
 def load_table(text: str, source: str = "<table>") -> frozenset[tuple[str, str]]:
     """Read `value,value` lines; the result is closed under symmetry."""
     pairs = set()
-    for rownum, record in enumerate(csv.reader(io.StringIO(text)), start=1):
-        if not record or (len(record) == 1 and not record[0].strip()):
-            continue
-        if record and record[0].lstrip().startswith("#"):
-            continue
-        if len(record) != 2:
-            raise InputError(f"{source}, row {rownum}: expected two values")
-        a, b = record[0], record[1]
-        if a == "" or b == "":
-            raise InputError(f"{source}, row {rownum}: blank value")
-        pairs.add((a, b))
-        pairs.add((b, a))
+    rownum = 0
+    try:
+        for rownum, record in enumerate(csv.reader(io.StringIO(text)), start=1):
+            if not record or (len(record) == 1 and not record[0].strip()):
+                continue
+            if record and record[0].lstrip().startswith("#"):
+                continue
+            if len(record) != 2:
+                raise InputError(f"{source}, row {rownum}: expected two values")
+            a, b = record[0], record[1]
+            if a == "" or b == "":
+                raise InputError(f"{source}, row {rownum}: blank value")
+            pairs.add((a, b))
+            pairs.add((b, a))
+    except csv.Error as exc:  # say, a field over csv.field_size_limit()
+        raise InputError(f"{source}, row {rownum + 1}: {exc}") from None
     return frozenset(pairs)
 
 

@@ -16,7 +16,8 @@ it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .dsets import DisjointSet
@@ -36,25 +37,19 @@ class TAPartition:
 
     blocks: tuple[tuple[Position, ...], ...]
     counts: tuple[tuple[tuple[str, int], ...], ...]
-    _block_index: dict[Position, int] = field(
-        init=False, repr=False, compare=False, hash=False, default_factory=dict
-    )
-    _attr_index: dict[Attr, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False, hash=False, default_factory=dict
-    )
 
-    def __post_init__(self):
-        block_index: dict[Position, int] = {}
+    # Built on first use: resolve and closure never read them.
+    @cached_property
+    def _block_index(self) -> dict[Position, int]:
+        return {p: i for i, block in enumerate(self.blocks) for p in block}
+
+    @cached_property
+    def _attr_index(self) -> dict[Attr, tuple[int, ...]]:
         attr_index: dict[Attr, list[int]] = {}
         for i, block in enumerate(self.blocks):
-            for p in block:
-                block_index[p] = i
             for attr in {p.attr for p in block}:
                 attr_index.setdefault(attr, []).append(i)
-        object.__setattr__(self, "_block_index", block_index)
-        object.__setattr__(
-            self, "_attr_index", {a: tuple(ix) for a, ix in attr_index.items()}
-        )
+        return {a: tuple(ix) for a, ix in attr_index.items()}
 
     def __len__(self) -> int:
         return len(self.blocks)

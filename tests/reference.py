@@ -7,11 +7,15 @@ walks the defining condition directly, however inefficiently.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import re
 from collections import Counter
 
 from mdres import (
     BoundsExceededError,
+    InputError,
     Instance,
     MDSet,
     OracleBounds,
@@ -21,6 +25,92 @@ from mdres import (
 from mdres.query import Const
 from mdres.relation import Position
 from mdres.resolver import _fresh_params
+
+
+def ref_read_csv(rschema, text: str, source: str):
+    """One relation's CSV text read record by record: (rows, tids or None)."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{source}: empty file (header row required)") from None
+    header = [h.strip() for h in header]
+    with_tid = bool(header) and header[0] == "#tid"
+    expected = (["#tid"] if with_tid else []) + list(rschema.attrs)
+    if header != expected:
+        raise InputError(
+            f"{source}: header {header!r} does not match schema "
+            f"(expected {expected!r})"
+        )
+    rows: list[list[str]] = []
+    tids: list[int] = []
+    for rownum, record in enumerate(reader, start=1):
+        if not record:
+            continue
+        if with_tid:
+            raw_tid, record = record[0], record[1:]
+            if not re.match(r"^-?\d+$", raw_tid.strip()):
+                raise InputError(f"{source}, row {rownum}: bad tid {raw_tid!r}")
+            try:
+                tids.append(int(raw_tid))
+            except ValueError:  # more digits than int() converts
+                raise InputError(f"{source}, row {rownum}: tid has too many digits") from None
+        if len(record) != rschema.arity:
+            raise InputError(
+                f"{source}, row {rownum}: expected {rschema.arity} values, "
+                f"got {len(record)}"
+            )
+        rows.append(record)
+    return rows, (tids if with_tid else None)
+
+
+def ref_load_instance(schema, rows, tids=None) -> Instance:
+    """An instance built row by row and checked cell by cell; a bool is not
+    a tid."""
+    tids = tids or {}
+    for rel in rows:
+        schema.relation(rel)  # raises for unknown names
+    for rel in tids:
+        schema.relation(rel)
+    used: set[int] = set()
+    for rel, given in tids.items():
+        for tid in given:
+            if isinstance(tid, bool) or not isinstance(tid, int) or tid < 1:
+                raise InputError(f"relation {rel}: tid {tid!r} is not a positive integer")
+            if tid in used:
+                raise InputError(f"duplicate tid {tid} (tids are unique across the instance)")
+            used.add(tid)
+    data: dict[str, dict[int, tuple[str, ...]]] = {r.name: {} for r in schema.relations}
+    counter = 1
+    for rschema in schema.relations:
+        rel_rows = rows.get(rschema.name, [])
+        rel_tids = tids.get(rschema.name)
+        if rel_tids is not None and len(rel_tids) != len(rel_rows):
+            raise InputError(
+                f"relation {rschema.name}: {len(rel_tids)} tids for {len(rel_rows)} rows"
+            )
+        for i, raw in enumerate(rel_rows):
+            values = tuple(str(v) for v in raw)
+            if len(values) != rschema.arity:
+                raise InputError(
+                    f"relation {rschema.name}, row {i + 1}: "
+                    f"expected {rschema.arity} values, got {len(values)}"
+                )
+            for attr, tag, value in zip(rschema.attrs, rschema.tags, values):
+                where = f"relation {rschema.name}, row {i + 1}, attribute {attr}"
+                if value == "":
+                    raise InputError(f"{where}: blank value")
+                if tag == "int" and not re.fullmatch(r"0|-?[1-9][0-9]*", value):
+                    raise InputError(f"{where}: {value!r} is not a canonical integer")
+            if rel_tids is not None:
+                tid = rel_tids[i]
+            else:
+                while counter in used:
+                    counter += 1
+                tid = counter
+                used.add(tid)
+            data[rschema.name][tid] = values
+    return Instance(schema, data)
 
 
 def ref_levenshtein(a: str, b: str) -> int:

@@ -156,6 +156,25 @@ def test_non_utf8_input_exits_1(tmp_path):
     assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
 
 
+def test_overlong_csv_field_exits_1(tmp_path):
+    # csv refuses a field over 131,072 characters; that is an input error
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "R.csv").write_text("#tid,A,B\n1," + "a" * 200_000 + ",b\n", encoding="utf-8")
+    res = invoke(args_for("dup_groups", "resolve", "--data", str(data)))
+    assert res.exit_code == 1 and res.stdout == ""
+    assert res.stderr == (
+        f"error: {data / 'R.csv'}, row 1: field larger than field limit (131072)\n"
+    )
+    (tmp_path / "sims.txt").write_text("sim s = table s_pairs.csv\n", encoding="utf-8")
+    (tmp_path / "s_pairs.csv").write_text("a1,a2\nb1," + "b" * 200_000 + "\n", encoding="utf-8")
+    res = invoke(args_for("two_rule_cycle", "classify", "--sims", str(tmp_path / "sims.txt")))
+    assert res.exit_code == 1 and res.stdout == ""
+    assert res.stderr == (
+        f"error: {tmp_path / 's_pairs.csv'}, row 2: field larger than field limit (131072)\n"
+    )
+
+
 def test_answers_computes_verdicts_once(monkeypatch):
     import mdres.query
 

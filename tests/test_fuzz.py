@@ -1,5 +1,6 @@
-"""Robustness: arbitrary input to the DSL parsers and the CSV loader raises
-MDResError (a one-line `error:` on the command line), never anything else."""
+"""Robustness: arbitrary input to the DSL parsers, the CSV loader and the
+similarity-table reader raises MDResError (a one-line `error:` on the command
+line), never anything else."""
 
 import pytest
 from hypothesis import given, settings
@@ -56,13 +57,29 @@ def test_dsl_parsers_raise_only_mdres_errors(tmp_path_factory, text):
     _only_mdres_errors(parse_program, text)
 
 
+# Arbitrary file bytes, and fields past the csv module's 131,072-character limit.
+file_bytes = st.one_of(
+    utf8_texts.map(str.encode),
+    st.binary(max_size=40),
+    st.sampled_from([b"x" * 140_000, b"A,B\nu,v\n" + b"y" * 140_000 + b"\n"]),
+)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, print_blob=False)
-@given(st.one_of(utf8_texts.map(str.encode), st.binary(max_size=40)))
+@given(file_bytes)
 def test_csv_loader_raises_only_mdres_errors(tmp_path_factory, data):
     directory = tmp_path_factory.mktemp("csv", numbered=True)
     (directory / "R.csv").write_bytes(data)
     (directory / "S.csv").write_bytes(b"#tid,E,F\n9,u,v\n")
     _only_mdres_errors(load_csv_dir, SCHEMA, directory)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, print_blob=False)
+@given(file_bytes)
+def test_table_reader_raises_only_mdres_errors(tmp_path_factory, data):
+    directory = tmp_path_factory.mktemp("table", numbered=True)
+    (directory / "pairs.csv").write_bytes(data)
+    _only_mdres_errors(parse_sims, "sim s = table pairs.csv", directory)
 
 
 @pytest.mark.parametrize(

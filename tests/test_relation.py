@@ -1,5 +1,9 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import mdres.relation
 from mdres import (
     InputError,
     ParseError,
@@ -9,7 +13,9 @@ from mdres import (
     parse_schema,
     write_csv_dir,
 )
-from mdres.relation import ChangeSet, Position, instance_as_json
+from mdres.relation import ChangeSet, Position, _read_csv, instance_as_json
+
+from reference import ref_load_instance, ref_read_csv
 
 
 def test_parse_schema_two_relations():
@@ -117,3 +123,135 @@ def test_instance_as_json_sorted(dup_groups):
     payload = instance_as_json(dup_groups.instance)
     assert payload["R"][0] == [1, "a1", "c1"]
     assert [row[0] for row in payload["R"]] == [1, 2, 3, 4]
+
+
+def test_load_instance_rejects_bool_tids():
+    schema = parse_schema("relation R(A:str)")
+    with pytest.raises(InputError, match="^relation R: tid True is not a positive integer$"):
+        load_instance(schema, {"R": [["x"]]}, {"R": [True]})
+
+
+# Bulk ingest against the row-by-row loops it replaced. The schema has an
+# int column, so canonical-integer checks run. Most draws are clean, so that
+# whole inputs often load; the odd ones reach every check, and some of them
+# (a padded or non-ASCII tid, an int value) are accepted the long way round.
+INGEST_SCHEMA = parse_schema("relation R(A:str, B:int)\nrelation S(E:str)")
+GOOD_CELLS = {"str": ("x", "y", " ", "7"), "int": ("0", "7", "-3", "12")}
+ODD_CELLS = ("", "07", "-0", "x", "\u0663", " 1")
+GOOD_CSV_TIDS = tuple(map(str, range(1, 200)))
+ODD_CSV_TIDS = (
+    "0", "00", "007", " 4", "5 ", "+6", "-2", "", "x", "\u0663", "\uff18", "\u00b2",
+    "1" * 25, "9" * 5000,
+)
+ODD_API_VALUES = ("", "07", 7, -1, 0, True, False)
+ODD_API_TIDS = (0, -1, True, False, 2.0, "3")
+
+
+def _mostly(rng, good, odd):
+    """A good value, or one time in eight an odd one."""
+    return rng.choice(odd if rng.randrange(8) == 0 else good)
+
+
+def _slip(rng):
+    """Usually 0; one time in sixteen a row or tid list is one item off."""
+    return rng.choice((-1, 1)) if rng.randrange(16) == 0 else 0
+
+
+def rand_csv_texts(rng):
+    texts = {}
+    for rschema in INGEST_SCHEMA.relations:
+        with_tid = rng.random() < 0.5
+        lines = [",".join((["#tid"] if with_tid else []) + list(rschema.attrs))]
+        for _ in range(rng.randrange(7)):
+            if rng.randrange(6) == 0:
+                lines.append("")
+                continue
+            tags = (rschema.tags + ("str",))[: rschema.arity + _slip(rng)]
+            cells = [_mostly(rng, GOOD_CELLS[tag], ODD_CELLS) for tag in tags]
+            if with_tid:
+                cells.insert(0, _mostly(rng, GOOD_CSV_TIDS, ODD_CSV_TIDS))
+            lines.append(",".join(cells))
+        texts[rschema.name] = "\n".join(lines) + "\n"
+    return texts
+
+
+def rand_api_input(rng):
+    rows, tids = {}, {}
+    for rschema in INGEST_SCHEMA.relations:
+        if rng.randrange(5) == 0:
+            continue
+        n = rng.randrange(5)
+        rows[rschema.name] = [
+            [_mostly(rng, GOOD_CELLS["int"], ODD_API_VALUES)
+             for _ in range(rschema.arity + _slip(rng))]
+            for _ in range(n)
+        ]
+        if rng.random() < 0.5:
+            count = max(n + _slip(rng), 0)
+            tids[rschema.name] = [_mostly(rng, range(1, 12), ODD_API_TIDS) for _ in range(count)]
+    return rows, tids or None
+
+
+def _outcome(build):
+    try:
+        inst = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [list(inst.data[rel].items()) for rel in INGEST_SCHEMA.names()]
+
+
+def _from_csv(read, load, texts):
+    rows, tids = {}, {}
+    for rschema in INGEST_SCHEMA.relations:
+        rel_rows, rel_tids = read(rschema, texts[rschema.name], f"{rschema.name}.csv")
+        rows[rschema.name] = rel_rows
+        if rel_tids is not None:
+            tids[rschema.name] = rel_tids
+    return load(INGEST_SCHEMA, rows, tids or None)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, print_blob=False)
+@given(st.integers(0, 2**32 - 1))
+def test_bulk_ingest_matches_row_loop(seed):
+    rng = random.Random(seed)
+    texts = rand_csv_texts(rng)
+    fast = _outcome(lambda: _from_csv(_read_csv, load_instance, texts))
+    slow = _outcome(lambda: _from_csv(ref_read_csv, ref_load_instance, texts))
+    assert fast == slow
+    rows, tids = rand_api_input(rng)
+    fast = _outcome(lambda: load_instance(INGEST_SCHEMA, rows, tids))
+    slow = _outcome(lambda: ref_load_instance(INGEST_SCHEMA, rows, tids))
+    assert fast == slow
+
+
+def test_clean_csv_checks_no_cell_one_by_one(tmp_path, monkeypatch):
+    calls = []
+    check = mdres.relation._check_value
+    monkeypatch.setattr(
+        mdres.relation, "_check_value", lambda *args: calls.append(args) or check(*args)
+    )
+    rng = random.Random(0)
+    lines = ["#tid,A,B"] + [
+        f"{i},a{rng.randrange(2000)},{rng.randrange(-99, 99)}" for i in range(1, 10_001)
+    ]
+    (tmp_path / "R.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (tmp_path / "S.csv").write_text("E\ne1\n\ne2\n", encoding="utf-8")
+    inst = load_csv_dir(INGEST_SCHEMA, tmp_path)
+    assert len(inst.data["R"]) == 10_000 and inst.tids("S") == (10_001, 10_002)
+    assert calls == []
+    # the count is live: a bad cell does go through the per-row check
+    (tmp_path / "S.csv").write_text('E\ne1\n\n""\n', encoding="utf-8")
+    with pytest.raises(InputError, match="^relation S, row 2, attribute E: blank value$"):
+        load_csv_dir(INGEST_SCHEMA, tmp_path)
+    assert calls
+
+
+def test_csv_parse_error_comes_after_earlier_bad_rows(tmp_path):
+    (tmp_path / "S.csv").write_text("E\ne1\n", encoding="utf-8")
+    long_row = "2,u," + "9" * 140_000 + "\n"
+    (tmp_path / "R.csv").write_text("#tid,A,B\n\n1,u\n" + long_row, encoding="utf-8")
+    with pytest.raises(InputError, match="R.csv, row 2: expected 2 values, got 1$"):
+        load_csv_dir(INGEST_SCHEMA, tmp_path)
+    (tmp_path / "R.csv").write_text("#tid,A,B\n\n1,u,7\n" + long_row, encoding="utf-8")
+    with pytest.raises(InputError, match="R.csv, row 3: field larger than field limit"):
+        load_csv_dir(INGEST_SCHEMA, tmp_path)

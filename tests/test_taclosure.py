@@ -2,10 +2,12 @@ import random
 import string
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import mdres.similarity
 from mdres import (
+    InputError,
     emit_datalog,
     load_instance,
     merge_partition,
@@ -19,7 +21,7 @@ from mdres.relation import Position
 from mdres.similarity import SimilaritySpec
 from mdres.taclosure import datalog_partition, link_groups, linked_pairs
 
-from conftest import load_bundle
+from conftest import FIXTURES, load_bundle
 from generators import rand_table_sim
 from reference import (
     _lhs_pairs,
@@ -77,6 +79,30 @@ def test_block_of(two_rule_cycle):
     pos = Position(3, ("R", "A"))
     assert pos in part.blocks[part.block_of(pos)]
     assert part.blocks_at(("R", "A")) == (0,)
+
+
+def test_indexes_match_a_scan_of_blocks():
+    cases = [
+        (root.name, sims)
+        for root in sorted(FIXTURES.iterdir())
+        for sims in [p.name for p in sorted(root.glob("sims*.txt"))] or [None]
+    ]
+    for name, sims in cases:
+        bundle = load_bundle(name, sims=sims)
+        part = ta_closure(bundle.instance, bundle.mdset)
+        for pos in bundle.instance.positions():
+            owners = [i for i, block in enumerate(part.blocks) if pos in block]
+            if owners:
+                assert [part.block_of(pos)] == owners, (name, sims, pos)
+            else:
+                with pytest.raises(InputError, match="is not in the partition"):
+                    part.block_of(pos)
+        for rschema in bundle.schema.relations:
+            for attr in ((rschema.name, a) for a in rschema.attrs):
+                scan = tuple(
+                    i for i, block in enumerate(part.blocks) if any(p.attr == attr for p in block)
+                )
+                assert part.blocks_at(attr) == scan, (name, sims, attr)
 
 
 def test_matches_reachability_reference():
