@@ -264,9 +264,6 @@ def _emit(command: str, cfg: RunConfig, payload) -> None:
 def _execute(command: str, cfg: RunConfig) -> None:
     try:
         payload = run(command, cfg)
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
     except NotEligibleError as exc:
         click.echo(f"not eligible: {exc}", err=True)
         sys.exit(2)

@@ -46,12 +46,12 @@ class DisjointSet(Generic[T]):
         self._parent[rb] = ra
         size[ra] += size[rb]
 
-    def groups(self) -> list[set[T]]:
-        """All classes, including singletons, in insertion-independent form."""
-        by_root: dict[T, set[T]] = {}
+    def groups(self) -> list[tuple[T, ...]]:
+        """All classes, including singletons, as sorted tuples in sorted order."""
+        by_root: dict[T, list[T]] = {}
         for item in self._parent:
-            by_root.setdefault(self.find(item), set()).add(item)
-        return list(by_root.values())
+            by_root.setdefault(self.find(item), []).append(item)
+        return sorted(tuple(sorted(g)) for g in by_root.values())
 
     def same(self, a: T, b: T) -> bool:
         return self.find(a) == self.find(b)

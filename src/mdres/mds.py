@@ -447,9 +447,7 @@ def _components(pairs: Iterable[tuple], universe: Iterable) -> list[tuple]:
     ds: DisjointSet = DisjointSet(universe)
     for a, b in pairs:
         ds.union(a, b)
-    blocks = [tuple(sorted(g)) for g in ds.groups()]
-    blocks.sort()
-    return blocks
+    return ds.groups()
 
 
 def eqr_classes(mdset: MDSet) -> AttrPartition:
@@ -458,9 +456,7 @@ def eqr_classes(mdset: MDSet) -> AttrPartition:
     for md in mdset.mds:
         for left, right in md.rhs:
             ds.union(left, right)
-    blocks = [tuple(sorted(g)) for g in ds.groups()]
-    blocks.sort()
-    return AttrPartition("match-class", tuple(blocks))
+    return AttrPartition("match-class", tuple(ds.groups()))
 
 
 def eqr_class(mdset: MDSet, attr: Attr) -> tuple[Attr, ...]:
@@ -543,9 +539,7 @@ class _SideView:
                 same_l2 = a in l_comp_m2 and b in l_comp_m2 and l_comp_m2.same(a, b)
                 if same_r1 or same_l2:
                     ds.union(a, b)
-        classes = [tuple(sorted(g)) for g in ds.groups()]
-        classes.sort()
-        return [c for c in classes if any(a in self.lhs2_attrs for a in c)]
+        return [c for c in ds.groups() if any(a in self.lhs2_attrs for a in c)]
 
 
 def _chain_edge(mdset: MDSet) -> tuple[MD, MD] | None:
@@ -579,7 +573,7 @@ def equivalent_sets(mdset: MDSet) -> list[ESInfo]:
     return out
 
 
-def _classify_chain(mdset: MDSet, sims: Mapping[str, SimilaritySpec]) -> Classification:
+def _classify_chain(mdset: MDSet) -> Classification:
     m1, m2 = _chain_edge(mdset)  # type: ignore[misc]
     evidence = [f"chain: {m1.mid} feeds {m2.mid}"]
     try:
@@ -633,6 +627,7 @@ def _classify_chain(mdset: MDSet, sims: Mapping[str, SimilaritySpec]) -> Classif
     syntactic_easy = side_ok[_SIDE_L] and side_ok[_SIDE_R]
 
     used = sorted(m1.sims_used | m2.sims_used)
+    sims = mdset.sims
     flags = {
         name: (mdset.transitive(sims[name]) if name in sims else None) for name in used
     }
@@ -672,17 +667,14 @@ def _classify_chain(mdset: MDSet, sims: Mapping[str, SimilaritySpec]) -> Classif
     return Classification("Unknown", tuple(evidence))
 
 
-def classify(
-    mdset: MDSet, sims: Mapping[str, SimilaritySpec] | None = None
-) -> Classification:
+def classify(mdset: MDSet) -> Classification:
     """Structural classification of an MD set.
 
-    `sims` overrides the set's similarity specs. A two-MD chain reads their
-    transitivity verdicts: specs checked against the instance at hand, or
-    specs the set checks against its own domain on first read. Without
-    either, an unchecked lev verdict leaves the chain Unknown.
+    A two-MD chain reads the transitivity verdicts of the set's similarity
+    specs: specs checked against the instance at hand, or specs the set
+    checks against its own domain on first read. Without either, an
+    unchecked lev verdict leaves the chain Unknown.
     """
-    sims = dict(sims) if sims is not None else mdset.sims
     g = mdset.graph
     if g.edgeless:
         return Classification(
@@ -742,7 +734,7 @@ def classify(
             return Classification("HitSimpleCycle", (ev,) + symmetric_ev)
 
     if _chain_edge(mdset) is not None:
-        return _classify_chain(mdset, sims)
+        return _classify_chain(mdset)
 
     reasons = ["no fast structure and not a two-MD chain"]
     if pair_fail:

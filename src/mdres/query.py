@@ -392,21 +392,14 @@ def eval_rewritten(rq: RewrittenQuery, d: Instance) -> AnswerSet:
     """
     mdset = rq.mdset
     partition = ta_closure(d, mdset)
-    winner_cache: dict[int, str | None] = {}
-
-    def winner(pos: Position) -> str | None:
-        i = partition.block_of(pos)
-        if i not in winner_cache:
-            pool = partition.candidates(i)
-            winner_cache[i] = pool[0] if len(pool) == 1 else None
-        return winner_cache[i]
+    winners, block_of = partition.winners, partition.block_of
 
     def view(ra: RewrittenAtom) -> list[tuple[str, ...]]:
         rows = []
         for tid, row in d.rows(ra.original.rel):
             values = list(row)
             for c in ra.conditions:
-                values[c.pos] = winner(Position(tid, c.attr))
+                values[c.pos] = winners[block_of(Position(tid, c.attr))]
             if None not in values:
                 rows.append(tuple(values))
         return rows

@@ -28,7 +28,6 @@ DOMAIN_TAGS = ("str", "int")
 
 _INT_RE = re.compile(r"^-?\d+$")
 _CANONICAL_INT_RE = re.compile(r"0|-?[1-9][0-9]*")  # what str(int(v)) yields
-_IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
 # A CSV tid of at most this many ASCII digits is read in bulk: far below
 # sys.get_int_max_str_digits() (640 at the least), so int() cannot refuse it.
 _TID_DIGITS = 18
@@ -141,10 +140,10 @@ def parse_schema(text: str) -> Schema:
     return Schema(tuple(relations))
 
 
-def read_text(path: str | Path, encoding: str = "utf-8") -> str:
-    """The contents of a text file; bytes that do not decode raise InputError."""
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents, less any leading BOM; bad bytes raise InputError."""
     try:
-        return Path(path).read_text(encoding=encoding)
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
@@ -420,7 +419,7 @@ def load_csv_dir(schema: Schema, directory: str | Path) -> Instance:
         path = directory / f"{rschema.name}.csv"
         if not os.path.isfile(path):
             raise InputError(f"missing data file for relation {rschema.name}: {path}")
-        rel_rows, rel_tids = _read_csv(rschema, read_text(path, "utf-8-sig"), str(path))
+        rel_rows, rel_tids = _read_csv(rschema, read_text(path), str(path))
         rows[rschema.name] = rel_rows
         if rel_tids is not None:
             tids[rschema.name] = rel_tids

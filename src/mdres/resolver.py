@@ -66,7 +66,7 @@ def merge_partition(d: Instance, mdset: MDSet) -> list[MergeBlock]:
     for md in mdset.mds:
         union_groups(ds, link_groups(md, d, mdset.sims), md.rhs, slots)
     blocks = []
-    for group in sorted(sorted(g) for g in ds.groups()):
+    for group in ds.groups():
         blocks.append(MergeBlock(
             tuple([positions[i] for i in group]),
             tuple(sorted({values[i] for i in group})),
@@ -143,8 +143,9 @@ class ChaseSpace:
     An MD's links depend only on the state's values at the MD's condition
     slots, and a chase step often changes target slots only, so they are
     memoised per MD on that projection. A miss runs link_groups on the
-    state's instance and keeps the groups as an MD link set: one sorted
-    tuple of slots per group and target pair, interned by content. The
+    state's instance, unions the groups over the slots (slot_map numbers
+    them, union_groups links them, as in ta_closure), and keeps the MD's
+    blocks of two slots or more as its link set, interned by content. The
     merged blocks are memoised on the projection onto every MD's condition
     slots and, behind that, on the tuple of the MDs' link sets, so a new
     condition projection that links the same way merges nothing.
@@ -154,15 +155,12 @@ class ChaseSpace:
         self.schema = d.schema
         self.sims = mdset.sims
         self.positions = d.positions()
-        self.slot = {pos: i for i, pos in enumerate(self.positions)}
-        self.rows = [
-            (rel, tid, tuple(
-                self.slot[Position(tid, (rel, attr))]
-                for attr in d.schema.relation(rel).attrs
-            ))
-            for rel, table in d.data.items()
-            for tid in table
-        ]
+        # per attribute {tid: slot}; a relation without tuples has no map
+        self.slots = slot_map(d, self.positions)[0]
+        self.rows = []
+        for rel, table in d.data.items():
+            columns = [self.slots.get((rel, a), {}) for a in d.schema.relation(rel).attrs]
+            self.rows += [(rel, tid, tuple([c[tid] for c in columns])) for tid in table]
         self.rels = tuple(d.data)
         self.sentinel, self.base, self.k = _fresh_params(d, mdset)
         self._ladder: list[str] = []
@@ -171,10 +169,10 @@ class ChaseSpace:
         conditions: set[int] = set()
         for md in mdset.mds:
             slots = {
-                self.slot[Position(tid, attr)]
+                i
                 for c in md.lhs
-                for rel, attr in ((md.left_rel, c.left), (md.right_rel, c.right))
-                for tid in d.tids(rel)
+                for attr in (c.left, c.right)
+                for i in self.slots.get(attr, {}).values()
             }
             conditions |= slots
             self._links.append((md, _projection(sorted(slots)), {}))
@@ -185,7 +183,7 @@ class ChaseSpace:
         self._merged: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     def values(self, instance: Instance) -> tuple[str, ...]:
-        return tuple(instance.value(pos) for pos in self.positions)
+        return tuple(slot_map(instance, self.positions)[1])
 
     def instance(self, values: tuple[str, ...]) -> Instance:
         data: dict[str, dict[int, tuple[str, ...]]] = {rel: {} for rel in self.rels}
@@ -215,16 +213,10 @@ class ChaseSpace:
         return ladder[i]
 
     def _link_set(self, md: MD, instance: Instance) -> int:
-        """Id of the interned link set of md on an instance."""
-        slot = self.slot
-        links = set()
-        for ltids, rtids in link_groups(md, instance, self.sims):
-            for left, right in md.rhs:
-                link = {slot[Position(t, left)] for t in ltids}
-                link.update(slot[Position(t, right)] for t in rtids)
-                if len(link) > 1:
-                    links.add(tuple(sorted(link)))
-        content = tuple(sorted(links))
+        """Id of the interned link set of md on an instance: its blocks."""
+        ds: DisjointSet[int] = DisjointSet()
+        union_groups(ds, link_groups(md, instance, self.sims), md.rhs, self.slots)
+        content = tuple([g for g in ds.groups() if len(g) > 1])
         lid = self._link_ids.get(content)
         if lid is None:
             lid = self._link_ids[content] = len(self._link_sets)
@@ -254,9 +246,7 @@ class ChaseSpace:
                     for first, *rest in self._link_sets[lid]:
                         for i in rest:
                             ds.union(first, i)
-                blocks = self._merged[ids] = sorted(
-                    tuple(sorted(g)) for g in ds.groups()
-                )
+                blocks = self._merged[ids] = ds.groups()
             self._blocks[key] = blocks
         return blocks
 
@@ -471,9 +461,6 @@ def resolved_values(d: Instance, mdset: MDSet, rel: str, attr: str) -> tuple[str
             f"resolved values need a fast-path MD set, got {cls.label}"
         )
     partition = ta_closure(d, mdset)
-    winners = set()
-    for i in partition.blocks_at(target):
-        pool = partition.candidates(i)
-        if len(pool) == 1:
-            winners.add(pool[0])
+    winners = {partition.winners[i] for i in partition.blocks_at(target)}
+    winners.discard(None)
     return tuple(sorted(winners))

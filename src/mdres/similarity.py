@@ -349,7 +349,7 @@ def parse_sims(
             path = base_dir / tm.group(1)
             if not os.path.isfile(path):
                 raise ParseError(f"similarity {name!r}: no such table file {path}", lineno)
-            pairs = load_table(read_text(path, "utf-8-sig"), str(path))
+            pairs = load_table(read_text(path), str(path))
             spec = SimilaritySpec(
                 name=name, kind="table", pairs=pairs,
                 transitive=_table_transitive(pairs),

@@ -63,6 +63,14 @@ class TAPartition:
     def blocks_at(self, attr: Attr) -> tuple[int, ...]:
         return self._attr_index.get(attr, ())
 
+    @cached_property
+    def winners(self) -> tuple[str | None, ...]:
+        """Each block's unique most frequent value, or None on a tie."""
+        return tuple(
+            pool[0] if len(pool) == 1 else None
+            for pool in map(self.candidates, range(len(self.blocks)))
+        )
+
     def candidates(self, i: int) -> tuple[str, ...]:
         """Most frequent values of block i, sorted."""
         best = max(n for _, n in self.counts[i])
@@ -197,6 +205,19 @@ def linked_pairs(md: MD, instance: Instance, sims: Mapping[str, SimilaritySpec])
     )
 
 
+def feeders(mdset: MDSet, mi: MD) -> list[MD]:
+    """mi and every MD with a path to it over the same pair of relations.
+
+    In id order. Conditions type-check only against the same pair, so these
+    are the MDs whose linked pairs link the targets of mi.
+    """
+    pair = (mi.left_rel, mi.right_rel)
+    return [
+        mj for mj in map(mdset.by_id, sorted(previous_set(mdset.graph, mi.mid)))
+        if (mj.left_rel, mj.right_rel) == pair
+    ]
+
+
 def ta_closure(d: Instance, mdset: MDSet) -> TAPartition:
     """Compute the closure partition of d under the MD set.
 
@@ -208,17 +229,12 @@ def ta_closure(d: Instance, mdset: MDSet) -> TAPartition:
     universe = d.positions(mdset.changeable)
     slots, values = slot_map(d, universe)
     ds: DisjointSet[int] = DisjointSet(range(len(universe)))
-    graph = mdset.graph
     groups: dict[str, list] = {}
     for mi in mdset.mds:
-        feeders = sorted(previous_set(graph, mi.mid))
-        for mj_id in feeders:
-            mj = mdset.by_id(mj_id)
-            if (mj.left_rel, mj.right_rel) != (mi.left_rel, mi.right_rel):
-                continue  # conditions type-check only against the same pair
-            if mj_id not in groups:
-                groups[mj_id] = link_groups(mj, d, mdset.sims)
-            union_groups(ds, groups[mj_id], mi.rhs, slots)
+        for mj in feeders(mdset, mi):
+            if mj.mid not in groups:
+                groups[mj.mid] = link_groups(mj, d, mdset.sims)
+            union_groups(ds, groups[mj.mid], mi.rhs, slots)
     find = ds.find
     members: dict[int, list[int]] = {}
     for i in range(len(universe)):
@@ -265,7 +281,6 @@ def emit_datalog(d: Instance, mdset: MDSet) -> str:
         for t1, t2 in sorted(linked_pairs(md, d, mdset.sims)):
             lines.append(f"sim('{md.mid}', {t1}, {t2}).")
     lines.append("% seed rules: conditions of a feeding MD link the targets")
-    graph = mdset.graph
     for mi in mdset.mds:
         left_arity = d.schema.relation(mi.left_rel).arity
         right_arity = d.schema.relation(mi.right_rel).arity
@@ -276,10 +291,7 @@ def emit_datalog(d: Instance, mdset: MDSet) -> str:
             ["Y"] + [f"Y{k}" for k in range(1, right_arity + 1)]
         ) + ")"
         for left, right in mi.rhs:
-            for mj_id in sorted(previous_set(graph, mi.mid)):
-                mj = mdset.by_id(mj_id)
-                if (mj.left_rel, mj.right_rel) != (mi.left_rel, mi.right_rel):
-                    continue
+            for mj in feeders(mdset, mi):
                 lines.append(
                     f"eqp(X, {_attr_const(left)}, Y, {_attr_const(right)}) :- "
                     f"{left_atom}, {right_atom}, sim('{mj.mid}', X, Y)."
@@ -304,4 +316,4 @@ def datalog_partition(d: Instance, mdset: MDSet) -> tuple[tuple[Position, ...], 
         rel1, attr1 = str(a1).split(".", 1)
         rel2, attr2 = str(a2).split(".", 1)
         ds.union(Position(int(t1), (rel1, attr1)), Position(int(t2), (rel2, attr2)))
-    return tuple(sorted(tuple(sorted(g)) for g in ds.groups()))
+    return tuple(ds.groups())

@@ -1,13 +1,16 @@
-"""The public surface: exported names resolve, and every function the bench
-tracer wraps by name still exists, so a rename fails here first."""
+"""The public surface: exported names resolve, every function the bench
+tracer wraps by name still exists, so a rename fails here first, and no
+private name is left that nothing reads."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import mdres
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_all_names_resolve():
@@ -23,3 +26,49 @@ def test_traced_functions_exist():
         assert hasattr(importlib.import_module(f"mdres.{module}"), function), (
             f"mdres.{module}.{function}"
         )
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """`_name`s (not dunders) a module defines at module or class level."""
+    names = set()
+    scopes = [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    for body in scopes:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Names read: loaded names, attributes, import aliases, string constants.
+
+    The bench tracer names the functions it wraps in strings.
+    """
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.alias):
+            reads.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
+    return reads
+
+
+def test_no_unread_private_names():
+    package = ROOT / "src" / "mdres"
+    defined, reads = {}, set()
+    for folder in (package, ROOT / "tests", ROOT / "bench"):
+        for path in sorted(folder.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            reads |= _reads(tree)
+            if folder == package:
+                for name in _private_definitions(tree):
+                    defined.setdefault(name, path.name)
+    unread = sorted(f"{path}:{name}" for name, path in defined.items() if name not in reads)
+    assert unread == []

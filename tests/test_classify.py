@@ -27,11 +27,11 @@ def test_non_interacting(dup_groups, three_rel_join):
 
 
 def test_simple_cycle_fixtures(two_rule_cycle):
-    cls = classify(two_rule_cycle.mdset, two_rule_cycle.sims)
+    cls = classify(two_rule_cycle.mdset)
     assert cls.label == "SimpleCycle"
     assert cls.fast
     sc = load_bundle("simple_cycle")
-    cls2 = classify(sc.mdset, sc.sims)
+    cls2 = classify(sc.mdset)
     assert cls2.label == "SimpleCycle"
     assert _ev(cls2, "at most one changeable")
 
@@ -45,7 +45,7 @@ def test_hit_simple_cycle_tail():
         schema,
         {"s": SimilaritySpec(name="s", kind="lev", max_distance=1)},
     )
-    cls = classify(mdset, mdset.sims)
+    cls = classify(mdset)
     assert cls.label == "HitSimpleCycle"
     assert cls.fast
 
@@ -69,7 +69,7 @@ def test_joined_chain_is_easy():
 
 def test_overlap_pair_easy_under_equality():
     bundle = load_bundle("overlap_pair", sims="sims_eq.txt")
-    cls = classify(bundle.mdset, bundle.sims)
+    cls = classify(bundle.mdset)
     assert cls.label == "LinearPairEasy"
     # bound equivalent sets carry this one; the component clause fails
     assert _ev(cls, "(ii) every equivalent set on R is bound")
@@ -78,14 +78,14 @@ def test_overlap_pair_easy_under_equality():
 
 def test_overlap_pair_hard_under_table_sim():
     bundle = load_bundle("overlap_pair", sims="sims_table.txt")
-    cls = classify(bundle.mdset, bundle.sims)
+    cls = classify(bundle.mdset)
     assert cls.label == "LinearPairHard"
     assert _ev(cls, "non-transitive similarities break the easiness condition: w")
 
 
 def test_filtered_chain_easy_via_components():
     bundle = load_bundle("filtered_chain")
-    cls = classify(bundle.mdset, bundle.sims)
+    cls = classify(bundle.mdset)
     assert cls.label == "LinearPairEasy"
     assert _ev(cls, "(iii) each condition component of m1 reaches")
     assert _ev(cls, "similarities transitive: s")
@@ -93,14 +93,14 @@ def test_filtered_chain_easy_via_components():
 
 def test_multi_target_pair_hard():
     bundle = load_bundle("multi_target_pair")
-    cls = classify(bundle.mdset, bundle.sims)
+    cls = classify(bundle.mdset)
     assert cls.label == "LinearPairHard"
     assert _ev(cls, "unbound equivalent sets")
 
 
 def test_bound_pair_easy_via_equivalent_sets():
     bundle = load_bundle("bound_pair")
-    cls = classify(bundle.mdset, bundle.sims)
+    cls = classify(bundle.mdset)
     assert cls.label == "LinearPairEasy"
     assert _ev(cls, "(ii) every equivalent set on R is bound")
 
@@ -147,7 +147,7 @@ def test_unchecked_transitivity_stays_unknown():
         "R[G] ~s S[H], R[A] ~s S[B], R[E] ~s S[F] -> R[I] == S[J]",
         schema, {"s": lev},
     )
-    cls = classify(mdset, mdset.sims)
+    cls = classify(mdset)
     assert cls.label == "Unknown"
     assert _ev(cls, "transitivity not yet checked for: s")
 

@@ -1,4 +1,6 @@
+import codecs
 import json
+import shutil
 import subprocess
 import sys
 
@@ -154,6 +156,27 @@ def test_non_utf8_input_exits_1(tmp_path):
     res = invoke(args_for("majority_column", "answers", "--query", str(qfile)))
     assert res.exit_code == 1
     assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["schema.txt", "mds.txt", "sims.txt", "q1.txt"])
+def test_input_file_may_start_with_a_bom(tmp_path, name):
+    root = tmp_path / "two_rule_cycle"
+    shutil.copytree(FIXTURES / "two_rule_cycle", root)
+    argv = [
+        "answers",
+        "--schema", str(root / "schema.txt"),
+        "--data", str(root / "data"),
+        "--mds", str(root / "mds.txt"),
+        "--sims", str(root / "sims.txt"),
+        "--query", str(root / "q1.txt"),
+    ]
+    plain = invoke(argv)
+    assert plain.exit_code == 0, plain.output
+    path = root / name
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    res = invoke(argv)
+    assert res.exit_code == 0, res.output
+    assert res.stdout == plain.stdout
 
 
 def test_overlong_csv_field_exits_1(tmp_path):

@@ -218,7 +218,7 @@ def test_memoised_blocks_match_merge_partition(kind, seed):
             continue
         seen.add(values)
         expected = [
-            tuple(space.slot[p] for p in block.positions)
+            tuple(space.slots[p.attr][p.tid] for p in block.positions)
             for block in merge_partition(space.instance(values), mdset)
             if len(block.positions) > 1
         ]
@@ -231,7 +231,7 @@ def _checked_successors(space, mdset, values):
     open blocks of merge_partition; every fresh value must be a ladder rung."""
     got = list(space.successors(values, space.open_blocks(values), max_values=99))
     blocks = [
-        (tuple(space.slot[p] for p in block.positions), block.values)
+        (tuple(space.slots[p.attr][p.tid] for p in block.positions), block.values)
         for block in merge_partition(space.instance(values), mdset)
         if not block.uniform
     ]
