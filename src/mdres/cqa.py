@@ -17,6 +17,7 @@ from itertools import product
 
 from .errors import InputError
 from .relation import Instance, Schema, load_instance
+from .taclosure import majority
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,7 @@ def build_cqa_instance(d: Instance, rel: str, key: list[str] | tuple[str, ...]) 
     groups = []
     for key_values in sorted(grouped):
         members = grouped[key_values]
-        pools = []
-        for i in nonkey_idx:
-            freq = Counter(row[i] for row in members)
-            best = max(freq.values())
-            pools.append(sorted(v for v, n in freq.items() if n == best))
+        pools = [majority(Counter(row[i] for row in members).items()) for i in nonkey_idx]
         rows = []
         for combo in product(*pools):
             row = [""] * rschema.arity

@@ -1,7 +1,7 @@
 """Terms and the one conjunctive join behind every evaluation in the package.
 
-Plain query answers, rewritten answers (the same join over winner views),
-the oracle's per-MRI answers and datalog rule bodies all run through `join`.
+Plain query answers, rewritten answers (the same join over winner views)
+and the oracle's per-MRI answers all run through `join`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ class Var:
 
 @dataclass(frozen=True)
 class Const:
-    value: str  # datalog constants may also be integers
+    value: str  # the tests' datalog engine also makes integer constants
 
     def __str__(self) -> str:
         return f"'{self.value}'"

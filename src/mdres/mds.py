@@ -109,9 +109,6 @@ class MDSet:
     def graph(self) -> "MDGraph":
         return build_md_graph(self)
 
-    def sims_used(self) -> frozenset[str]:
-        return frozenset(name for md in self.mds for name in md.sims_used)
-
     def transitive(self, spec: SimilaritySpec) -> bool | None:
         """The spec's transitivity verdict, None when it cannot be decided.
 
@@ -174,9 +171,8 @@ class MDGraph:
 
 @dataclass(frozen=True)
 class AttrPartition:
-    """Named partition of a set of attributes into blocks."""
+    """Partition of a set of attributes into blocks."""
 
-    role: str
     blocks: tuple[tuple[Attr, ...], ...]
 
     def block_of(self, attr: Attr) -> tuple[Attr, ...]:
@@ -456,7 +452,7 @@ def eqr_classes(mdset: MDSet) -> AttrPartition:
     for md in mdset.mds:
         for left, right in md.rhs:
             ds.union(left, right)
-    return AttrPartition("match-class", tuple(ds.groups()))
+    return AttrPartition(tuple(ds.groups()))
 
 
 def eqr_class(mdset: MDSet, attr: Attr) -> tuple[Attr, ...]:

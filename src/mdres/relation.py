@@ -9,15 +9,17 @@ the unit in which change sets and the resolution machinery are expressed.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import os
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, count, filterfalse, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, ParseError
 
@@ -145,7 +147,9 @@ def read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+        bom = codecs.BOM_UTF8  # utf-8-sig counts the bytes after it
+        start = exc.start + (len(bom) if Path(path).read_bytes().startswith(bom) else 0)
+        raise InputError(f"{path}: not UTF-8 text (byte {start}: {exc.reason})") from None
 
 
 def load_schema(path: str | Path) -> Schema:
@@ -235,16 +239,13 @@ class Instance:
         return hash((self.schema.names(), self.key()))
 
 
-def _check_value(rel: RelationSchema, rownum: int, attr: str, tag: str, value: str) -> None:
+def _check_value(tag: str, value: str) -> str | None:
+    """What is wrong with one cell, or None."""
     if value == "":
-        raise InputError(
-            f"relation {rel.name}, row {rownum}, attribute {attr}: blank value"
-        )
+        return "blank value"
     if tag == "int" and not _CANONICAL_INT_RE.fullmatch(value):
-        raise InputError(
-            f"relation {rel.name}, row {rownum}, attribute {attr}: "
-            f"{value!r} is not a canonical integer"
-        )
+        return f"{value!r} is not a canonical integer"
+    return None
 
 
 def _rows_pass(rschema: RelationSchema, table: list[tuple[str, ...]]) -> bool:
@@ -260,16 +261,18 @@ def _rows_pass(rschema: RelationSchema, table: list[tuple[str, ...]]) -> bool:
     )
 
 
-def _check_rows(rschema: RelationSchema, table: list[tuple[str, ...]]) -> None:
-    """Check row by row; raises for the first bad row."""
+def _check_rows(
+    rschema: RelationSchema, table: list[tuple[str, ...]], where: Callable[[int], str]
+) -> None:
+    """Check row by row; raises for the first bad row, named where(i) for row i."""
     for i, values in enumerate(table):
         if len(values) != rschema.arity:
             raise InputError(
-                f"relation {rschema.name}, row {i + 1}: "
-                f"expected {rschema.arity} values, got {len(values)}"
+                f"{where(i)}: expected {rschema.arity} values, got {len(values)}"
             )
         for attr, tag, value in zip(rschema.attrs, rschema.tags, values):
-            _check_value(rschema, i + 1, attr, tag, value)
+            if problem := _check_value(tag, value):
+                raise InputError(f"{where(i)}, attribute {attr}: {problem}")
 
 
 def _check_tids(tids: Mapping[str, Sequence[int]]) -> set[int]:
@@ -299,6 +302,13 @@ def load_instance(
     The input is checked in bulk; only when a bulk check fails do the per-row
     checks run, to find and word the first error.
     """
+    return _load(schema, rows, tids, lambda rel, i: f"relation {rel}, row {i + 1}")
+
+
+def _load(
+    schema: Schema, rows: Mapping, tids: Mapping | None, where: Callable[[str, int], str]
+) -> Instance:
+    """load_instance; a bad row i of relation rel is named where(rel, i)."""
     tids = tids or {}
     for rel in rows:
         schema.relation(rel)  # raises for unknown names
@@ -322,7 +332,7 @@ def load_instance(
         if not {*map(type, chain.from_iterable(table))} <= {str}:  # CSV cells are str
             table = [tuple(map(str, row)) for row in table]
         if not _rows_pass(rschema, table):
-            _check_rows(rschema, table)
+            _check_rows(rschema, table, partial(where, rschema.name))
         if rel_tids is None:
             rel_tids = islice(fresh, len(table))
         data[rschema.name] = dict(zip(rel_tids, table))
@@ -423,7 +433,15 @@ def load_csv_dir(schema: Schema, directory: str | Path) -> Instance:
         rows[rschema.name] = rel_rows
         if rel_tids is not None:
             tids[rschema.name] = rel_tids
-    return load_instance(schema, rows, tids or None)
+    return _load(schema, rows, tids, partial(_csv_row, directory))
+
+
+def _csv_row(directory: Path, rel: str, i: int) -> str:
+    """Row i of rel's file, numbered as _read_csv numbers records (blank ones too)."""
+    path = directory / f"{rel}.csv"
+    records = islice(csv.reader(io.StringIO(read_text(path))), 1, None)  # after the header
+    rownums = [n for n, record in enumerate(records, start=1) if record]
+    return f"{path}, row {rownums[i]}"
 
 
 def write_csv_dir(instance: Instance, directory: str | Path) -> list[Path]:

@@ -18,13 +18,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .dsets import DisjointSet
 from .errors import InputError
 from .mds import MD, MDSet, previous_set
 from .relation import Attr, Instance, Position
 from .similarity import SimilaritySpec, neighbours, similar
+
+
+def majority(tally: Collection[tuple[str, int]]) -> tuple[str, ...]:
+    """The candidates of a closure block or a CQA key group, from its (value,
+    count) pairs: the most frequent values, all of them on a tie, sorted."""
+    best = max(n for _, n in tally)
+    return tuple(sorted(v for v, n in tally if n == best))
 
 
 @dataclass(frozen=True)
@@ -73,8 +80,7 @@ class TAPartition:
 
     def candidates(self, i: int) -> tuple[str, ...]:
         """Most frequent values of block i, sorted."""
-        best = max(n for _, n in self.counts[i])
-        return tuple(sorted(v for v, n in self.counts[i] if n == best))
+        return majority(self.counts[i])
 
     def min_changes(self, i: int) -> int:
         return len(self.blocks[i]) - max(n for _, n in self.counts[i])
@@ -174,18 +180,19 @@ def union_groups(
 ) -> None:
     """Link the target slots of every group as a star.
 
-    For each target pair, the slot of the first left tuple is the hub and
-    the |L| + |R| target slots are each unioned with it. A complete
-    bipartite link set is connected, so that gives the same classes as the
-    |L| * |R| linked pairs. `slots` maps each attribute to {tid: slot}.
+    For each target pair, the slot of the first left tuple is the hub, and
+    the other |L| - 1 left and the |R| right target slots are each unioned
+    with it. A complete bipartite link set is connected, so that gives the
+    same classes as the |L| * |R| linked pairs. `slots` maps each attribute
+    to {tid: slot}.
     """
     union = ds.union
     for ltids, rtids in groups:
-        t1 = ltids[0]
+        t1, others = ltids[0], ltids[1:]
         for left, right in rhs:
             lslot, rslot = slots[left], slots[right]
             hub = lslot[t1]
-            for t in ltids:
+            for t in others:
                 union(lslot[t], hub)
             for t in rtids:
                 union(hub, rslot[t])
@@ -268,7 +275,8 @@ def emit_datalog(d: Instance, mdset: MDSet) -> str:
     `sim('<md>', t1, t2)` atom per linked tuple pair. Rules: one seed rule
     per (target MD, match pair, feeding MD) triple, then the two closure
     rules over `ta`. Evaluating the program reproduces ta_closure: grouping
-    the derived `ta` facts yields the same blocks.
+    the derived `ta` facts yields the same blocks, which the tests check by
+    evaluating it with their reference engine, tests/datalog_engine.py.
     """
     lines = ["% tuple-attribute closure program"]
     lines.append("% relation facts")
@@ -300,20 +308,3 @@ def emit_datalog(d: Instance, mdset: MDSet) -> str:
     lines.append("ta(X, A, Y, B) :- eqp(X, A, Y, B).")
     lines.append("ta(X, A, Z, C) :- ta(X, A, Y, B), eqp(Y, B, Z, C).")
     return "\n".join(lines) + "\n"
-
-
-def datalog_partition(d: Instance, mdset: MDSet) -> tuple[tuple[Position, ...], ...]:
-    """Evaluate the emitted program and read the partition off the ta facts.
-
-    Used to cross-check ta_closure; the two must agree exactly.
-    """
-    from .datalog import evaluate, parse_program
-
-    program = parse_program(emit_datalog(d, mdset))
-    derived = evaluate(program)
-    ds: DisjointSet[Position] = DisjointSet(d.positions(mdset.changeable))
-    for t1, a1, t2, a2 in derived.get("ta", set()):
-        rel1, attr1 = str(a1).split(".", 1)
-        rel2, attr2 = str(a2).split(".", 1)
-        ds.union(Position(int(t1), (rel1, attr1)), Position(int(t2), (rel2, attr2)))
-    return tuple(ds.groups())

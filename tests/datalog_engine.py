@@ -1,10 +1,10 @@
-"""A small positive-datalog engine: parser plus semi-naive evaluation.
+"""The tests' reference engine for the program `emit_datalog` prints.
 
-Just enough to execute the programs this package emits and to let tests
-treat the emitted text as an independent artifact. Vocabulary: constants are
-integers, 'quoted strings' (with '' as the escaped quote) or bare
-lower-case identifiers; variables start with an upper-case letter; `_` is an
-anonymous variable. Statements end with a period; `%` starts a comment.
+A positive-datalog parser and semi-naive evaluation, and `datalog_partition`,
+which reads the closure blocks off the program's `ta` facts. Constants are
+integers, 'quoted strings' ('' escapes a quote) or bare lower-case
+identifiers; variables start with an upper-case letter; `_` is an anonymous
+variable. Statements end with a period; `%` starts a comment.
 """
 
 from __future__ import annotations
@@ -13,8 +13,12 @@ import re
 from dataclasses import dataclass
 from itertools import count
 
-from .errors import ParseError
-from .join import Const, Var, join
+from mdres.dsets import DisjointSet
+from mdres.errors import ParseError
+from mdres.join import Const, Var, join
+from mdres.mds import MDSet
+from mdres.relation import Instance, Position
+from mdres.taclosure import emit_datalog
 
 _VAR_RE = re.compile(r"^[A-Z]\w*$")
 
@@ -175,3 +179,14 @@ def evaluate(program: Program) -> dict[str, set[tuple]]:
         for pred, rows in fresh.items():
             derived.setdefault(pred, set()).update(rows)
         delta = fresh
+
+
+def datalog_partition(d: Instance, mdset: MDSet) -> tuple[tuple[Position, ...], ...]:
+    """The partition read off the emitted program's ta facts; must equal ta_closure's."""
+    derived = evaluate(parse_program(emit_datalog(d, mdset)))
+    ds: DisjointSet[Position] = DisjointSet(d.positions(mdset.changeable))
+    for t1, a1, t2, a2 in derived.get("ta", set()):
+        rel1, attr1 = str(a1).split(".", 1)
+        rel2, attr2 = str(a2).split(".", 1)
+        ds.union(Position(int(t1), (rel1, attr1)), Position(int(t2), (rel2, attr2)))
+    return tuple(ds.groups())

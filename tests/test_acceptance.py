@@ -25,9 +25,9 @@ from mdres import (
     ta_closure,
 )
 from mdres.relation import Position, load_instance
-from mdres.taclosure import datalog_partition
 
 from conftest import load_bundle
+from datalog_engine import datalog_partition
 from reference import (
     ref_certain_answers,
     ref_linked_position_pairs,

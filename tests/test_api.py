@@ -1,10 +1,14 @@
 """The public surface: exported names resolve, every function the bench
-tracer wraps by name still exists, so a rename fails here first, and no
-private name is left that nothing reads."""
+tracer wraps by name still exists, so a rename fails here first, no
+private name is left that nothing reads, and no package module is left
+that only the tests import."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mdres
@@ -26,6 +30,19 @@ def test_traced_functions_exist():
         assert hasattr(importlib.import_module(f"mdres.{module}"), function), (
             f"mdres.{module}.{function}"
         )
+
+
+def test_every_module_is_loaded_by_the_package_and_cli():
+    """Test-only code lives under tests/, not in the package."""
+    package = ROOT / "src" / "mdres"
+    code = "import sys, mdres, mdres.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = set(proc.stdout.split())
+    modules = {f"mdres.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__"}
+    assert sorted(modules - loaded) == []
 
 
 def _private_definitions(tree: ast.Module) -> set[str]:

@@ -158,6 +158,29 @@ def test_non_utf8_input_exits_1(tmp_path):
     assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
 
 
+def test_bad_byte_offset_counts_the_bom(tmp_path):
+    qfile = tmp_path / "q.txt"
+    for bom, offset in ((b"", 4), (codecs.BOM_UTF8, 7)):
+        qfile.write_bytes(bom + b"E\nab\xffc")
+        res = invoke(args_for("majority_column", "answers", "--query", str(qfile)))
+        assert res.exit_code == 1 and res.stdout == ""
+        assert res.stderr == (
+            f"error: {qfile}: not UTF-8 text (byte {offset}: invalid start byte)\n"
+        )
+
+
+def test_bad_value_and_bad_record_on_one_line_share_a_row_number(tmp_path):
+    # the blank line is record 2, so the bad line is record 3 either way
+    data = tmp_path / "data"
+    data.mkdir()
+    for line, problem in (('2,a1,""', ", attribute B: blank value"),
+                          ("2,a1", ": expected 2 values, got 1")):
+        (data / "R.csv").write_text(f"#tid,A,B\n1,a1,c1\n\n{line}\n", encoding="utf-8")
+        res = invoke(args_for("dup_groups", "resolve", "--data", str(data)))
+        assert res.exit_code == 1 and res.stdout == ""
+        assert res.stderr == f"error: {data / 'R.csv'}, row 3{problem}\n"
+
+
 @pytest.mark.parametrize("name", ["schema.txt", "mds.txt", "sims.txt", "q1.txt"])
 def test_input_file_may_start_with_a_bom(tmp_path, name):
     root = tmp_path / "two_rule_cycle"

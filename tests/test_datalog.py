@@ -1,7 +1,8 @@
 import pytest
 
-from mdres.datalog import evaluate, parse_program
 from mdres.errors import ParseError
+
+from datalog_engine import evaluate, parse_program
 
 
 def run(text):

@@ -16,8 +16,9 @@ from mdres import (
     parse_schema,
     parse_sims,
 )
-from mdres.datalog import parse_program
 from mdres.similarity import SimilaritySpec
+
+from datalog_engine import parse_program
 
 SCHEMA = parse_schema("relation R(A:str, B:int)\nrelation S(E:str, F:str)")
 SIMS = {"s": SimilaritySpec(name="s", kind="table", pairs=frozenset({("u", "v"), ("v", "u")}))}

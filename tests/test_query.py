@@ -14,10 +14,10 @@ from mdres import (
     resolved_answers,
     rewrite,
 )
-from mdres.datalog import evaluate, parse_program
 from mdres.errors import BoundsExceededError, InputError, ParseError
 
 from conftest import load_bundle
+from datalog_engine import evaluate, parse_program
 from reference import ref_certain_answers, ref_eval_cq
 
 

@@ -241,7 +241,7 @@ def test_clean_csv_checks_no_cell_one_by_one(tmp_path, monkeypatch):
     assert calls == []
     # the count is live: a bad cell does go through the per-row check
     (tmp_path / "S.csv").write_text('E\ne1\n\n""\n', encoding="utf-8")
-    with pytest.raises(InputError, match="^relation S, row 2, attribute E: blank value$"):
+    with pytest.raises(InputError, match="S.csv, row 3, attribute E: blank value$"):
         load_csv_dir(INGEST_SCHEMA, tmp_path)
     assert calls
 

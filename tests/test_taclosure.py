@@ -19,9 +19,10 @@ from mdres import (
 from mdres.dsets import DisjointSet
 from mdres.relation import Position
 from mdres.similarity import SimilaritySpec
-from mdres.taclosure import datalog_partition, link_groups, linked_pairs
+from mdres.taclosure import link_groups, linked_pairs
 
 from conftest import FIXTURES, load_bundle
+from datalog_engine import datalog_partition
 from generators import rand_table_sim
 from reference import (
     _lhs_pairs,
