@@ -3,15 +3,17 @@
 Commands: classify, closure, resolve, answers, oracle, emit-datalog,
 cqa-export. Output is JSON by default (sorted keys, two-space indent, so
 repeated runs are byte-identical); --format text gives a terse human
-rendering. Exit codes: 0 success, 1 input error, 2 the requested fast path
-does not apply, 3 the oracle exceeded its bounds.
+rendering. The JSON writer is `_dump_json`: it gives the bytes of
+`json.dumps(payload, indent=2, sort_keys=True)`, built with `str.join`.
+Exit codes: 0 success, 1 input error, 2 the requested fast path does not
+apply, 3 the oracle exceeded its bounds.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -246,9 +248,56 @@ def _render_text(command: str, payload) -> str:
             f"groups={payload['groups']} rows={payload['rows']} "
             f"repairs={payload['repair_count']}"
         )
-    else:
-        lines.append(json.dumps(payload, sort_keys=True))
     return "\n".join(lines)
+
+
+def _dump_json(obj, nl: str = "\n") -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte.
+
+    With `indent` set, json.dumps skips CPython's C encoder and yields every
+    token from Python generators; this builds each container's text with one
+    `str.join` over its items instead. It covers what the CLI prints: dicts
+    with str keys, lists, tuples, str, int, bool and None. Anything else,
+    a non-str key included, raises TypeError. `nl` is the newline and indent
+    that obj's closing bracket sits on, for the recursive calls.
+    """
+    # The checks run in json's order. Inside a container, plain str and int
+    # items are written inline, since they are most of a payload's tokens.
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [
+            encode_basestring_ascii(v) if type(v) is str
+            else int.__repr__(v) if type(v) is int
+            else _dump_json(v, inner)
+            for v in obj
+        ]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, v in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + (
+                encode_basestring_ascii(v) if type(v) is str
+                else int.__repr__(v) if type(v) is int
+                else _dump_json(v, inner)
+            ))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(command: str, cfg: RunConfig, payload) -> None:
@@ -256,7 +305,7 @@ def _emit(command: str, cfg: RunConfig, payload) -> None:
         click.echo(payload, nl=False)
         return
     if cfg.fmt == "json":
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        click.echo(_dump_json(payload))
     else:
         click.echo(_render_text(command, payload))
 

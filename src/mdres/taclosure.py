@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Collection, Mapping
 
 from .dsets import DisjointSet
@@ -109,7 +111,9 @@ def link_groups(
     `table` conjunct, and a left key visits only the buckets of that value's
     `neighbours`; the remaining conjuncts are tested with `similar`, once
     per pair of keys that reach each other. For a self-matched relation the
-    pairs include a tuple with itself.
+    pairs include a tuple with itself, and when both sides read the same
+    columns, a group of tuples with equal keys has its left and right tids
+    in one list.
     """
     eq, rest = [], []
     for c in md.lhs:
@@ -125,9 +129,14 @@ def link_groups(
     left: dict[tuple[str, ...], list[int]] = {}
     for tid, row in instance.rows(md.left_rel):
         left.setdefault(tuple([row[li] for li, _, _ in conds]), []).append(tid)
-    right: dict[tuple[str, ...], list[int]] = {}
-    for tid, row in instance.rows(md.right_rel):
-        right.setdefault(tuple([row[ri] for _, ri, _ in conds]), []).append(tid)
+    if md.left_rel == md.right_rel and all(li == ri for li, ri, _ in conds):
+        # both sides read the same columns: a group of equal keys is one
+        # tid list on both sides, which union_groups links as a star once
+        right = left
+    else:
+        right = {}
+        for tid, row in instance.rows(md.right_rel):
+            right.setdefault(tuple([row[ri] for _, ri, _ in conds]), []).append(tid)
     if not rest:
         return [(ltids, right[key]) for key, ltids in left.items() if key in right]
 
@@ -183,10 +192,12 @@ def union_groups(
     For each target pair, the slot of the first left tuple is the hub, and
     the other |L| - 1 left and the |R| right target slots are each unioned
     with it. A complete bipartite link set is connected, so that gives the
-    same classes as the |L| * |R| linked pairs. `slots` maps each attribute
+    same classes as the |L| * |R| linked pairs. When the right tids are the
+    left list itself and the target pair is one attribute with itself, the
+    left star already links every right slot. `slots` maps each attribute
     to {tid: slot}.
     """
-    union = ds.union
+    union, add = ds.union, ds.add
     for ltids, rtids in groups:
         t1, others = ltids[0], ltids[1:]
         for left, right in rhs:
@@ -194,6 +205,10 @@ def union_groups(
             hub = lslot[t1]
             for t in others:
                 union(lslot[t], hub)
+            if rtids is ltids and left == right:
+                # a tuple linked only to itself keeps its singleton block
+                add(hub)
+                continue
             for t in rtids:
                 union(hub, rslot[t])
 
@@ -202,14 +217,18 @@ def linked_pairs(md: MD, instance: Instance, sims: Mapping[str, SimilaritySpec])
     """Ordered tuple pairs (left tid, right tid) satisfying the conditions of md.
 
     The sorted expansion of link_groups. For a self-matched relation the
-    pairs range over all ordered pairs, including a tuple with itself.
+    pairs range over all ordered pairs, including a tuple with itself. Each
+    pair lies in exactly one group, so each left tid's right tids are
+    collected from its groups and sorted, with no pair seen twice.
     """
-    return sorted(
-        (t1, t2)
-        for ltids, rtids in link_groups(md, instance, sims)
-        for t1 in ltids
-        for t2 in rtids
-    )
+    rights: dict[int, list[int]] = {}
+    for ltids, rtids in link_groups(md, instance, sims):
+        for t1 in ltids:
+            rights.setdefault(t1, []).extend(rtids)
+    pairs: list[tuple[int, int]] = []
+    for t1 in sorted(rights):
+        pairs += zip(repeat(t1), sorted(rights[t1]))
+    return pairs
 
 
 def feeders(mdset: MDSet, mi: MD) -> list[MD]:
@@ -286,8 +305,11 @@ def emit_datalog(d: Instance, mdset: MDSet) -> str:
             lines.append(f"rel_{rschema.name}({args}).")
     lines.append("% per-MD similarity facts over tuple ids")
     for md in mdset.mds:
-        for t1, t2 in sorted(linked_pairs(md, d, mdset.sims)):
-            lines.append(f"sim('{md.mid}', {t1}, {t2}).")
+        # one join writes the facts of a left tuple, whose pairs are adjacent
+        for t1, run in groupby(linked_pairs(md, d, mdset.sims), itemgetter(0)):
+            head = f"sim('{md.mid}', {t1}, "
+            t2s = map(str, map(itemgetter(1), run))
+            lines.append(head + (").\n" + head).join(t2s) + ").")
     lines.append("% seed rules: conditions of a feeding MD link the targets")
     for mi in mdset.mds:
         left_arity = d.schema.relation(mi.left_rel).arity

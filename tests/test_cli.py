@@ -6,9 +6,10 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import mdres.cli
-from mdres.cli import main
+from mdres.cli import _dump_json, main
 
 from conftest import FIXTURES
 
@@ -369,6 +370,40 @@ def test_json_output_deterministic():
         a = invoke(args_for("two_rule_cycle", cmd, *extra)).output
         b = invoke(args_for("two_rule_cycle", cmd, *extra)).output
         assert a == b
+
+
+JSON_STRINGS = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\ud800\U0001f600'),
+    st.characters(),
+))
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=2**64, max_value=2**80),
+        st.integers(max_value=-(2**64)),
+        JSON_STRINGS,
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(JSON_STRINGS, kids, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, print_blob=False)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert _dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, [{"a": {None: 1}}], {True: 1}, {(1, 2): []}])
+def test_json_writer_refuses_non_str_keys(value):
+    with pytest.raises(TypeError):
+        _dump_json(value)
 
 
 def test_installed_entry_point():

@@ -3,7 +3,7 @@ import string
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mdres.similarity
 from mdres import (
@@ -214,6 +214,28 @@ def test_link_groups_match_nested_loop(seed):
         ds.union(p, q)
     expected = sorted(tuple(sorted(g)) for g in ds.groups())
     assert [b.positions for b in merge_partition(inst, mdset)] == expected
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_emitted_sim_facts_are_the_linked_pairs_in_order(seed):
+    """emit_datalog writes a left tuple's facts with one join; with `lev` and
+    table conjuncts a left tid lies in several groups, and its facts must
+    still come out once each, in the order of linked_pairs."""
+    inst, mdset = _rand_link_case(random.Random(seed))
+    assume(any(
+        len(tids) > len(set(tids))
+        for tids in (
+            [t for ltids, _ in link_groups(md, inst, mdset.sims) for t in ltids]
+            for md in mdset.mds
+        )
+    ))
+    lines = emit_datalog(inst, mdset).splitlines()
+    for md in mdset.mds:
+        head = f"sim('{md.mid}', "
+        assert [line for line in lines if line.startswith(head)] == [
+            f"{head}{t1}, {t2})." for t1, t2 in linked_pairs(md, inst, mdset.sims)
+        ], md
 
 
 def test_huge_edit_bound_links_everything_without_looping_over_it():
