@@ -39,6 +39,7 @@ from .query import (
     is_ujcq,
     parse_query,
     resolved_answers,
+    resolved_values,
     rewrite,
 )
 from .relation import (
@@ -62,7 +63,6 @@ from .resolver import (
     is_stable,
     merge_partition,
     modifiable_positions,
-    resolved_values,
 )
 from .similarity import (
     SimilaritySpec,

@@ -37,18 +37,9 @@ from .resolver import OracleBounds, enumerate_mris_oracle, fast_mri_family
 from .similarity import load_sims
 from .taclosure import emit_datalog, ta_closure
 
-COMMANDS = (
-    "classify",
-    "closure",
-    "resolve",
-    "answers",
-    "oracle",
-    "emit-datalog",
-    "cqa-export",
-)
-
-MODES = ("auto", "rewrite", "oracle")
 FORMATS = ("json", "text")
+# The OracleBounds fields that `oracle` and `answers` take as --max-* options.
+BOUND_OPTIONS = ("max_tuples", "max_values", "max_materialized")
 
 
 @dataclass
@@ -63,23 +54,17 @@ class RunConfig:
     key: str | None = None
     out: str | None = None
     materialize: int = 0
-    max_tuples: int = 12
-    max_values: int = 6
-    max_depth: int | None = None
-    max_materialized: int = 1024
+    max_tuples: int = OracleBounds.max_tuples
+    max_values: int = OracleBounds.max_values
+    max_materialized: int = OracleBounds.max_materialized
     fmt: str = "json"
 
     def bounds(self) -> OracleBounds:
-        for name in ("max_tuples", "max_values", "max_depth", "max_materialized"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
+        values = {name: getattr(self, name) for name in BOUND_OPTIONS}
+        for name, value in values.items():
+            if value < 0:
                 raise InputError(f"--{name.replace('_', '-')} must be at least 0")
-        return OracleBounds(
-            max_tuples=self.max_tuples,
-            max_values=self.max_values,
-            max_depth=self.max_depth,
-            max_materialized=self.max_materialized,
-        )
+        return OracleBounds(**values)
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -120,12 +105,8 @@ def run(command: str, cfg: RunConfig):
     Raises InputError / NotEligibleError / BoundsExceededError; the CLI maps
     those to exit codes 1 / 2 / 3.
     """
-    if command not in COMMANDS:
-        raise InputError(f"unknown command {command!r} (expected one of {COMMANDS})")
     if cfg.fmt not in FORMATS:
         raise InputError(f"unknown format {cfg.fmt!r} (expected one of {FORMATS})")
-    if cfg.mode not in MODES:
-        raise InputError(f"unknown mode {cfg.mode!r} (expected one of {MODES})")
 
     if command == "classify":
         _, mdset = _load(cfg)
@@ -211,7 +192,7 @@ def run(command: str, cfg: RunConfig):
             payload["files"] = [str(p) for p in written]
         return payload
 
-    raise InputError(f"unhandled command {command!r}")
+    raise InputError(f"unknown command {command!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -328,29 +309,29 @@ def _execute(command: str, cfg: RunConfig) -> None:
     _emit(command, cfg, payload)
 
 
-def _common_options(fn):
-    options = [
-        click.option("--schema", type=str, default=None, help="Schema file."),
-        click.option("--data", type=str, default=None, help="Directory of <relation>.csv files."),
-        click.option("--mds", type=str, default=None, help="MD file."),
-        click.option("--sims", type=str, default=None, help="Similarity definitions file."),
-        click.option("--format", "fmt", type=str, default="json", help="json or text."),
-    ]
-    for opt in reversed(options):
-        fn = opt(fn)
-    return fn
+def _options(*options):
+    def decorate(fn):
+        for opt in reversed(options):
+            fn = opt(fn)
+        return fn
+    return decorate
 
 
-def _bounds_options(fn):
-    options = [
-        click.option("--max-tuples", type=int, default=12, show_default=True),
-        click.option("--max-values", type=int, default=6, show_default=True),
-        click.option("--max-depth", type=int, default=None),
-        click.option("--max-materialized", type=int, default=1024, show_default=True),
-    ]
-    for opt in reversed(options):
-        fn = opt(fn)
-    return fn
+_schema = click.option("--schema", type=str, default=None, help="Schema file.")
+_data = click.option("--data", type=str, default=None, help="Directory of <relation>.csv files.")
+_format = click.option("--format", "fmt", type=str, default="json", help="json or text.")
+_common_options = _options(
+    _schema,
+    _data,
+    click.option("--mds", type=str, default=None, help="MD file."),
+    click.option("--sims", type=str, default=None, help="Similarity definitions file."),
+    _format,
+)
+_bounds_options = _options(*(
+    click.option(f"--{name.replace('_', '-')}", type=int,
+                 default=getattr(OracleBounds, name), show_default=True)
+    for name in BOUND_OPTIONS
+))
 
 
 @click.group()
@@ -408,7 +389,7 @@ def cmd_emit_datalog(**kw):
 
 
 @main.command("cqa-export")
-@_common_options
+@_options(_schema, _data, _format)
 @click.option("--relation", type=str, default=None, help="Relation to repair.")
 @click.option("--key", type=str, default=None, help="Comma-separated key attributes.")
 @click.option("--out", type=str, default=None, help="Directory for the exported CSV.")

@@ -480,14 +480,11 @@ class _SideView:
             )
         self.rel_l, self.rel_r = m1.left_rel, m1.right_rel
         self.same_rel = self.rel_l == self.rel_r
-        self.m1 = m1
-        self.m2 = m2
         # parse_mds orients every MD over sorted relation names, so the two
         # MDs of a chain always agree on which occurrence is which.
         self.lhs1 = [(self._l(c.left), self._r(c.right), c.sim) for c in m1.lhs]
         self.rhs1 = [(self._l(a), self._r(b)) for a, b in m1.rhs]
         self.lhs2 = [(self._l(c.left), self._r(c.right), c.sim) for c in m2.lhs]
-        self.rhs2 = [(self._l(a), self._r(b)) for a, b in m2.rhs]
         self.lhs1_attrs = {a for l, r, _ in self.lhs1 for a in (l, r)}
         self.lhs2_attrs = {a for l, r, _ in self.lhs2 for a in (l, r)}
         self.rhs1_attrs = {a for p in self.rhs1 for a in p}

@@ -115,15 +115,13 @@ def _fresh_params(instance: Instance, mdset: MDSet) -> tuple[str, int, int]:
 class OracleBounds:
     max_tuples: int = 12
     max_values: int = 6  # per-block assignment pool
-    max_depth: int | None = None  # defaults to 2 * |MDs| + 2
     max_materialized: int = 1024
     max_states: int = 200_000
 
     def __post_init__(self):
         # A negative bound is bad input, not a search that ran out of room.
         for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and value < 0:
+            if getattr(self, f.name) < 0:
                 raise InputError(f"{f.name} must be at least 0")
 
 
@@ -337,10 +335,11 @@ def enumerate_mris_oracle(
 ) -> tuple[list[Instance], int]:
     """Breadth-first enumeration of chase endpoints; returns (MRIs, min change).
 
-    Ground truth by construction: no classification involved. All stable
-    instances reachable within the bounds are collected and the ones with the
-    smallest change set against d are returned in canonical order. Raises
-    BoundsExceededError instead of returning a truncated answer.
+    Ground truth by construction: no classification involved. The search
+    runs until its frontier is empty, so every reachable stable instance is
+    collected, and the ones with the smallest change set against d are
+    returned in canonical order. Raises BoundsExceededError instead of
+    returning a truncated answer.
 
     States are deduplicated up to renaming of fresh values, which is sound:
     fresh values are mutually interchangeable, so renamed states have
@@ -351,21 +350,17 @@ def enumerate_mris_oracle(
         raise BoundsExceededError(
             f"instance has {d.total_tuples} tuples, oracle bound is {b.max_tuples}"
         )
-    max_depth = b.max_depth if b.max_depth is not None else 2 * len(mdset.mds) + 2
     space = ChaseSpace(d, mdset)
     start = space.values(d)
     visited = {start}
     frontier = [start]
     stable: list[tuple[str, ...]] = []
-    depth = 0
     while frontier:
         next_frontier = []
         for values in frontier:
             open_blocks = space.open_blocks(values)
             if not open_blocks:
                 stable.append(values)
-                continue
-            if depth >= max_depth:
                 continue
             for succ in space.successors(values, open_blocks, b.max_values):
                 if succ in visited:
@@ -377,9 +372,8 @@ def enumerate_mris_oracle(
                     )
                 next_frontier.append(succ)
         frontier = next_frontier
-        depth += 1
     if not stable:
-        raise BoundsExceededError(f"no stable instance within depth {max_depth}")
+        raise BoundsExceededError("no stable instance")
     changes = [sum(map(ne, start, s)) for s in stable]
     min_change = min(changes)
     winners = [s for n, s in zip(changes, stable) if n == min_change]
@@ -441,26 +435,3 @@ def fast_mri_family(d: Instance, mdset: MDSet) -> MRIFamily:
     count = prod(len(pool) for pool in candidates)
     min_change = sum(partition.min_changes(i) for i in range(len(partition)))
     return MRIFamily(d, partition, candidates, count, min_change, cls)
-
-
-def resolved_values(d: Instance, mdset: MDSet, rel: str, attr: str) -> tuple[str, ...]:
-    """Values guaranteed to appear in the column rel.attr of every MRI.
-
-    For an unchangeable attribute that is simply the column's content. For a
-    changeable one, a value qualifies iff some closure block with a position
-    at the attribute has it as its unique most frequent value.
-    """
-    rschema = d.schema.relation(rel)
-    rschema.index(attr)  # validates the attribute
-    target = (rel, attr)
-    if target not in mdset.changeable:
-        return tuple(sorted(set(d.column(rel, attr))))
-    cls = classify(mdset)
-    if not cls.fast:
-        raise NotEligibleError(
-            f"resolved values need a fast-path MD set, got {cls.label}"
-        )
-    partition = ta_closure(d, mdset)
-    winners = {partition.winners[i] for i in partition.blocks_at(target)}
-    winners.discard(None)
-    return tuple(sorted(winners))

@@ -47,18 +47,10 @@ class TAPartition:
     blocks: tuple[tuple[Position, ...], ...]
     counts: tuple[tuple[tuple[str, int], ...], ...]
 
-    # Built on first use: resolve and closure never read them.
+    # Built on first use: resolve and closure never read it.
     @cached_property
     def _block_index(self) -> dict[Position, int]:
         return {p: i for i, block in enumerate(self.blocks) for p in block}
-
-    @cached_property
-    def _attr_index(self) -> dict[Attr, tuple[int, ...]]:
-        attr_index: dict[Attr, list[int]] = {}
-        for i, block in enumerate(self.blocks):
-            for attr in {p.attr for p in block}:
-                attr_index.setdefault(attr, []).append(i)
-        return {a: tuple(ix) for a, ix in attr_index.items()}
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -68,9 +60,6 @@ class TAPartition:
             return self._block_index[pos]
         except KeyError:
             raise InputError(f"position {pos} is not in the partition") from None
-
-    def blocks_at(self, attr: Attr) -> tuple[int, ...]:
-        return self._attr_index.get(attr, ())
 
     @cached_property
     def winners(self) -> tuple[str | None, ...]:

@@ -445,21 +445,17 @@ def ref_enumerate_mris_oracle(
         raise BoundsExceededError(
             f"instance has {d.total_tuples} tuples, oracle bound is {b.max_tuples}"
         )
-    max_depth = b.max_depth if b.max_depth is not None else 2 * len(mdset.mds) + 2
     sentinel, base, k = _fresh_params(d, mdset)
     cells = _RefCells(d)
     start = cells.values(d)
     visited = {start}
     frontier = [(_RefState(d, merge_partition(d, mdset)), start)]
     stable: list[Instance] = []
-    depth = 0
     while frontier:
         next_frontier = []
         for state, values in frontier:
             if state.stable:
                 stable.append(state.instance)
-                continue
-            if depth >= max_depth:
                 continue
             open_blocks = [blk for blk in state.blocks if not blk.uniform]
             for blk in open_blocks:
@@ -483,9 +479,8 @@ def ref_enumerate_mris_oracle(
                 inst = cells.instance(key)
                 next_frontier.append((_RefState(inst, merge_partition(inst, mdset)), key))
         frontier = next_frontier
-        depth += 1
     if not stable:
-        raise BoundsExceededError(f"no stable instance within depth {max_depth}")
+        raise BoundsExceededError("no stable instance")
     by_change = [(len(diff_changeset(d, s)), s) for s in stable]
     min_change = min(n for n, _ in by_change)
     mris = sorted((s for n, s in by_change if n == min_change), key=Instance.key)

@@ -45,31 +45,48 @@ def test_every_module_is_loaded_by_the_package_and_cli():
     assert sorted(modules - loaded) == []
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _private_definitions(tree: ast.Module) -> set[str]:
-    """`_name`s (not dunders) a module defines at module or class level."""
+    """`_name`s (not dunders) a module defines at module or class level, and
+    `self.name` for each attribute a private class assigns on `self`."""
     names = set()
-    scopes = [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
-    for body in scopes:
+    classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    for body in [tree.body] + [c.body for c in classes]:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names.add(node.name)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    names = {n for n in names if _is_private(n)}
+    for c in classes:
+        if _is_private(c.name):
+            names.update(
+                f"self.{node.attr}" for node in ast.walk(c)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+            )
+    return names
 
 
 def _reads(tree: ast.Module) -> set[str]:
     """Names read: loaded names, attributes, import aliases, string constants.
 
-    The bench tracer names the functions it wraps in strings.
+    An attribute read `x.name` also reads `self.name`; an attribute that is
+    only assigned is not read. The bench tracer names the functions it wraps
+    in strings.
     """
     reads = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             reads.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            reads.add(node.attr)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            reads.update((node.attr, f"self.{node.attr}"))
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            reads.update((node.target.attr, f"self.{node.target.attr}"))
         elif isinstance(node, ast.alias):
             reads.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):

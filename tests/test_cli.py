@@ -311,7 +311,6 @@ def test_oracle_bounds_exit_3():
 @pytest.mark.parametrize("option, value", [
     ("--max-tuples", "-1"),
     ("--max-values", "-3"),
-    ("--max-depth", "-1"),
     ("--max-materialized", "-2"),
 ])
 def test_negative_oracle_bound_exits_1(option, value):
@@ -341,6 +340,29 @@ def test_removed_threads_option_is_a_usage_error():
     assert "No such option" in res.stderr
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("cqa-export", "--mds", "mds.txt"),
+    ("cqa-export", "--sims", "sims.txt"),
+    ("oracle", "--max-depth", "1"),
+])
+def test_options_nothing_reads_are_usage_errors(command, option, value):
+    root = FIXTURES / "keyed_majority"
+    res = invoke([
+        command, "--schema", str(root / "schema.txt"), "--data", str(root / "data"),
+        option, value,
+    ])
+    assert res.exit_code == 2
+    assert f"No such option '{option}'" in res.stderr
+    assert res.stdout == ""
+
+
+def test_unknown_answer_mode_exits_1():
+    res = invoke(args_for("majority_column", "answers", "--mode", "x", query="query.txt"))
+    assert res.exit_code == 1
+    assert res.stderr == "error: unknown answer mode 'x'\n"
+    assert res.stdout == ""
+
+
 def test_emit_datalog_raw_text():
     res = invoke(args_for("two_rule_cycle", "emit-datalog"))
     assert res.exit_code == 0, res.output
@@ -350,11 +372,11 @@ def test_emit_datalog_raw_text():
 
 
 def test_cqa_export(tmp_path):
-    argv = args_for(
-        "keyed_majority", "cqa-export",
+    root = FIXTURES / "keyed_majority"
+    res = invoke([
+        "cqa-export", "--schema", str(root / "schema.txt"), "--data", str(root / "data"),
         "--relation", "Emp", "--key", "Name", "--out", str(tmp_path),
-    )
-    res = invoke(argv)
+    ])
     assert res.exit_code == 0, res.output
     payload = json.loads(res.output)
     assert payload["relation"] == "Emp"

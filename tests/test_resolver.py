@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from mdres import (
     InputError,
     NotEligibleError,
     OracleBounds,
+    classify,
     diff_changeset,
     enumerate_mris_oracle,
     fast_mri_family,
@@ -28,6 +30,7 @@ from conftest import FIXTURES, load_bundle
 from generators import (
     rand_chain_case,
     rand_hsc_case,
+    rand_keyed_case,
     rand_ni_case,
     rand_overlap_chain_case,
 )
@@ -159,14 +162,21 @@ def test_oracle_bounds_enforced(two_rule_cycle):
 
 
 def test_negative_oracle_bounds_are_input_errors(dup_groups):
-    for name in ("max_tuples", "max_values", "max_depth", "max_materialized",
-                 "max_states"):
+    for name in ("max_tuples", "max_values", "max_materialized", "max_states"):
         with pytest.raises(InputError, match=f"^{name} must be at least 0$"):
             enumerate_mris_oracle(
                 dup_groups.instance, dup_groups.mdset, OracleBounds(**{name: -1})
             )
         assert getattr(OracleBounds(**{name: 0}), name) == 0
-    assert OracleBounds(max_depth=None).max_depth is None
+
+
+def test_oracle_has_no_depth_bound():
+    # max_states bounds the search; a depth cut could only truncate it
+    assert [f.name for f in fields(OracleBounds)] == [
+        "max_tuples", "max_values", "max_materialized", "max_states",
+    ]
+    _, d, mdset = rand_hsc_case(random.Random(21))
+    assert enumerate_mris_oracle(d, mdset)[1] == 7
 
 
 def _oracle_outcome(oracle, d, mdset, bounds):
@@ -191,15 +201,13 @@ CASES = {
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=1, max_value=300),
     st.integers(min_value=2, max_value=4),
-    st.integers(min_value=0, max_value=3),
 )
-def test_oracle_matches_per_state_reference(kind, seed, states, values, depth):
+def test_oracle_matches_per_state_reference(kind, seed, states, values):
     _, d, mdset = CASES[kind](random.Random(seed))
     for bounds in (
         None,
         OracleBounds(max_states=states),
         OracleBounds(max_values=values),
-        OracleBounds(max_depth=depth),
     ):
         assert _oracle_outcome(enumerate_mris_oracle, d, mdset, bounds) == (
             _oracle_outcome(ref_enumerate_mris_oracle, d, mdset, bounds)
@@ -358,3 +366,27 @@ def test_resolved_values_validates_attr(dup_groups):
 
     with pytest.raises(InputError):
         resolved_values(dup_groups.instance, dup_groups.mdset, "R", "Z")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
+@given(
+    st.sampled_from(sorted(CASES) + ["keyed"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_resolved_values_are_in_every_oracle_mri(kind, seed):
+    schema, d, mdset = {**CASES, "keyed": rand_keyed_case}[kind](random.Random(seed))
+    fast = classify(mdset).fast
+    mris = enumerate_mris_oracle(d, mdset)[0] if fast else None
+    for rschema in schema.relations:
+        for attr in rschema.attrs:
+            rel = rschema.name
+            if (rel, attr) not in mdset.changeable:
+                assert resolved_values(d, mdset, rel, attr) == tuple(
+                    sorted(set(d.column(rel, attr)))
+                )
+            elif not fast:
+                with pytest.raises(NotEligibleError):
+                    resolved_values(d, mdset, rel, attr)
+            if fast:
+                common = set.intersection(*(set(m.column(rel, attr)) for m in mris))
+                assert resolved_values(d, mdset, rel, attr) == tuple(sorted(common))

@@ -79,7 +79,6 @@ def test_block_of(two_rule_cycle):
     part = ta_closure(two_rule_cycle.instance, two_rule_cycle.mdset)
     pos = Position(3, ("R", "A"))
     assert pos in part.blocks[part.block_of(pos)]
-    assert part.blocks_at(("R", "A")) == (0,)
 
 
 def test_indexes_match_a_scan_of_blocks():
@@ -98,12 +97,6 @@ def test_indexes_match_a_scan_of_blocks():
             else:
                 with pytest.raises(InputError, match="is not in the partition"):
                     part.block_of(pos)
-        for rschema in bundle.schema.relations:
-            for attr in ((rschema.name, a) for a in rschema.attrs):
-                scan = tuple(
-                    i for i, block in enumerate(part.blocks) if any(p.attr == attr for p in block)
-                )
-                assert part.blocks_at(attr) == scan, (name, sims, attr)
 
 
 def test_matches_reachability_reference():
