@@ -4,7 +4,9 @@ Commands: classify, closure, resolve, answers, oracle, emit-datalog,
 cqa-export. Output is JSON by default (sorted keys, two-space indent, so
 repeated runs are byte-identical); --format text gives a terse human
 rendering. The JSON writer is `_dump_json`: it gives the bytes of
-`json.dumps(payload, indent=2, sort_keys=True)`, built with `str.join`.
+`json.dumps(payload, indent=2, sort_keys=True)`, built with `str.join`; a
+list of rows (table rows, block positions, answers) is encoded by one call
+of CPython's compact C encoder and then laid out.
 Exit codes: 0 success, 1 input error, 2 the requested fast path does not
 apply, 3 the oracle exceeded its bounds.
 """
@@ -13,7 +15,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import click
 
@@ -232,6 +235,36 @@ def _render_text(command: str, payload) -> str:
     return "\n".join(lines)
 
 
+# A compact C encoder that separates items with NUL. encode_basestring_ascii
+# escapes NUL as \u0000, so in its output a raw NUL is always a separator,
+# and `]<NUL>[` is always the boundary of two rows. None without CPython's
+# _json module.
+_row_encoder = c_make_encoder and c_make_encoder(
+    None, None, encode_basestring_ascii, None, ":", "\x00", False, False, False
+)
+
+
+def _is_rows(obj) -> bool:
+    """obj holds only non-empty lists whose items are exactly str or int."""
+    return (
+        _row_encoder is not None
+        and {*map(type, obj)} == {list}
+        and all(obj)
+        and {*map(type, chain.from_iterable(obj))} <= {str, int}
+    )
+
+
+def _dump_rows(rows, nl: str) -> str:
+    """_dump_json of a list for which _is_rows holds: one C encoder call, then
+    one str.replace for the row boundaries and one for the cell separators."""
+    inner = nl + "  "
+    cell = inner + "  "
+    text = "".join(_row_encoder(rows, 0))
+    text = text.replace("]\x00[", inner + "]," + inner + "[" + cell).replace("\x00", "," + cell)
+    # text is [[<rows>]]
+    return "[" + inner + "[" + cell + text[2:-2] + inner + "]" + nl + "]"
+
+
 def _dump_json(obj, nl: str = "\n") -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte.
 
@@ -240,7 +273,8 @@ def _dump_json(obj, nl: str = "\n") -> str:
     `str.join` over its items instead. It covers what the CLI prints: dicts
     with str keys, lists, tuples, str, int, bool and None. Anything else,
     a non-str key included, raises TypeError. `nl` is the newline and indent
-    that obj's closing bracket sits on, for the recursive calls.
+    that obj's closing bracket sits on, for the recursive calls. A list of
+    rows goes through _dump_rows.
     """
     # The checks run in json's order. Inside a container, plain str and int
     # items are written inline, since they are most of a payload's tokens.
@@ -258,6 +292,8 @@ def _dump_json(obj, nl: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if type(obj[0]) is list and _is_rows(obj):
+            return _dump_rows(obj, nl)
         items = [
             encode_basestring_ascii(v) if type(v) is str
             else int.__repr__(v) if type(v) is int

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import chain, groupby, product
+from operator import itemgetter
 
 from .errors import InputError
 from .relation import Instance, Schema, load_instance
@@ -31,10 +33,10 @@ class KeyedRelation:
     # One entry per key group: (key values, candidate rows in schema order).
     groups: tuple[tuple[tuple[str, ...], tuple[tuple[str, ...], ...]], ...]
 
-    @property
+    @cached_property
     def rows(self) -> tuple[tuple[str, ...], ...]:
         """All candidate rows, sorted; the content of the repaired relation."""
-        return tuple(sorted(row for _, rows in self.groups for row in rows))
+        return tuple(sorted(chain.from_iterable(rows for _, rows in self.groups)))
 
     @property
     def repair_count(self) -> int:
@@ -67,24 +69,22 @@ def build_cqa_instance(d: Instance, rel: str, key: list[str] | tuple[str, ...]) 
         raise InputError(f"key {key} covers every attribute of {rel}")
     key_idx = [rschema.index(a) for a in key]
     nonkey_idx = [rschema.index(a) for a in nonkey]
-
-    grouped: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for _, row in d.rows(rel):
-        grouped.setdefault(tuple(row[i] for i in key_idx), []).append(row)
+    # schema order from (key values + a combination of non-key values)
+    order = itemgetter(*map((key_idx + nonkey_idx).index, range(rschema.arity)))
+    key_of = itemgetter(*key_idx)  # one key attribute: the value, not a 1-tuple
+    columns = [itemgetter(i) for i in nonkey_idx]
 
     groups = []
-    for key_values in sorted(grouped):
-        members = grouped[key_values]
-        pools = [majority(Counter(row[i] for row in members).items()) for i in nonkey_idx]
-        rows = []
-        for combo in product(*pools):
-            row = [""] * rschema.arity
-            for attr_i, v in zip(key_idx, key_values):
-                row[attr_i] = v
-            for attr_i, v in zip(nonkey_idx, combo):
-                row[attr_i] = v
-            rows.append(tuple(row))
-        groups.append((key_values, tuple(sorted(rows))))
+    table = sorted(d.data.get(rel, {}).values(), key=key_of)
+    for key_values, members in groupby(table, key_of):
+        members = list(members)
+        if len(key_idx) == 1:
+            key_values = (key_values,)
+        pools = [majority(Counter(map(column, members)).items()) for column in columns]
+        # product order is sorted order: the pools are sorted, and the rows
+        # agree on the key and keep the non-key attributes in schema order
+        rows = tuple(map(order, map(key_values.__add__, product(*pools))))
+        groups.append((key_values, rows))
     sub_schema = Schema((rschema,))
     return KeyedRelation(sub_schema, rel, key, nonkey, tuple(groups))
 

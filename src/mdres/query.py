@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from .errors import BoundsExceededError, InputError, NotEligibleError, ParseError
 from .join import Const, Var, join
 from .mds import Classification, MDSet, classify, eqr_class
-from .relation import Attr, Instance, Position, Schema
+from .relation import Attr, Instance, Schema
 from .resolver import OracleBounds, enumerate_mris_oracle
 from .taclosure import ta_closure
 
@@ -390,17 +390,21 @@ def eval_rewritten(rq: RewrittenQuery, d: Instance) -> AnswerSet:
     position holds its block's unique winner, and a row drops out when one
     of those blocks has no unique winner.
     """
-    mdset = rq.mdset
-    partition = ta_closure(d, mdset)
-    winners, block_of = partition.winners, partition.block_of
+    partition = ta_closure(d, rq.mdset)
+    winners, index = partition.winners, partition.block_index
 
     def view(ra: RewrittenAtom) -> list[tuple[str, ...]]:
+        # a changeable attribute of a relation without tuples has no index
+        conditions = [(c.pos, index.get(c.attr, {})) for c in ra.conditions]
         rows = []
         for tid, row in d.rows(ra.original.rel):
             values = list(row)
-            for c in ra.conditions:
-                values[c.pos] = winners[block_of(Position(tid, c.attr))]
-            if None not in values:
+            for pos, blocks in conditions:
+                winner = winners[blocks[tid]]
+                if winner is None:
+                    break
+                values[pos] = winner
+            else:
                 rows.append(tuple(values))
         return rows
 

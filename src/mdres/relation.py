@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import gc
 import io
 import os
 import re
@@ -400,6 +401,20 @@ def _read_csv(rschema: RelationSchema, text: str, source: str):
             f"{source}: header {header!r} does not match schema "
             f"(expected {expected!r})"
         )
+    # The cyclic collector would walk the records and rows over and over as
+    # they are built, though none can be in a cycle; pause it, and restore
+    # the caller's setting.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_bulk(rschema, reader, with_tid, len(expected), source)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_bulk(rschema: RelationSchema, reader, with_tid: bool, width: int, source: str):
+    """_read_csv after the header: the records, checked in bulk."""
     records: list[list[str]] = []
     try:
         records.extend(reader)
@@ -407,14 +422,14 @@ def _read_csv(rschema: RelationSchema, text: str, source: str):
         _read_records(rschema, records, with_tid, source)  # an earlier bad row comes first
         raise InputError(f"{source}, row {len(records) + 1}: {exc}") from None
     rows = list(filter(None, records))  # a blank line reads as []
-    if rows and {*map(len, rows)} != {len(expected)}:
+    if rows and {*map(len, rows)} != {width}:
         return _read_records(rschema, records, with_tid, source)
     if not with_tid:
         return rows, None
     raw = list(map(itemgetter(0), rows))
     if rows and not _plain_tids(raw):
         return _read_records(rschema, records, with_tid, source)
-    values = map(itemgetter(*range(1, len(expected))), rows)
+    values = map(itemgetter(*range(1, width)), rows)
     if rschema.arity == 1:
         values = zip(values)  # itemgetter(1) gives the cell, not a 1-tuple
     return list(values), list(map(int, raw))

@@ -154,7 +154,8 @@ class ChaseSpace:
         self.sims = mdset.sims
         self.positions = d.positions()
         # per attribute {tid: slot}; a relation without tuples has no map
-        self.slots = slot_map(d, self.positions)[0]
+        self.slots, start = slot_map(d, self.positions)
+        self.start = tuple(start)  # the state of d
         self.rows = []
         for rel, table in d.data.items():
             columns = [self.slots.get((rel, a), {}) for a in d.schema.relation(rel).attrs]
@@ -179,9 +180,6 @@ class ChaseSpace:
         self._link_sets: list[tuple[tuple[int, ...], ...]] = []
         self._blocks: dict[tuple, list[tuple[int, ...]]] = {}
         self._merged: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-    def values(self, instance: Instance) -> tuple[str, ...]:
-        return tuple(slot_map(instance, self.positions)[1])
 
     def instance(self, values: tuple[str, ...]) -> Instance:
         data: dict[str, dict[int, tuple[str, ...]]] = {rel: {} for rel in self.rels}
@@ -351,7 +349,7 @@ def enumerate_mris_oracle(
             f"instance has {d.total_tuples} tuples, oracle bound is {b.max_tuples}"
         )
     space = ChaseSpace(d, mdset)
-    start = space.values(d)
+    start = space.start
     visited = {start}
     frontier = [start]
     stable: list[tuple[str, ...]] = []

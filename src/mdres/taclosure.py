@@ -49,15 +49,23 @@ class TAPartition:
 
     # Built on first use: resolve and closure never read it.
     @cached_property
-    def _block_index(self) -> dict[Position, int]:
-        return {p: i for i, block in enumerate(self.blocks) for p in block}
+    def block_index(self) -> dict[Attr, dict[int, int]]:
+        """Per attribute, {tid: number of the block holding that position}."""
+        index: dict[Attr, dict[int, int]] = {}
+        for i, block in enumerate(self.blocks):
+            for tid, attr in block:
+                at = index.get(attr)
+                if at is None:
+                    at = index[attr] = {}
+                at[tid] = i
+        return index
 
     def __len__(self) -> int:
         return len(self.blocks)
 
     def block_of(self, pos: Position) -> int:
         try:
-            return self._block_index[pos]
+            return self.block_index[pos.attr][pos.tid]
         except KeyError:
             raise InputError(f"position {pos} is not in the partition") from None
 

@@ -1,5 +1,7 @@
 import codecs
+import csv
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import mdres.cli
-from mdres.cli import _dump_json, main
+from mdres.cli import _dump_json, _is_rows, main
 
 from conftest import FIXTURES
 
@@ -422,10 +424,123 @@ def test_json_writer_matches_json_dumps(value):
     assert _dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+ROW_CELLS = st.one_of(
+    st.text(st.one_of(st.sampled_from('\x00][,"\\\xe9\ud800\U0001f600'), st.characters())),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**80),
+    st.integers(max_value=-(2**64)),
+)
+ROWS = st.lists(st.lists(ROW_CELLS, min_size=1, max_size=4), min_size=1, max_size=5)
+
+
+@st.composite
+def near_miss_rows(draw):
+    """A row list with one flaw that sends it down the general path."""
+    rows = draw(ROWS)
+    i = draw(st.integers(0, len(rows) - 1))
+    flaw = draw(st.sampled_from(["bool", "none", "nested", "tuple", "empty"]))
+    if flaw == "tuple":
+        rows[i] = tuple(rows[i])
+    elif flaw == "empty":
+        rows[i] = []
+    else:
+        cell = {"bool": draw(st.booleans()), "none": None, "nested": [draw(ROW_CELLS)]}[flaw]
+        rows[i].insert(draw(st.integers(0, len(rows[i]))), cell)
+    return rows
+
+
+@st.composite
+def nested(draw, values):
+    """A value from `values`, 0 to 3 levels deep in dicts and lists."""
+    value = draw(values)
+    for _ in range(draw(st.integers(0, 3))):
+        siblings = draw(st.lists(st.one_of(st.none(), st.booleans(), ROW_CELLS, ROWS), max_size=2))
+        if draw(st.booleans()):
+            value = [*siblings[:1], value, *siblings[1:]]
+        else:
+            keys = draw(st.lists(JSON_STRINGS, min_size=len(siblings) + 1,
+                                 max_size=len(siblings) + 1, unique=True))
+            value = dict(zip(keys, [value, *siblings]))
+    return value
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, print_blob=False)
+@given(st.one_of(nested(ROWS), nested(near_miss_rows())))
+def test_json_row_lists_match_json_dumps(value):
+    assert _dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
+@given(ROWS, near_miss_rows())
+def test_row_branch_takes_exactly_row_lists(rows, near_miss):
+    assert _is_rows(rows)
+    assert not _is_rows(near_miss)
+
+
+def test_json_writer_without_the_c_encoder(monkeypatch):
+    value = {"rows": [["a]\x00[b", 1], ["c", -(2**70)]], "x": [[True]]}
+    monkeypatch.setattr(mdres.cli, "_row_encoder", None)
+    assert not _is_rows(value["rows"])
+    assert _dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("value", [{1: "a"}, [{"a": {None: 1}}], {True: 1}, {(1, 2): []}])
 def test_json_writer_refuses_non_str_keys(value):
     with pytest.raises(TypeError):
         _dump_json(value)
+
+
+SCALE_MARKS = ["", "]", "[", ",", '"', "],[", '"]', "\u00e9", "\u2028", "\U0001f600", "\\"]
+
+
+def _write_join_case(root, r_rows, s_rows):
+    """An R(K, N, C), S(C, P) case whose MDs make N and P changeable."""
+    (root / "data").mkdir(parents=True)
+    (root / "schema.txt").write_text("relation R(K:str, N:str, C:str)\nrelation S(C:str, P:str)\n")
+    (root / "mds.txt").write_text("R[K] = R[K] -> R[N] == R[N];\nS[C] = S[C] -> S[P] == S[P];\n")
+    (root / "query.txt").write_text("Q(k, x, p) :- R(k, x, c), S(c, p)\n")
+    for name, header, rows in (("R", ["K", "N", "C"], r_rows), ("S", ["C", "P"], s_rows)):
+        with open(root / "data" / f"{name}.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+
+
+def _scale_rows(rng, n_r, n_s):
+    def value(prefix, n):
+        return f"{prefix}{rng.randrange(n)}{rng.choice(SCALE_MARKS)}"
+
+    s_keys = sorted({value("c", n_s // 3) for _ in range(n_s)})
+    s_rows = [[rng.choice(s_keys), value("p", 3)] for _ in range(n_s)]
+    r_rows = [[value("k", n_r // 4), value("n", 3), rng.choice(s_keys)] for _ in range(n_r)]
+    return r_rows, s_rows
+
+
+def test_cli_json_bytes_at_scale(tmp_path):
+    # enough rows, with brackets, commas, quotes and non-ASCII in the values,
+    # that every row list of every payload runs through the row branch
+    rng = random.Random(15)
+    big, small = tmp_path / "big", tmp_path / "small"
+    _write_join_case(big, *_scale_rows(rng, 300, 120))
+    r_rows, s_rows = _scale_rows(rng, 8, 4)
+    _write_join_case(small, r_rows, s_rows)
+
+    def inputs(root):
+        return ["--schema", str(root / "schema.txt"), "--data", str(root / "data")]
+
+    runs = [
+        ["closure", *inputs(big), "--mds", str(big / "mds.txt")],
+        ["resolve", *inputs(big), "--mds", str(big / "mds.txt"), "--materialize", "2"],
+        ["answers", *inputs(big), "--mds", str(big / "mds.txt"),
+         "--query", str(big / "query.txt")],
+        ["cqa-export", *inputs(big), "--relation", "R", "--key", "K",
+         "--out", str(tmp_path / "out")],
+        ["oracle", *inputs(small), "--mds", str(small / "mds.txt")],
+    ]
+    for argv in runs:
+        res = invoke(argv)
+        assert res.exit_code == 0, (argv[0], res.output)
+        payload = json.loads(res.output)
+        assert res.output == json.dumps(payload, indent=2, sort_keys=True) + "\n", argv[0]
+    assert len(payload["mris"]) >= 1
 
 
 def test_installed_entry_point():

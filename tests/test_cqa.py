@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mdres import (
     build_cqa_instance,
@@ -8,6 +9,7 @@ from mdres import (
     parse_query,
 )
 from mdres.errors import InputError
+from mdres.relation import load_instance, parse_schema
 
 from conftest import load_bundle
 from reference import ref_certain_answers, ref_key_repairs
@@ -89,3 +91,29 @@ def test_bad_keys_rejected(keyed):
         build_cqa_instance(keyed.instance, "Emp", ["Title"])
     with pytest.raises(InputError):
         build_cqa_instance(keyed.instance, "Staff", ["Name"])
+
+
+@st.composite
+def keyed_anywhere(draw):
+    """A relation T of 3 to 5 attributes keyed on 1 or 2 of them, never the
+    first, with each column's values drawn from its own few names so that
+    groups collide, ties occur, and a row out of schema order differs."""
+    arity = draw(st.integers(3, 5))
+    attrs = [f"A{j}" for j in range(arity)]
+    key = draw(st.lists(st.sampled_from(attrs[1:]), min_size=1, max_size=2, unique=True))
+    schema = parse_schema(f"relation T({', '.join(a + ':str' for a in attrs)})")
+    cell = [st.sampled_from([f"{a.lower()}{k}" for k in range(3)]) for a in attrs]
+    rows = draw(st.lists(st.tuples(*cell), min_size=1, max_size=12))
+    return load_instance(schema, {"T": rows}), tuple(key)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, print_blob=False)
+@given(keyed_anywhere())
+def test_candidates_with_keys_anywhere_match_reference(case):
+    d, key = case
+    kr = build_cqa_instance(d, "T", key)
+    assume(kr.repair_count <= 4096)  # the reference lists every repair
+    repairs = ref_key_repairs(d, "T", key)
+    assert kr.rows == tuple(sorted(frozenset().union(*repairs)))
+    assert kr.repair_count == len(repairs)
+    assert all(len(key_values) == len(key) for key_values, _ in kr.groups)

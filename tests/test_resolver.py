@@ -78,7 +78,7 @@ def _expand(space, values):
 def test_chase_step_counts_values_only(dup_groups):
     space = ChaseSpace(dup_groups.instance, dup_groups.mdset)
     succ = [
-        s for s in _expand(space, space.values(dup_groups.instance))
+        s for s in _expand(space, space.start)
         if not any(space.sentinel in v for v in s)
     ]
     # two open blocks with two candidate values each
@@ -88,7 +88,7 @@ def test_chase_step_counts_values_only(dup_groups):
 
 def test_chase_step_counts_with_fresh(dup_groups):
     space = ChaseSpace(dup_groups.instance, dup_groups.mdset)
-    succ = _expand(space, space.values(dup_groups.instance))
+    succ = _expand(space, space.start)
     # each block gains one fresh option: (2+1) * (2+1)
     assert len(succ) == 9
 
@@ -96,7 +96,7 @@ def test_chase_step_counts_with_fresh(dup_groups):
 def test_chase_step_on_stable_instance_is_empty(dup_groups):
     d1 = dup_groups.variant("D1")
     space = ChaseSpace(d1, dup_groups.mdset)
-    assert _expand(space, space.values(d1)) == []
+    assert _expand(space, space.start) == []
 
 
 def test_fresh_values_dissimilar_everywhere(two_rule_cycle):
@@ -219,7 +219,7 @@ def test_oracle_matches_per_state_reference(kind, seed, states, values):
 def test_memoised_blocks_match_merge_partition(kind, seed):
     _, d, mdset = CASES[kind](random.Random(seed))
     space = ChaseSpace(d, mdset)
-    pending, seen = [space.values(d)], set()
+    pending, seen = [space.start], set()
     while pending and len(seen) < 200:
         values = pending.pop()
         if values in seen:
@@ -256,7 +256,7 @@ def _checked_successors(space, mdset, values):
 def test_successors_match_reference(kind, seed):
     _, d, mdset = CASES[kind](random.Random(seed))
     space = ChaseSpace(d, mdset)
-    pending, seen = [space.values(d)], set()
+    pending, seen = [space.start], set()
     while pending and len(seen) < 200:
         values = pending.pop()
         if values in seen:
@@ -274,7 +274,7 @@ def test_successors_rename_kept_and_shared_rungs():
     d = load_instance(schema, {"R": rows})
     mdset = parse_mds("R[A] = R[A] -> R[B] == R[B]", schema)
     space = ChaseSpace(d, mdset)
-    start = space.values(d)
+    start = space.start
 
     def state(fresh):
         values = list(start)
