@@ -68,7 +68,6 @@ from .similarity import (
     SimilaritySpec,
     check_all,
     check_transitivity,
-    levenshtein,
     load_sims,
     neighbours,
     parse_sims,
@@ -121,7 +120,6 @@ __all__ = [
     "fast_mri_family",
     "is_stable",
     "is_ujcq",
-    "levenshtein",
     "load_csv_dir",
     "load_instance",
     "load_schema",

@@ -3,7 +3,11 @@
 Commands: classify, closure, resolve, answers, oracle, emit-datalog,
 cqa-export. Output is JSON by default (sorted keys, two-space indent, so
 repeated runs are byte-identical); --format text gives a terse human
-rendering. The JSON writer is `_dump_json`: it gives the bytes of
+rendering. emit-datalog prints a datalog program, the same text either way,
+so it takes no --format. MD files and query files are read by
+`mds.parse_mds` and `query.parse_query`, which share one tokenizer, so a
+malformed file of either kind ends in the same kind of one-line error.
+The JSON writer is `_dump_json`: it gives the bytes of
 `json.dumps(payload, indent=2, sort_keys=True)`, built with `str.join`; a
 list of rows (table rows, block positions, answers) is encoded by one call
 of CPython's compact C encoder and then laid out.
@@ -28,7 +32,7 @@ from .errors import (
     NotEligibleError,
 )
 from .mds import MDSet, classify, parse_mds
-from .query import is_ujcq, parse_query, resolved_answers
+from .query import parse_query, resolved_answers
 from .relation import (
     Instance,
     instance_as_json,
@@ -157,10 +161,8 @@ def run(command: str, cfg: RunConfig):
         instance, mdset = _load(cfg)
         _require(cfg, "query")
         query = parse_query(read_text(cfg.query), mdset.schema)
-        ok, witness = is_ujcq(query, mdset)
-        answers = resolved_answers(
-            query, instance, mdset, cfg.mode, cfg.bounds(), ujcq=(ok, witness)
-        )
+        answers = resolved_answers(query, instance, mdset, cfg.mode, cfg.bounds())
+        ok, witness = answers.ujcq
         return {
             "query": str(query),
             "ujcq": ok,
@@ -201,9 +203,7 @@ def run(command: str, cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # Rendering
 
-def _render_text(command: str, payload) -> str:
-    if isinstance(payload, str):
-        return payload.rstrip("\n")
+def _render_text(command: str, payload: dict) -> str:
     lines: list[str] = []
     if command == "classify":
         lines.append(payload["label"])
@@ -356,13 +356,13 @@ def _options(*options):
 _schema = click.option("--schema", type=str, default=None, help="Schema file.")
 _data = click.option("--data", type=str, default=None, help="Directory of <relation>.csv files.")
 _format = click.option("--format", "fmt", type=str, default="json", help="json or text.")
-_common_options = _options(
+_input_options = _options(
     _schema,
     _data,
     click.option("--mds", type=str, default=None, help="MD file."),
     click.option("--sims", type=str, default=None, help="Similarity definitions file."),
-    _format,
 )
+_common_options = _options(_input_options, _format)
 _bounds_options = _options(*(
     click.option(f"--{name.replace('_', '-')}", type=int,
                  default=getattr(OracleBounds, name), show_default=True)
@@ -418,7 +418,7 @@ def cmd_answers(**kw):
 
 
 @main.command("emit-datalog")
-@_common_options
+@_input_options
 def cmd_emit_datalog(**kw):
     """Print the closure computation as a datalog program."""
     _execute("emit-datalog", RunConfig(**kw))

@@ -18,12 +18,18 @@ class Var:
         return self.name
 
 
+def quote(value: str) -> str:
+    """A constant as query and datalog text write it: in quotes, with each
+    quote inside doubled."""
+    return "'" + value.replace("'", "''") + "'"
+
+
 @dataclass(frozen=True)
 class Const:
     value: str  # the tests' datalog engine also makes integer constants
 
     def __str__(self) -> str:
-        return f"'{self.value}'"
+        return quote(self.value)
 
 
 def join(

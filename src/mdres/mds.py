@@ -4,6 +4,13 @@ An MD has the shape `R[A1] ~s1 S[B1], ... -> R[C1] == S[E1], ...`: when the
 left-hand similarity conditions hold on a pair of tuples, the right-hand
 attribute pairs must be made equal. A set of MDs is kept in standard form
 (no two MDs share a left-hand side; right-hand sides of duplicates merge).
+MDs are separated by `;` and `#` starts a comment that runs to the end of
+the line.
+
+`TokenStream` is the one tokenizer of the package: MD text here and query
+text in `query.py` are both read through it, so the two grammars split text
+the same way and word their errors the same way ("unexpected character ...
+in MD text", "expected ident in query, got ...").
 
 The classifier places a set into one of six buckets that drive everything
 downstream. Three of them admit the fast resolution path:
@@ -212,52 +219,69 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
+  | (?P<impl>:-)
   | (?P<arrow>->)
   | (?P<matcheq>==)
   | (?P<eq>=)
   | (?P<tilde>~)
   | (?P<comma>,)
   | (?P<semi>;)
+  | (?P<dot>\.)
+  | (?P<lparen>\()
+  | (?P<rparen>\))
   | (?P<lbrack>\[)
   | (?P<rbrack>\])
+  | (?P<number>-?\d+)
+  | (?P<string>'(?:[^']|'')*')
   | (?P<ident>[A-Za-z_]\w*)
+  | (?P<bad>.)
 """,
     re.VERBOSE,
 )
+_END = ("end", "end of input")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r} in MD text")
-        pos = m.end()
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, m.group()))
-    return tokens
+class TokenStream:
+    """The tokens of MD text or query text, read left to right.
 
+    Both grammars share one token set; a kind one grammar never uses is a
+    parse error there, never a different split. `what` names the text in
+    every error message.
+    """
 
-class _TokenStream:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text: str, what: str):
+        self.what = what
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group()!r} in {what}")
+            if kind != "ws" and kind != "comment":
+                self.tokens.append((kind, m.group()))
+        self.tokens.append(_END)  # never taken, so the stream never runs out
         self.i = 0
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+    def peek(self) -> tuple[str, str]:
+        """The next token as (kind, text); ("end", "end of input") after the last."""
+        return self.tokens[self.i]
 
     def take(self, kind: str) -> str:
-        if self.peek() != kind:
-            got = self.tokens[self.i][1] if self.i < len(self.tokens) else "end of input"
-            raise ParseError(f"expected {kind}, got {got!r} in MD text")
-        value = self.tokens[self.i][1]
+        """The text of the next token, which must be of `kind`."""
+        got, text = self.tokens[self.i]
+        if got != kind:
+            raise ParseError(f"expected {kind} in {self.what}, got {text!r}")
         self.i += 1
-        return value
+        return text
+
+    def skip(self, kind: str) -> bool:
+        """Take the next token if it is of `kind`; whether it was."""
+        if self.tokens[self.i][0] != kind:
+            return False
+        self.i += 1
+        return True
 
 
-def _parse_attr(ts: _TokenStream, schema: Schema) -> Attr:
+def _parse_attr(ts: TokenStream, schema: Schema) -> Attr:
     rel = ts.take("ident")
     ts.take("lbrack")
     name = ts.take("ident")
@@ -288,23 +312,23 @@ def parse_mds(
     """
     sims = dict(sims or {})
     sims.setdefault("=", EQUALITY)
-    ts = _TokenStream(_tokenize(text))
+    ts = TokenStream(text, "MD text")
     raw = []
-    while ts.peek() is not None:
+    while ts.peek() is not _END:
         conjuncts = []
         while True:
             left = _parse_attr(ts, schema)
-            kind = ts.peek()
-            if kind == "eq":
-                ts.take("eq")
+            if ts.skip("eq"):
                 sim_name = "="
-            elif kind == "tilde":
-                ts.take("tilde")
+            elif ts.skip("tilde"):
                 sim_name = ts.take("ident")
                 if sim_name not in sims:
                     raise InputError(f"unknown similarity {sim_name!r}")
             else:
-                raise ParseError("expected a similarity operator (= or ~name)")
+                raise ParseError(
+                    "expected a similarity operator (= or ~name) in MD text, "
+                    f"got {ts.peek()[1]!r}"
+                )
             right = _parse_attr(ts, schema)
             if _attr_tag(schema, left) != _attr_tag(schema, right):
                 raise InputError(
@@ -312,10 +336,8 @@ def parse_mds(
                     "domain tags differ"
                 )
             conjuncts.append(Conjunct(left, right, sim_name))
-            if ts.peek() == "comma":
-                ts.take("comma")
-                continue
-            break
+            if not ts.skip("comma"):
+                break
         ts.take("arrow")
         matches = []
         while True:
@@ -328,38 +350,27 @@ def parse_mds(
                     "domain tags differ"
                 )
             matches.append((left, right))
-            if ts.peek() == "comma":
-                ts.take("comma")
-                continue
-            break
+            if not ts.skip("comma"):
+                break
         raw.append((conjuncts, matches))
-        if ts.peek() == "semi":
-            ts.take("semi")
+        ts.skip("semi")
     if not raw:
         raise InputError("no MDs given")
 
     normalized = [_normalize(conjs, matches) for conjs, matches in raw]
 
-    # Standard form: merge MDs with equal left-hand sides.
+    # Standard form: merge MDs with equal left-hand sides, in first-seen order.
     merged: dict[frozenset, list] = {}
-    order: list[frozenset] = []
     for left_rel, right_rel, conjs, matches in normalized:
         key = frozenset(c.canonical() for c in conjs)
         if key not in merged:
             merged[key] = [left_rel, right_rel, list(conjs), []]
-            order.append(key)
         for pair in matches:
             if pair not in merged[key][3]:
                 merged[key][3].append(pair)
     mds = tuple(
-        MD(
-            mid=f"m{i}",
-            left_rel=merged[key][0],
-            right_rel=merged[key][1],
-            lhs=tuple(merged[key][2]),
-            rhs=tuple(merged[key][3]),
-        )
-        for i, key in enumerate(order, start=1)
+        MD(f"m{i}", left_rel, right_rel, tuple(conjs), tuple(matches))
+        for i, (left_rel, right_rel, conjs, matches) in enumerate(merged.values(), start=1)
     )
     used = {c.sim for md in mds for c in md.lhs}
     return MDSet(

@@ -14,7 +14,10 @@ instance. Two evaluation paths produce them:
 - oracle: evaluate the query on every MRI produced by the exhaustive chase
   and intersect the answer sets.
 
-Every evaluation is the one indexed join of `join.py`.
+Every evaluation is the one indexed join of `join.py`. Query text is read
+through the MD text's `mds.TokenStream`, and `str` of a query gives text
+that parses back to the same query: a constant is written by `join.quote`,
+which doubles any quote inside it.
 
 Join safety (what the rewrite needs): no constant sits at a changeable
 position, and no non-free variable with two or more occurrences does.
@@ -22,12 +25,11 @@ position, and no non-free variable with two or more occurrences does.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import BoundsExceededError, InputError, NotEligibleError, ParseError
-from .join import Const, Var, join
-from .mds import Classification, MDSet, classify, eqr_class
+from .join import Const, Var, join, quote
+from .mds import Classification, MDSet, TokenStream, classify, eqr_class
 from .relation import Attr, Instance, Schema
 from .resolver import OracleBounds, enumerate_mris_oracle
 from .taclosure import ta_closure
@@ -63,6 +65,8 @@ class AnswerSet:
     provenance: str  # "direct" | "rewrite" | "oracle"
     # the rewritten query behind a "rewrite" answer set
     rewritten: RewrittenQuery | None = field(default=None, compare=False, repr=False)
+    # the is_ujcq verdict behind a resolved_answers answer set
+    ujcq: tuple[bool, str | None] | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -81,21 +85,18 @@ class AnswerSet:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<impl>:-)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<comma>,)
-  | (?P<dot>\.)
-  | (?P<number>-?\d+)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<ident>[A-Za-z_]\w*)
-""",
-    re.VERBOSE,
-)
+def _parse_term(ts: TokenStream) -> Var | Const:
+    kind, text = ts.peek()
+    if kind not in ("number", "string", "ident"):
+        raise ParseError(f"expected a term, got {text!r}")
+    ts.take(kind)
+    if kind == "number":
+        return Const(text)
+    if kind == "string":
+        return Const(text[1:-1].replace("''", "'"))
+    if not text[0].islower():
+        raise ParseError(f"variables are lower-case, got {text!r}")
+    return Var(text)
 
 
 def parse_query(text: str, schema: Schema) -> ConjunctiveQuery:
@@ -103,90 +104,48 @@ def parse_query(text: str, schema: Schema) -> ConjunctiveQuery:
 
     Head terms must be variables; every head variable must occur in the
     body; atom arities must match the schema. Variables are lower-case
-    identifiers, constants are 'quoted' or integer literals.
+    identifiers, constants are 'quoted' (a quote inside is written '') or
+    integer literals. The text is read through the MD text's TokenStream.
 
     Free-variable repetition is legal here; whether a query is join-safe
     for the rewrite is a separate check (is_ujcq).
     """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r} in query")
-        pos = m.end()
-        if m.lastgroup not in ("ws", "comment"):
-            tokens.append((m.lastgroup, m.group()))
-    i = 0
-
-    def expect(kind: str) -> str:
-        nonlocal i
-        if i >= len(tokens) or tokens[i][0] != kind:
-            got = tokens[i][1] if i < len(tokens) else "end of input"
-            raise ParseError(f"expected {kind} in query, got {got!r}")
-        value = tokens[i][1]
-        i += 1
-        return value
-
-    def at(kind: str) -> bool:
-        return i < len(tokens) and tokens[i][0] == kind
-
-    def parse_term():
-        nonlocal i
-        kind, value = tokens[i] if i < len(tokens) else ("end", "end of input")
-        if kind == "number":
-            i += 1
-            return Const(value)
-        if kind == "string":
-            i += 1
-            return Const(value[1:-1].replace("''", "'"))
-        if kind == "ident":
-            i += 1
-            if not value[0].islower():
-                raise ParseError(f"variables are lower-case, got {value!r}")
-            return Var(value)
-        raise ParseError(f"expected a term, got {value!r}")
-
-    name = expect("ident")
-    expect("lparen")
+    ts = TokenStream(text, "query")
+    name = ts.take("ident")
+    ts.take("lparen")
     head: list[Var] = []
-    if not at("rparen"):
+    if not ts.skip("rparen"):
         while True:
-            term = parse_term()
+            term = _parse_term(ts)
             if not isinstance(term, Var):
                 raise ParseError("head terms must be variables")
             head.append(term)
-            if at("comma"):
-                expect("comma")
-                continue
-            break
-    expect("rparen")
-    expect("impl")
+            if not ts.skip("comma"):
+                break
+        ts.take("rparen")
+    ts.take("impl")
     atoms: list[Atom] = []
     while True:
-        rel = expect("ident")
+        rel = ts.take("ident")
         if not schema.has_relation(rel):
             raise InputError(f"query mentions unknown relation {rel!r}")
-        expect("lparen")
-        terms = [parse_term()]
-        while at("comma"):
-            expect("comma")
-            terms.append(parse_term())
-        expect("rparen")
+        ts.take("lparen")
+        terms = [_parse_term(ts)]
+        while ts.skip("comma"):
+            terms.append(_parse_term(ts))
+        ts.take("rparen")
         arity = schema.relation(rel).arity
         if len(terms) != arity:
             raise InputError(
                 f"atom over {rel} has {len(terms)} terms, relation has arity {arity}"
             )
         atoms.append(Atom(rel, tuple(terms)))
-        if at("comma"):
-            expect("comma")
-            continue
-        break
-    if at("dot"):
-        expect("dot")
-    if i < len(tokens):
-        raise ParseError(f"trailing input in query: {tokens[i][1]!r}")
+        if not ts.skip("comma"):
+            break
+    ts.skip("dot")
+    kind, rest = ts.peek()
+    if kind != "end":
+        raise ParseError(f"trailing input in query: {rest!r}")
     body_vars = {t.name for a in atoms for t in a.terms if isinstance(t, Var)}
     for v in head:
         if v.name not in body_vars:
@@ -230,7 +189,7 @@ def is_ujcq(q: ConjunctiveQuery, mdset: MDSet) -> tuple[bool, str | None]:
                 continue
             if isinstance(term, Const):
                 return False, (
-                    f"constant '{term.value}' sits at changeable position "
+                    f"constant {quote(term.value)} sits at changeable position "
                     f"{atom.rel}[{attrs[j]}] (atom {idx})"
                 )
             if term.name not in free and occurrences[term.name] >= 2:
@@ -422,18 +381,18 @@ def resolved_answers(
     mdset: MDSet,
     mode: str = "auto",
     bounds: OracleBounds | None = None,
-    ujcq: tuple[bool, str | None] | None = None,
 ) -> AnswerSet:
     """Answers true on every minimal resolved instance.
 
     mode "rewrite" insists on the fast path and raises NotEligibleError when
     the query or the MD set disqualifies it; "oracle" intersects over the
     enumerated MRIs; "auto" prefers the rewrite and falls back to the oracle.
-    A caller that already holds is_ujcq(q, mdset) passes it as `ujcq`.
+    The answer set keeps the query's is_ujcq verdict as `ujcq`.
     """
     if mode not in ("auto", "rewrite", "oracle"):
         raise InputError(f"unknown answer mode {mode!r}")
-    ok, witness = ujcq if ujcq is not None else is_ujcq(q, mdset)
+    verdict = is_ujcq(q, mdset)
+    ok, witness = verdict
     cls = classify(mdset)
     fast_ok = ok and cls.fast
     if mode == "rewrite" or (mode == "auto" and fast_ok):
@@ -446,7 +405,8 @@ def resolved_answers(
             raise NotEligibleError(
                 "rewrite path not available: " + "; ".join(reasons)
             )
-        return eval_rewritten(rewrite(q, mdset, ujcq=(ok, witness), cls=cls), d)
+        answers = eval_rewritten(rewrite(q, mdset, ujcq=verdict, cls=cls), d)
+        return replace(answers, ujcq=verdict)
     try:
         mris, _ = enumerate_mris_oracle(d, mdset, bounds)
     except BoundsExceededError as exc:
@@ -462,7 +422,7 @@ def resolved_answers(
         common = tuples if common is None else common & tuples
         if not common:
             break
-    return AnswerSet(tuple(sorted(common or set())), "oracle")
+    return AnswerSet(tuple(sorted(common or set())), "oracle", ujcq=verdict)
 
 
 def resolved_values(d: Instance, mdset: MDSet, rel: str, attr: str) -> tuple[str, ...]:

@@ -73,28 +73,9 @@ class SimilaritySpec:
 EQUALITY = SimilaritySpec(name="=", kind="eq", declared_transitive=True, transitive=True)
 
 
-def levenshtein(a: str, b: str) -> int:
-    if a == b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,  # deletion
-                    current[j - 1] + 1,  # insertion
-                    previous[j - 1] + (ca != cb),  # substitution
-                )
-            )
-        previous = current
-    return previous[-1]
-
-
 def within_distance(a: str, b: str, k: int) -> bool:
-    """levenshtein(a, b) <= k, filling at most k + 1 cells per DP row.
+    """Whether the edit distance of a and b is at most k, filling at most
+    k + 1 cells per row of the Levenshtein DP.
 
     Every step of an edit path away from the diagonals through the DP's two
     corner cells must be paid back, so a path within k strays at most

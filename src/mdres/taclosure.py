@@ -24,6 +24,7 @@ from typing import Collection, Mapping
 
 from .dsets import DisjointSet
 from .errors import InputError
+from .join import quote
 from .mds import MD, MDSet, previous_set
 from .relation import Attr, Instance, Position
 from .similarity import SimilaritySpec, neighbours, similar
@@ -276,12 +277,8 @@ def ta_closure(d: Instance, mdset: MDSet) -> TAPartition:
 # ---------------------------------------------------------------------------
 # Datalog emission
 
-def _quote(value: str) -> str:
-    return "'" + value.replace("'", "''") + "'"
-
-
 def _attr_const(attr: Attr) -> str:
-    return _quote(f"{attr[0]}.{attr[1]}")
+    return quote(f"{attr[0]}.{attr[1]}")
 
 
 def emit_datalog(d: Instance, mdset: MDSet) -> str:
@@ -298,13 +295,13 @@ def emit_datalog(d: Instance, mdset: MDSet) -> str:
     lines.append("% relation facts")
     for rschema in d.schema.relations:
         for tid, row in d.rows(rschema.name):
-            args = ", ".join([str(tid)] + [_quote(v) for v in row])
+            args = ", ".join([str(tid)] + [quote(v) for v in row])
             lines.append(f"rel_{rschema.name}({args}).")
     lines.append("% per-MD similarity facts over tuple ids")
     for md in mdset.mds:
         # one join writes the facts of a left tuple, whose pairs are adjacent
         for t1, run in groupby(linked_pairs(md, d, mdset.sims), itemgetter(0)):
-            head = f"sim('{md.mid}', {t1}, "
+            head = f"sim({quote(md.mid)}, {t1}, "
             t2s = map(str, map(itemgetter(1), run))
             lines.append(head + (").\n" + head).join(t2s) + ").")
     lines.append("% seed rules: conditions of a feeding MD link the targets")
@@ -321,7 +318,7 @@ def emit_datalog(d: Instance, mdset: MDSet) -> str:
             for mj in feeders(mdset, mi):
                 lines.append(
                     f"eqp(X, {_attr_const(left)}, Y, {_attr_const(right)}) :- "
-                    f"{left_atom}, {right_atom}, sim('{mj.mid}', X, Y)."
+                    f"{left_atom}, {right_atom}, sim({quote(mj.mid)}, X, Y)."
                 )
     lines.append("% closure")
     lines.append("ta(X, A, Y, B) :- eqp(X, A, Y, B).")

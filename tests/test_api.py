@@ -1,7 +1,7 @@
 """The public surface: exported names resolve, every function the bench
-tracer wraps by name still exists, so a rename fails here first, no
-private name is left that nothing reads, and no package module is left
-that only the tests import."""
+tracer wraps by name and every name the bench reads from mdres still
+exists, so a rename fails here first, no private name is left that nothing
+reads, and no package module is left that only the tests import."""
 
 import ast
 import importlib
@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import mdres
 
@@ -30,6 +32,73 @@ def test_traced_functions_exist():
         assert hasattr(importlib.import_module(f"mdres.{module}"), function), (
             f"mdres.{module}.{function}"
         )
+
+
+def _dotted(node: ast.expr) -> str | None:
+    """`a.b.c` for a chain of attribute reads on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _bench_names() -> list[tuple[str, str | None]]:
+    """What the bench tracer and checker read from mdres by name, as
+    (dotted name, attribute that must sit in that class's own __dict__)."""
+    names = []
+    for path in (TRACING, ROOT / "bench" / "checks.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mdres"):
+                names += [(f"{node.module}.{a.name}", None) for a in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Subscript):
+                module = node.value.slice  # sys.modules["mdres.x"].name
+                if isinstance(module, ast.Constant) and str(module.value).startswith("mdres"):
+                    names.append((f"{module.value}.{node.attr}", None))
+            elif isinstance(node, ast.Call) and _dotted(node.func) == "self._count_method":
+                owner, attr = node.args[:2]
+                names.append((_dotted(owner), attr.value))
+    return list(dict.fromkeys(names))
+
+
+def _resolve(dotted: str):
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for part in parts[cut:]:
+            obj = getattr(obj, part)
+        return obj
+    raise ModuleNotFoundError(dotted)
+
+
+BENCH_NAMES = _bench_names()
+
+
+@pytest.mark.parametrize(
+    "dotted, own_attr", BENCH_NAMES,
+    ids=[f"{d}.{a}" if a else d for d, a in BENCH_NAMES],
+)
+def test_bench_names_resolve(dotted, own_attr):
+    """Tracer.install and the bench checker fail on a name that is gone,
+    even one that only the tests call."""
+    obj = _resolve(dotted)
+    if own_attr is not None:
+        assert own_attr in vars(obj), f"{dotted}.{own_attr}"
+
+
+def test_bench_name_scan_finds_what_the_tracer_patches():
+    assert {
+        ("mdres.relation.Instance", "value"),
+        ("mdres.relation.Instance", "with_values"),
+        ("mdres.dsets.DisjointSet", "union"),
+        ("mdres.similarity.similar", None),
+        ("mdres.check_all", None),
+        ("mdres.relation.instance_as_json", None),
+    } <= set(BENCH_NAMES)
 
 
 def test_every_module_is_loaded_by_the_package_and_cli():

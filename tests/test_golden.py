@@ -3,7 +3,8 @@
 Every fixture runs each of its MD files (`mds*.txt`) against each of its
 similarity files (`sims*.txt`), or without one when it has none, through
 classify, closure, resolve --materialize 4, oracle and emit-datalog, plus
-answers where it has a query.txt; each run once in json and once in text.
+answers where it has a query.txt; each run once in json and once in text,
+except emit-datalog, which prints datalog text and takes no --format.
 `golden_cli.json` holds [exit code, stdout, stderr] per run, keyed by the
 command line with paths relative to the repository root, and the test
 compares every run byte for byte. The test never writes the file; to record
@@ -52,6 +53,9 @@ def sweep() -> list[list[str]]:
                 if sims:
                     common += ["--sims", f"{rel}/{sims}"]
                 for command, *extra in commands:
+                    if command == "emit-datalog":  # datalog text, no --format
+                        runs.append([command, *common])
+                        continue
                     for fmt in ("json", "text"):
                         runs.append([command, *common, *extra, "--format", fmt])
     return runs

@@ -9,12 +9,15 @@ from mdres import (
     eval_rewritten,
     is_ujcq,
     load_instance,
+    parse_mds,
     parse_query,
     parse_schema,
     resolved_answers,
     rewrite,
 )
 from mdres.errors import BoundsExceededError, InputError, ParseError
+from mdres.join import Const, Var
+from mdres.query import Atom, ConjunctiveQuery
 
 from conftest import load_bundle
 from datalog_engine import evaluate, parse_program
@@ -53,6 +56,44 @@ def test_parse_rejects():
     for truncated in ("Q(", "Q(x) :- R("):
         with pytest.raises(ParseError, match="got 'end of input'"):
             parse_query(truncated, schema)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_mds, "R[A] = R[A] -> R[B] == R[B] 5", "expected ident in MD text, got '5'"),
+    (parse_mds, "R[A] = R[A] -> R[B] @ R[B]", "unexpected character '@' in MD text"),
+    (parse_query, "Q(x) -> R(x, y, z)", "expected impl in query, got '->'"),
+    (parse_query, "Q(x) :- R(x, y, z) @", "unexpected character '@' in query"),
+])
+def test_both_grammars_word_token_errors_alike(parse, text, message):
+    schema = parse_schema("relation R(A:str, B:str, C:str)")
+    with pytest.raises(ParseError) as err:
+        parse(text, schema)
+    assert str(err.value) == message
+
+
+_ROUND_TRIP_SCHEMA = parse_schema("relation R(A:str, B:str, C:str)\nrelation S(D:str)")
+# constant text that the query syntax itself uses, digits, and non-ASCII
+_CONST_TEXT = st.text(alphabet="a'#,()- 09\n\u00e9\u5b57", max_size=6) | st.text(max_size=3)
+_TERMS = st.sampled_from([Var("x"), Var("y"), Var("z1")]) | st.builds(Const, _CONST_TEXT)
+_ATOMS = st.sampled_from(["R", "S"]).flatmap(lambda rel: st.builds(
+    Atom, st.just(rel),
+    st.tuples(*[_TERMS] * _ROUND_TRIP_SCHEMA.relation(rel).arity),
+))
+
+
+@st.composite
+def _queries(draw):
+    atoms = draw(st.lists(_ATOMS, min_size=1, max_size=3))
+    body_vars = sorted({t.name for a in atoms for t in a.terms if isinstance(t, Var)})
+    head = draw(st.lists(st.sampled_from(body_vars), max_size=3)) if body_vars else []
+    return ConjunctiveQuery("Q", tuple(map(Var, head)), tuple(atoms))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, print_blob=False)
+@given(_queries())
+@example(ConjunctiveQuery("Q", (Var("x"),), (Atom("R", (Var("x"), Const("it's"), Var("y"))),)))
+def test_query_text_round_trip(q):
+    assert parse_query(str(q), _ROUND_TRIP_SCHEMA) == q
 
 
 def test_eval_direct(majority_column):
@@ -184,6 +225,7 @@ def test_auto_falls_back_to_oracle(conp_regression):
     q = conp_regression.query("query.txt")
     ans = resolved_answers(q, d, mdset)
     assert ans.provenance == "oracle"
+    assert ans.ujcq == is_ujcq(q, mdset) and ans.ujcq[0] is False
     # some minimal resolution collapses C to a single value, losing the pair
     assert not ans.boolean_true
     with pytest.raises(NotEligibleError, match="not available"):
