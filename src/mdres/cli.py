@@ -11,16 +11,20 @@ The JSON writer is `_dump_json`: it gives the bytes of
 `json.dumps(payload, indent=2, sort_keys=True)`, built with `str.join`; a
 list of rows (table rows, block positions, answers) is encoded by one call
 of CPython's compact C encoder and then laid out.
-Exit codes: 0 success, 1 input error, 2 the requested fast path does not
-apply, 3 the oracle exceeded its bounds.
+Each option's constraint (required, a choice, an integer range) is stated
+in its click declaration, and the click commands hand their parameters
+straight to `run`. Exit codes: 0 success; 1 input error, a usage error
+included (an unknown command or option, a missing option, a bad value), each
+reported as one `error:` line on stderr; 2 the requested fast path does not
+apply; 3 the oracle exceeded its bounds.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import NoReturn
 
 import click
 
@@ -39,56 +43,19 @@ from .relation import (
     load_csv_dir,
     load_schema,
     read_text,
+    write_csv_dir,
 )
 from .resolver import OracleBounds, enumerate_mris_oracle, fast_mri_family
 from .similarity import load_sims
 from .taclosure import emit_datalog, ta_closure
 
-FORMATS = ("json", "text")
-# The OracleBounds fields that `oracle` and `answers` take as --max-* options.
-BOUND_OPTIONS = ("max_tuples", "max_values", "max_materialized")
-
-
-@dataclass
-class RunConfig:
-    schema: str | None = None
-    data: str | None = None
-    mds: str | None = None
-    sims: str | None = None
-    query: str | None = None
-    mode: str = "auto"
-    relation: str | None = None
-    key: str | None = None
-    out: str | None = None
-    materialize: int = 0
-    max_tuples: int = OracleBounds.max_tuples
-    max_values: int = OracleBounds.max_values
-    max_materialized: int = OracleBounds.max_materialized
-    fmt: str = "json"
-
-    def bounds(self) -> OracleBounds:
-        values = {name: getattr(self, name) for name in BOUND_OPTIONS}
-        for name, value in values.items():
-            if value < 0:
-                raise InputError(f"--{name.replace('_', '-')} must be at least 0")
-        return OracleBounds(**values)
-
-
-def _require(cfg: RunConfig, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) is None:
-            raise InputError(f"--{name.replace('_', '-')} is required for this command")
-
-
-def _load(cfg: RunConfig) -> tuple[Instance, MDSet]:
-    _require(cfg, "schema", "data", "mds")
-    schema = load_schema(cfg.schema)
-    instance = load_csv_dir(schema, cfg.data)
-    sims = load_sims(cfg.sims) if cfg.sims else {}
-    mds_text = read_text(cfg.mds)
+def _load(schema: str, data: str, mds: str, sims: str | None) -> tuple[Instance, MDSet]:
+    instance = load_csv_dir(load_schema(schema), data)
+    sim_defs = load_sims(sims) if sims else {}
+    mds_text = read_text(mds)
     # lev verdicts are checked against the whole active domain when the
     # classifier first reads them, which only a two-MD chain does
-    mdset = parse_mds(mds_text, schema, sims, domain=instance.active_domain)
+    mdset = parse_mds(mds_text, instance.schema, sim_defs, domain=instance.active_domain)
     return instance, mdset
 
 
@@ -106,21 +73,50 @@ def _classification_json(mdset: MDSet) -> dict:
     }
 
 
-def run(command: str, cfg: RunConfig):
-    """Execute one CLI command; returns the payload (dict, or str for raw text).
+def run(
+    command: str,
+    *,
+    schema: str,
+    data: str,
+    mds: str | None = None,
+    sims: str | None = None,
+    query: str | None = None,
+    mode: str | None = None,
+    relation: str | None = None,
+    key: str | None = None,
+    out: str | None = None,
+    materialize: int | None = None,
+    **bounds: int,
+):
+    """Execute one CLI command on its parsed options; returns the payload
+    (dict, or str for raw text). A command is passed only the options it
+    declares; `bounds` are the --max-* options, as OracleBounds fields.
 
     Raises InputError / NotEligibleError / BoundsExceededError; the CLI maps
     those to exit codes 1 / 2 / 3.
     """
-    if cfg.fmt not in FORMATS:
-        raise InputError(f"unknown format {cfg.fmt!r} (expected one of {FORMATS})")
+    if command == "cqa-export":
+        instance = load_csv_dir(load_schema(schema), data)
+        key_attrs = [a.strip() for a in key.split(",") if a.strip()]
+        kr = build_cqa_instance(instance, relation, key_attrs)
+        payload = {
+            "relation": kr.rel,
+            "key": list(kr.key),
+            "nonkey": list(kr.nonkey),
+            "groups": len(kr.groups),
+            "rows": len(kr.rows),
+            "repair_count": kr.repair_count,
+        }
+        if out:
+            payload["files"] = [str(p) for p in write_csv_dir(kr.to_instance(), out)]
+        return payload
+
+    instance, mdset = _load(schema, data, mds, sims)
 
     if command == "classify":
-        _, mdset = _load(cfg)
         return _classification_json(mdset)
 
     if command == "closure":
-        instance, mdset = _load(cfg)
         partition = ta_closure(instance, mdset)
         return {
             "changeable": sorted([r, a] for r, a in mdset.changeable),
@@ -128,9 +124,6 @@ def run(command: str, cfg: RunConfig):
         }
 
     if command == "resolve":
-        if not 0 <= cfg.materialize <= sys.maxsize:
-            raise InputError(f"--materialize must be between 0 and {sys.maxsize}")
-        instance, mdset = _load(cfg)
         family = fast_mri_family(instance, mdset)
         payload = {
             "classification": {
@@ -142,15 +135,14 @@ def run(command: str, cfg: RunConfig):
             "blocks": family.partition.as_json(),
             "canonical": instance_as_json(family.canonical()),
         }
-        if cfg.materialize:
-            instances, truncated = family.materialize(cfg.materialize)
+        if materialize:
+            instances, truncated = family.materialize(materialize)
             payload["materialized"] = [instance_as_json(i) for i in instances]
             payload["truncated"] = truncated
         return payload
 
     if command == "oracle":
-        instance, mdset = _load(cfg)
-        mris, min_change = enumerate_mris_oracle(instance, mdset, cfg.bounds())
+        mris, min_change = enumerate_mris_oracle(instance, mdset, OracleBounds(**bounds))
         return {
             "count": len(mris),
             "min_change": min_change,
@@ -158,13 +150,11 @@ def run(command: str, cfg: RunConfig):
         }
 
     if command == "answers":
-        instance, mdset = _load(cfg)
-        _require(cfg, "query")
-        query = parse_query(read_text(cfg.query), mdset.schema)
-        answers = resolved_answers(query, instance, mdset, cfg.mode, cfg.bounds())
+        q = parse_query(read_text(query), mdset.schema)
+        answers = resolved_answers(q, instance, mdset, mode, OracleBounds(**bounds))
         ok, witness = answers.ujcq
         return {
-            "query": str(query),
+            "query": str(q),
             "ujcq": ok,
             "witness": witness,
             "mode": answers.provenance,
@@ -173,29 +163,7 @@ def run(command: str, cfg: RunConfig):
         }
 
     if command == "emit-datalog":
-        instance, mdset = _load(cfg)
         return emit_datalog(instance, mdset)
-
-    if command == "cqa-export":
-        _require(cfg, "schema", "data", "relation", "key")
-        schema = load_schema(cfg.schema)
-        instance = load_csv_dir(schema, cfg.data)
-        key = [a.strip() for a in cfg.key.split(",") if a.strip()]
-        kr = build_cqa_instance(instance, cfg.relation, key)
-        payload = {
-            "relation": kr.rel,
-            "key": list(kr.key),
-            "nonkey": list(kr.nonkey),
-            "groups": len(kr.groups),
-            "rows": len(kr.rows),
-            "repair_count": kr.repair_count,
-        }
-        if cfg.out:
-            from .relation import write_csv_dir
-
-            written = write_csv_dir(kr.to_instance(), cfg.out)
-            payload["files"] = [str(p) for p in written]
-        return payload
 
     raise InputError(f"unknown command {command!r}")
 
@@ -317,32 +285,50 @@ def _dump_json(obj, nl: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit(command: str, cfg: RunConfig, payload) -> None:
+def _emit(command: str, fmt: str, payload) -> None:
     if isinstance(payload, str):
         click.echo(payload, nl=False)
         return
-    if cfg.fmt == "json":
+    if fmt == "json":
         click.echo(_dump_json(payload))
     else:
         click.echo(_render_text(command, payload))
 
 
-def _execute(command: str, cfg: RunConfig) -> None:
+def _exit(code: int, prefix: str, message: object) -> NoReturn:
+    # one line, even when the message quotes input with a line break in it
+    click.echo(f"{prefix}: " + "\\n".join(str(message).splitlines()), err=True)
+    sys.exit(code)
+
+
+def _execute(command: str, fmt: str = "json", **params) -> None:
     try:
-        payload = run(command, cfg)
+        payload = run(command, **params)
     except NotEligibleError as exc:
-        click.echo(f"not eligible: {exc}", err=True)
-        sys.exit(2)
+        _exit(2, "not eligible", exc)
     except BoundsExceededError as exc:
-        click.echo(f"bounds exceeded: {exc}", err=True)
-        sys.exit(3)
-    except MDResError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    _emit(command, cfg, payload)
+        _exit(3, "bounds exceeded", exc)
+    except (MDResError, OSError) as exc:
+        _exit(1, "error", exc)
+    _emit(command, fmt, payload)
+
+
+class _Main(click.Group):
+    """A usage error (unknown option or command, missing option, bad value)
+    is bad input: one `error:` line on stderr and exit 1, like any other.
+    --help, Ctrl-C and a closed stdout keep click's own handling."""
+
+    def make_context(self, *args, **kwargs) -> click.Context:
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            _exit(1, "error", exc.format_message())
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _exit(1, "error", exc.format_message())
 
 
 def _options(*options):
@@ -353,24 +339,24 @@ def _options(*options):
     return decorate
 
 
-_schema = click.option("--schema", type=str, default=None, help="Schema file.")
-_data = click.option("--data", type=str, default=None, help="Directory of <relation>.csv files.")
-_format = click.option("--format", "fmt", type=str, default="json", help="json or text.")
+_schema = click.option("--schema", required=True, help="Schema file.")
+_data = click.option("--data", required=True, help="Directory of <relation>.csv files.")
+_format = click.option("--format", "fmt", type=click.Choice(("json", "text")), default="json")
 _input_options = _options(
     _schema,
     _data,
-    click.option("--mds", type=str, default=None, help="MD file."),
-    click.option("--sims", type=str, default=None, help="Similarity definitions file."),
+    click.option("--mds", required=True, help="MD file."),
+    click.option("--sims", help="Similarity definitions file."),
 )
 _common_options = _options(_input_options, _format)
 _bounds_options = _options(*(
-    click.option(f"--{name.replace('_', '-')}", type=int,
+    click.option(f"--{name.replace('_', '-')}", type=click.IntRange(min=0),
                  default=getattr(OracleBounds, name), show_default=True)
-    for name in BOUND_OPTIONS
+    for name in ("max_tuples", "max_values", "max_materialized")
 ))
 
 
-@click.group()
+@click.group(cls=_Main, no_args_is_help=False)
 def main():
     """Entity resolution with matching dependencies."""
 
@@ -379,23 +365,23 @@ def main():
 @_common_options
 def cmd_classify(**kw):
     """Classify the MD set (fast classes, easy/hard chains, Unknown)."""
-    _execute("classify", RunConfig(**kw))
+    _execute("classify", **kw)
 
 
 @main.command("closure")
 @_common_options
 def cmd_closure(**kw):
     """Print the closure partition with per-block value frequencies."""
-    _execute("closure", RunConfig(**kw))
+    _execute("closure", **kw)
 
 
 @main.command("resolve")
 @_common_options
-@click.option("--materialize", type=int, default=0, show_default=True,
-              help="Also list up to N minimal resolved instances.")
+@click.option("--materialize", type=click.IntRange(0, sys.maxsize), default=0,
+              show_default=True, help="Also list up to N minimal resolved instances.")
 def cmd_resolve(**kw):
     """Fast-path resolution: MRI family, counts, canonical instance."""
-    _execute("resolve", RunConfig(**kw))
+    _execute("resolve", **kw)
 
 
 @main.command("oracle")
@@ -403,35 +389,34 @@ def cmd_resolve(**kw):
 @_bounds_options
 def cmd_oracle(**kw):
     """Exhaustive chase enumeration of minimal resolved instances."""
-    _execute("oracle", RunConfig(**kw))
+    _execute("oracle", **kw)
 
 
 @main.command("answers")
 @_common_options
 @_bounds_options
-@click.option("--query", type=str, default=None, help="Query file.")
-@click.option("--mode", type=str, default="auto", show_default=True,
-              help="auto, rewrite or oracle.")
+@click.option("--query", required=True, help="Query file.")
+@click.option("--mode", default="auto", show_default=True, help="auto, rewrite or oracle.")
 def cmd_answers(**kw):
     """Resolved answers of a conjunctive query."""
-    _execute("answers", RunConfig(**kw))
+    _execute("answers", **kw)
 
 
 @main.command("emit-datalog")
 @_input_options
 def cmd_emit_datalog(**kw):
     """Print the closure computation as a datalog program."""
-    _execute("emit-datalog", RunConfig(**kw))
+    _execute("emit-datalog", **kw)
 
 
 @main.command("cqa-export")
 @_options(_schema, _data, _format)
-@click.option("--relation", type=str, default=None, help="Relation to repair.")
-@click.option("--key", type=str, default=None, help="Comma-separated key attributes.")
-@click.option("--out", type=str, default=None, help="Directory for the exported CSV.")
+@click.option("--relation", required=True, help="Relation to repair.")
+@click.option("--key", required=True, help="Comma-separated key attributes.")
+@click.option("--out", help="Directory for the exported CSV.")
 def cmd_cqa_export(**kw):
     """Majority-candidate rows of a keyed relation (key-repair bridge)."""
-    _execute("cqa-export", RunConfig(**kw))
+    _execute("cqa-export", **kw)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ and the oracle's per-MRI answers all run through `join`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ def join(
     head: Sequence[Var | Const],
     body: Sequence[Sequence[Var | Const]],
     sources: Sequence[Iterable[tuple]],
-) -> Iterator[tuple]:
+) -> list[tuple]:
     """Head tuples of every binding of the body atoms to the given rows.
 
     `body` holds one term sequence per atom and `sources` one row iterable
@@ -45,12 +45,14 @@ def join(
     atoms bind; rows that miss one of the atom's constants, or disagree on a
     variable repeated inside the atom, are dropped while the index is built.
     A binding is the tuple of variable values in the order the variables are
-    first bound, so a lookup reads fixed slots. Every head variable must
-    occur in the body. A head tuple comes once per binding; callers that
-    want a set build one.
+    first bound, so a lookup reads fixed slots. The bindings are one list,
+    extended atom by atom through the atom's index, and the head tuples are
+    read off the last list, in the nested-loop order of the atoms' rows.
+    Every head variable must occur in the body. A head tuple comes once per
+    binding; callers that want a set build one.
     """
     slots: dict[str, int] = {}
-    plans = []
+    bindings: list[tuple] = [()]
     for terms, rows in zip(body, sources):
         consts, repeats, keyed, lookup = [], [], [], []
         first: dict[str, int] = {}
@@ -74,15 +76,10 @@ def join(
                 index.setdefault(key, []).append(tuple(row[j] for j in new))
         for name in first:
             slots[name] = len(slots)
-        plans.append((lookup, index))
+        bindings = [
+            binding + values
+            for binding in bindings
+            for values in index.get(tuple(binding[s] for s in lookup), ())
+        ]
     out = [(slots[t.name], None) if isinstance(t, Var) else (None, t.value) for t in head]
-
-    def extend(k: int, binding: tuple) -> Iterator[tuple]:
-        if k == len(plans):
-            yield tuple(c if s is None else binding[s] for s, c in out)
-            return
-        lookup, index = plans[k]
-        for values in index.get(tuple(binding[s] for s in lookup), ()):
-            yield from extend(k + 1, binding + values)
-
-    yield from extend(0, ())
+    return [tuple(c if s is None else binding[s] for s, c in out) for binding in bindings]

@@ -4,8 +4,8 @@ An MD has the shape `R[A1] ~s1 S[B1], ... -> R[C1] == S[E1], ...`: when the
 left-hand similarity conditions hold on a pair of tuples, the right-hand
 attribute pairs must be made equal. A set of MDs is kept in standard form
 (no two MDs share a left-hand side; right-hand sides of duplicates merge).
-MDs are separated by `;` and `#` starts a comment that runs to the end of
-the line.
+MDs are separated by `;` (one after the last MD is optional) and `#`
+starts a comment that runs to the end of the line.
 
 `TokenStream` is the one tokenizer of the package: MD text here and query
 text in `query.py` are both read through it, so the two grammars split text
@@ -305,10 +305,10 @@ def parse_mds(
 ) -> MDSet:
     """Parse MD text into a standard-form MDSet.
 
-    MDs are separated by `;`. Ids m1, m2, ... are assigned in input order;
-    MDs with the same left-hand side are merged (their right-hand sides are
-    concatenated) and ids reassigned over the merged list. `domain` becomes
-    the set's `MDSet.domain`.
+    MDs are separated by `;`; one after the last MD is optional. Ids m1,
+    m2, ... are assigned in input order; MDs with the same left-hand side
+    are merged (their right-hand sides are concatenated) and ids reassigned
+    over the merged list. `domain` becomes the set's `MDSet.domain`.
     """
     sims = dict(sims or {})
     sims.setdefault("=", EQUALITY)
@@ -353,7 +353,8 @@ def parse_mds(
             if not ts.skip("comma"):
                 break
         raw.append((conjuncts, matches))
-        ts.skip("semi")
+        if ts.peek() is not _END:
+            ts.take("semi")
     if not raw:
         raise InputError("no MDs given")
 

@@ -5,6 +5,7 @@ import random
 import shutil
 import subprocess
 import sys
+from itertools import chain
 
 import pytest
 from click.testing import CliRunner
@@ -92,7 +93,10 @@ def test_resolve_materialize_truncates():
 def test_materialize_out_of_range_exits_1(value):
     res = invoke(args_for("dup_groups", "resolve", "--materialize", value))
     assert res.exit_code == 1, res.output
-    assert res.stderr == f"error: --materialize must be between 0 and {sys.maxsize}\n"
+    assert res.stderr == (
+        f"error: Invalid value for '--materialize': {value} is not in the range "
+        f"0<=x<={sys.maxsize}.\n"
+    )
     assert res.stdout == ""
 
 
@@ -323,7 +327,9 @@ def test_negative_oracle_bound_exits_1(option, value):
     ):
         res = invoke(argv)
         assert res.exit_code == 1, res.output
-        assert res.stderr == f"error: {option} must be at least 0\n"
+        assert res.stderr == (
+            f"error: Invalid value for '{option}': {value} is not in the range x>=0.\n"
+        )
         assert res.stdout == ""
 
 
@@ -332,14 +338,14 @@ def test_missing_input_exits_1(tmp_path):
     assert res.exit_code == 1
     assert res.stderr.startswith("error:")
     res2 = invoke(["classify", "--schema", str(FIXTURES / "dup_groups/schema.txt")])
-    assert res2.exit_code == 1
-    assert "--data is required" in res2.stderr
+    assert res2.exit_code == 1 and res2.stdout == ""
+    assert res2.stderr == "error: Missing option '--data'.\n"
 
 
 def test_removed_threads_option_is_a_usage_error():
     res = invoke(args_for("dup_groups", "classify", "--threads", "2"))
-    assert res.exit_code == 2
-    assert "No such option" in res.stderr
+    assert res.exit_code == 1 and res.stdout == ""
+    assert res.stderr == "error: No such option '--threads'.\n"
 
 
 @pytest.mark.parametrize("command, option, value", [
@@ -348,14 +354,81 @@ def test_removed_threads_option_is_a_usage_error():
     ("oracle", "--max-depth", "1"),
 ])
 def test_options_nothing_reads_are_usage_errors(command, option, value):
+    hint = {"--max-depth": " (Did you mean one of: '--max-tuples', '--max-values'?)"}
     root = FIXTURES / "keyed_majority"
     res = invoke([
         command, "--schema", str(root / "schema.txt"), "--data", str(root / "data"),
         option, value,
     ])
-    assert res.exit_code == 2
-    assert f"No such option '{option}'" in res.stderr
+    assert res.exit_code == 1
+    assert res.stderr == f"error: No such option '{option}'.{hint.get(option, '')}\n"
     assert res.stdout == ""
+
+
+CONTRACT_ROOT = FIXTURES / "majority_column"
+CONTRACT_VALUES = {
+    "--schema": str(CONTRACT_ROOT / "schema.txt"),
+    "--data": str(CONTRACT_ROOT / "data"),
+    "--mds": str(CONTRACT_ROOT / "mds.txt"),
+    "--query": str(CONTRACT_ROOT / "query.txt"),
+    "--relation": "R",
+    "--key": "A",
+}
+INPUTS = ("--schema", "--data", "--mds")
+BOUNDS = dict.fromkeys(("--max-tuples", "--max-values", "--max-materialized"), "x>=0")
+# command: (required options, {integer option: its range}, takes --format)
+CONTRACT = {
+    "classify": (INPUTS, {}, True),
+    "closure": (INPUTS, {}, True),
+    "resolve": (INPUTS, {"--materialize": f"0<=x<={sys.maxsize}"}, True),
+    "oracle": (INPUTS, BOUNDS, True),
+    "answers": ((*INPUTS, "--query"), BOUNDS, True),
+    "emit-datalog": (INPUTS, {}, False),
+    "cqa-export": (("--schema", "--data", "--relation", "--key"), {}, True),
+}
+
+
+def _valid_argv(command):
+    return [command, *chain.from_iterable((o, CONTRACT_VALUES[o]) for o in CONTRACT[command][0])]
+
+
+def _usage_errors():
+    """pytest.param(argv, stderr message) for each usage error of each command."""
+    cases = []
+    for command, (required, integers, formats) in CONTRACT.items():
+        valid = _valid_argv(command)
+        case = [("unknown", valid + ["--no-such"], "No such option '--no-such'.")]
+        for option in required:
+            i = valid.index(option)
+            case.append((f"no{option}", valid[:i] + valid[i + 2:], f"Missing option '{option}'."))
+        for option, limit in integers.items():
+            for value, problem in (("x", "'x' is not a valid integer range"),
+                                   ("-1", f"-1 is not in the range {limit}")):
+                case.append((f"{option}={value}", valid + [option, value],
+                             f"Invalid value for '{option}': {problem}."))
+        if formats:
+            case.append(("--format=xml", valid + ["--format", "xml"],
+                         "Invalid value for '--format': 'xml' is not one of 'json', 'text'."))
+        cases += [pytest.param(argv, msg, id=f"{command}:{label}") for label, argv, msg in case]
+    return cases
+
+
+@pytest.mark.parametrize("command", CONTRACT)
+def test_contract_base_invocation_runs(command):
+    res = invoke(_valid_argv(command))
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("argv, message", [
+    *_usage_errors(),
+    pytest.param([], "Missing command.", id="bare"),
+    pytest.param(["merge"], "No such command 'merge'.", id="unknown-command"),
+    pytest.param([*_valid_argv("classify"), "a\nb"], "Got unexpected extra argument (a\\nb)",
+                 id="extra-argument"),
+])
+def test_usage_error_is_one_line_input_error(argv, message):
+    res = invoke(argv)
+    assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
 
 
 def test_unknown_answer_mode_exits_1():

@@ -73,6 +73,15 @@ def test_parse_rejects_unknown_names():
         parse_mds("R[A] -> R[B] == R[B]", schema)
 
 
+def test_mds_need_a_semicolon_between_them():
+    schema = parse_schema("relation R(A:str, B:str)")
+    md = "R[A] = R[A] -> R[B] == R[B]"
+    with pytest.raises(ParseError, match=r"^expected semi in MD text, got 'R'$"):
+        parse_mds(f"{md} R[A] = R[B] -> R[B] == R[B]", schema)
+    for text in (md, f"{md};", f"{md};\n{md}", f"{md}; {md};"):
+        assert parse_mds(text, schema).mds[0].mid == "m1"
+
+
 def test_parse_rejects_mixed_domain_tags():
     schema = parse_schema("relation R(A:str, B:int, C:str)")
     with pytest.raises(InputError):

@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -16,7 +19,7 @@ from mdres import (
     rewrite,
 )
 from mdres.errors import BoundsExceededError, InputError, ParseError
-from mdres.join import Const, Var
+from mdres.join import Const, Var, join
 from mdres.query import Atom, ConjunctiveQuery
 
 from conftest import load_bundle
@@ -59,7 +62,7 @@ def test_parse_rejects():
 
 
 @pytest.mark.parametrize("parse, text, message", [
-    (parse_mds, "R[A] = R[A] -> R[B] == R[B] 5", "expected ident in MD text, got '5'"),
+    (parse_mds, "R[A] = R[A] -> R[B] == R[B] 5", "expected semi in MD text, got '5'"),
     (parse_mds, "R[A] = R[A] -> R[B] @ R[B]", "unexpected character '@' in MD text"),
     (parse_query, "Q(x) -> R(x, y, z)", "expected impl in query, got '->'"),
     (parse_query, "Q(x) :- R(x, y, z) @", "unexpected character '@' in query"),
@@ -308,3 +311,34 @@ def test_eval_cq_matches_nested_loop(r_rows, s_rows, query):
     rule = f"q({', '.join(['1', *map(str.upper, head)])}) :- {_body(lowered, _datalog_var)}."
     derived = evaluate(parse_program("\n".join(facts + [rule])))
     assert {row[1:] for row in derived.get("q", set())} == expected
+
+
+def _nested_join(head, body, sources):
+    """join's result by brute force: every combination of rows, in product
+    order, kept when it binds each variable to one value."""
+    out = []
+    for rows in product(*sources):
+        env = {}
+        if all(
+            t.value == v if isinstance(t, Const) else env.setdefault(t.name, v) == v
+            for terms, row in zip(body, rows)
+            for t, v in zip(terms, row)
+        ):
+            out.append(tuple(env[t.name] if isinstance(t, Var) else t.value for t in head))
+    return out
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, print_blob=False)
+@given(_rows(2), _rows(3), _queries(), st.data())
+def test_join_order_and_atom_shuffle(r_rows, s_rows, query, data):
+    """join gives the nested-loop tuples in the nested-loop order, and the
+    same multiset of tuples whatever the order of the body atoms."""
+    head_names, atoms = query
+    head = [Var(name) for name in head_names]
+    body = [tuple(Const(t[1:-1]) if "'" in t else Var(t) for t in terms) for _, terms in atoms]
+    sources = [{"R": r_rows, "S": s_rows}[rel] for rel, _ in atoms]
+    got = join(head, body, sources)
+    assert got == _nested_join(head, body, sources)
+    order = data.draw(st.permutations(range(len(atoms))))
+    shuffled = join(head, [body[i] for i in order], [sources[i] for i in order])
+    assert Counter(shuffled) == Counter(got)
