@@ -36,7 +36,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .dsets import DisjointSet
 from .errors import InputError, NotEligibleError, ParseError
 from .relation import Attr, Schema, format_attr
-from .similarity import EQUALITY, SimilaritySpec, check_transitivity
+from . import similarity
+from .similarity import EQUALITY, SimilaritySpec
 
 FAST_LABELS = frozenset({"NonInteracting", "SimpleCycle", "HitSimpleCycle"})
 
@@ -119,14 +120,14 @@ class MDSet:
     def transitive(self, spec: SimilaritySpec) -> bool | None:
         """The spec's transitivity verdict, None when it cannot be decided.
 
-        An unchecked spec is checked against the set's domain on first read,
-        and the verdict is kept for later reads.
+        Only a declared lev can be unchecked: it is checked against the
+        set's domain on first read, and the verdict is kept for later reads.
         """
         if spec.transitive is not None or self.domain is None:
             return spec.transitive
         verdict = self._verdicts.get(spec)
         if verdict is None:
-            verdict = check_transitivity(spec, self.domain()).transitive
+            verdict = not similarity.verify_transitivity(spec, self.domain())
             self._verdicts[spec] = verdict
         return verdict
 

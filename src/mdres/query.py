@@ -25,11 +25,11 @@ position, and no non-free variable with two or more occurrences does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import BoundsExceededError, InputError, NotEligibleError, ParseError
 from .join import Const, Var, join, quote
-from .mds import Classification, MDSet, TokenStream, classify, eqr_class
+from .mds import MDSet, TokenStream, classify, eqr_class
 from .relation import Attr, Instance, Schema
 from .resolver import OracleBounds, enumerate_mris_oracle
 from .taclosure import ta_closure
@@ -278,32 +278,28 @@ def _render_rewritten(ra: RewrittenAtom, schema: Schema) -> str:
     return f"exists {primed_vars} ({' & '.join(pieces)})"
 
 
-def rewrite(
-    q: ConjunctiveQuery,
-    mdset: MDSet,
-    *,
-    ujcq: tuple[bool, str | None] | None = None,
-    cls: Classification | None = None,
-) -> RewrittenQuery:
-    """Instance-independent rewriting of a join-safe query.
+def rewrite(q: ConjunctiveQuery, mdset: MDSet) -> RewrittenQuery:
+    """Instance-independent rewriting of a join-safe query over a fast set.
+
+    Checks its own eligibility: a query that is not join-safe (is_ujcq) or
+    an MD set outside the fast classes (classify) raises one
+    NotEligibleError that names every failing reason.
 
     Atoms without free variables at changeable positions pass through. Every
     other atom gets a primed copy (the stored value at those positions is
     existentially quantified away) plus one strict-majority condition per
-    affected position, summed over the position's match-class. A caller that
-    already holds is_ujcq(q, mdset) or classify(mdset) passes it as `ujcq` or
-    `cls`.
+    affected position, summed over the position's match-class.
     """
-    ok, witness = ujcq if ujcq is not None else is_ujcq(q, mdset)
-    if not ok:
-        raise NotEligibleError(f"query is not join-safe for rewriting: {witness}")
-    if cls is None:
-        cls = classify(mdset)
+    ok, witness = is_ujcq(q, mdset)
+    cls = classify(mdset)
+    reasons = [] if ok else [f"query is not join-safe for rewriting: {witness}"]
     if not cls.fast:
-        raise NotEligibleError(
+        reasons.append(
             f"rewriting applies to NonInteracting, SimpleCycle and HitSimpleCycle "
             f"sets; this set classifies as {cls.label}"
         )
+    if reasons:
+        raise NotEligibleError("; ".join(reasons))
     free = q.free
     out = []
     for atom in q.atoms:
@@ -369,7 +365,7 @@ def eval_rewritten(rq: RewrittenQuery, d: Instance) -> AnswerSet:
 
     body = [ra.original.terms for ra in rq.atoms]
     results = set(join(rq.head, body, [view(ra) for ra in rq.atoms]))
-    return AnswerSet(tuple(sorted(results)), "rewrite", rq)
+    return AnswerSet(tuple(sorted(results)), "rewrite", rq, ujcq=(True, None))
 
 
 # ---------------------------------------------------------------------------
@@ -384,36 +380,31 @@ def resolved_answers(
 ) -> AnswerSet:
     """Answers true on every minimal resolved instance.
 
-    mode "rewrite" insists on the fast path and raises NotEligibleError when
-    the query or the MD set disqualifies it; "oracle" intersects over the
-    enumerated MRIs; "auto" prefers the rewrite and falls back to the oracle.
-    The answer set keeps the query's is_ujcq verdict as `ujcq`.
+    mode "rewrite" insists on the fast path and raises rewrite's
+    NotEligibleError when the query or the MD set disqualifies it; "oracle"
+    intersects over the enumerated MRIs; "auto" tries the rewrite and falls
+    back to the oracle when rewrite refuses. The answer set keeps the
+    query's is_ujcq verdict as `ujcq`: (True, None) on the rewrite path,
+    which only a join-safe query reaches.
     """
     if mode not in ("auto", "rewrite", "oracle"):
         raise InputError(f"unknown answer mode {mode!r}")
-    verdict = is_ujcq(q, mdset)
-    ok, witness = verdict
-    cls = classify(mdset)
-    fast_ok = ok and cls.fast
-    if mode == "rewrite" or (mode == "auto" and fast_ok):
-        if not fast_ok:
-            reasons = []
-            if not ok:
-                reasons.append(witness)
-            if not cls.fast:
-                reasons.append(f"MD set classifies as {cls.label}")
-            raise NotEligibleError(
-                "rewrite path not available: " + "; ".join(reasons)
-            )
-        answers = eval_rewritten(rewrite(q, mdset, ujcq=verdict, cls=cls), d)
-        return replace(answers, ujcq=verdict)
+    refusal = None
+    if mode != "oracle":
+        try:
+            rq = rewrite(q, mdset)
+        except NotEligibleError as exc:
+            if mode == "rewrite":
+                raise
+            refusal = exc
+        else:
+            return eval_rewritten(rq, d)
     try:
         mris, _ = enumerate_mris_oracle(d, mdset, bounds)
     except BoundsExceededError as exc:
-        if mode == "auto":
-            note = witness or f"MD set classifies as {cls.label}"
+        if refusal is not None:
             raise BoundsExceededError(
-                f"{exc} (and the rewrite path was not available: {note})"
+                f"{exc} (and the rewrite path was not available: {refusal})"
             ) from exc
         raise
     common: set[tuple[str, ...]] | None = None
@@ -422,7 +413,7 @@ def resolved_answers(
         common = tuples if common is None else common & tuples
         if not common:
             break
-    return AnswerSet(tuple(sorted(common or set())), "oracle", ujcq=verdict)
+    return AnswerSet(tuple(sorted(common or set())), "oracle", ujcq=is_ujcq(q, mdset))
 
 
 def resolved_values(d: Instance, mdset: MDSet, rel: str, attr: str) -> tuple[str, ...]:

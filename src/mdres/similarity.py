@@ -1,19 +1,21 @@
 """Similarity predicates: equality, bounded edit distance, explicit tables.
 
-Each named similarity is reflexive and symmetric by construction. Whether it
-is also transitive matters to the classifier, so every spec carries a
-`transitive` verdict:
+Each named similarity is reflexive and symmetric by construction (a table's
+pairs are closed under symmetry however the spec is built). Whether it is
+also transitive matters to the classifier, so every spec carries a
+`transitive` verdict, derived by the spec wherever the spec alone decides it:
 
 - eq: transitive, always.
-- table: decided exactly when the table is loaded. A violating triple needs
-  both of its similar pairs in the table, so checking the values the table
-  mentions decides the question for every domain.
-- lev(k): transitive only if declared so in the sims file, and the declaration
-  is downgraded when the active domain it is checked against exhibits a
-  violating triple. It is never upgraded. The verdict is taken on first
-  read, not at load: an MD set loaded with a domain checks an unchecked spec
-  the first time the classifier asks (`MDSet.transitive`) and keeps the
-  answer.
+- table: decided when the spec is built. A violating triple needs both of
+  its similar pairs in the table, so checking the values the table mentions
+  decides the question for every domain.
+- lev(k): not transitive unless declared so in the sims file. A declared
+  lev is the one verdict a domain decides: it stays None until checked, and
+  is False when the active domain exhibits a violating triple. An MD set
+  loaded with a domain checks it the first time the classifier asks
+  (`MDSet.transitive`) and keeps the answer.
+
+A `transitive=` that contradicts a derived verdict is an input error.
 
 `similar` answers an edit-distance question with `within_distance`, which
 fills only the diagonal band of the DP that can stay within the bound.
@@ -49,7 +51,7 @@ class SimilaritySpec:
     max_distance: int = 0
     pairs: frozenset[tuple[str, str]] = frozenset()
     declared_transitive: bool = False
-    transitive: bool | None = None  # None = not yet checked against a domain
+    transitive: bool | None = None  # None = a declared lev not yet checked
     # table: value -> the other values it is paired with, derived from pairs
     adjacency: dict[str, tuple[str, ...]] = field(
         init=False, repr=False, compare=False, hash=False, default_factory=dict
@@ -60,17 +62,31 @@ class SimilaritySpec:
             raise InputError(f"similarity {self.name!r}: unknown kind {self.kind!r}")
         if self.kind == "lev" and self.max_distance < 0:
             raise InputError(f"similarity {self.name!r}: negative distance bound")
+        pairs = self.pairs | {(b, a) for a, b in self.pairs}
         adjacency: dict[str, list[str]] = {}
-        for a, b in sorted(self.pairs):
+        for a, b in sorted(pairs):
             if a != b:
                 adjacency.setdefault(a, []).append(b)
+        object.__setattr__(self, "pairs", pairs)
         object.__setattr__(
             self, "adjacency", {a: tuple(bs) for a, bs in adjacency.items()}
         )
+        if self.kind == "lev" and self.declared_transitive:
+            return  # the one verdict that needs a domain
+        if self.kind == "table":
+            verdict = not verify_transitivity(self, {v for pair in pairs for v in pair})
+        else:
+            verdict = self.kind == "eq"
+        if self.transitive not in (None, verdict):
+            raise InputError(
+                f"similarity {self.name!r}: given transitive={self.transitive}, "
+                f"but this {self.kind} similarity is {'' if verdict else 'not '}transitive"
+            )
+        object.__setattr__(self, "transitive", verdict)
 
 
 # Built-in equality, available in MD conditions as `=`.
-EQUALITY = SimilaritySpec(name="=", kind="eq", declared_transitive=True, transitive=True)
+EQUALITY = SimilaritySpec(name="=", kind="eq")
 
 
 def within_distance(a: str, b: str, k: int) -> bool:
@@ -223,8 +239,6 @@ def verify_transitivity(
     squared degrees.
     """
     values = sorted(set(domain))
-    if spec.kind == "eq":
-        return []
     near = {v: set(ns) for v, ns in neighbours(spec, values).items()}
     violations = []
     for y in values:
@@ -238,22 +252,14 @@ def verify_transitivity(
     return violations
 
 
-def _table_transitive(pairs: frozenset[tuple[str, str]]) -> bool:
-    mentioned = {v for pair in pairs for v in pair}
-    return not verify_transitivity(
-        SimilaritySpec(name="_", kind="table", pairs=pairs), mentioned
-    )
-
-
 def check_transitivity(spec: SimilaritySpec, domain: Iterable[str]) -> SimilaritySpec:
-    """Return a copy with the `transitive` verdict resolved for this domain."""
-    if spec.kind == "eq":
-        return replace(spec, transitive=True)
-    if spec.kind == "table":
-        # Exact at load time; re-deriving here keeps the call idempotent.
-        return replace(spec, transitive=_table_transitive(spec.pairs))
-    if not spec.declared_transitive:
-        return replace(spec, transitive=False)
+    """Return the spec with its `transitive` verdict resolved for this domain.
+
+    Only a declared lev is checked against the domain; every other spec
+    derived its verdict when it was built.
+    """
+    if spec.kind != "lev" or not spec.declared_transitive:
+        return spec
     return replace(spec, transitive=not verify_transitivity(spec, domain))
 
 
@@ -265,7 +271,7 @@ def check_all(
 
 
 def load_table(text: str, source: str = "<table>") -> frozenset[tuple[str, str]]:
-    """Read `value,value` lines; the result is closed under symmetry."""
+    """Read `value,value` lines; a table spec closes them under symmetry."""
     pairs = set()
     rownum = 0
     try:
@@ -280,7 +286,6 @@ def load_table(text: str, source: str = "<table>") -> frozenset[tuple[str, str]]
             if a == "" or b == "":
                 raise InputError(f"{source}, row {rownum}: blank value")
             pairs.add((a, b))
-            pairs.add((b, a))
     except csv.Error as exc:  # say, a field over csv.field_size_limit()
         raise InputError(f"{source}, row {rownum + 1}: {exc}") from None
     return frozenset(pairs)
@@ -297,10 +302,10 @@ def parse_sims(
     """Parse a sims file.
 
     Lines: `sim NAME = eq`, `sim NAME = lev <= K [transitive]`,
-    `sim NAME = table FILE` (FILE relative to base_dir). Table specs get
-    their transitivity verdict immediately; lev specs stay unchecked until
-    check_transitivity sees an active domain, or an MD set loaded with one
-    first reads them.
+    `sim NAME = table FILE` (FILE relative to base_dir). Every spec but a
+    declared lev derives its transitivity verdict when it is built; a
+    declared lev stays unchecked until check_transitivity sees an active
+    domain, or an MD set loaded with one first reads it.
     """
     base_dir = Path(base_dir)
     specs: dict[str, SimilaritySpec] = {}
@@ -315,8 +320,7 @@ def parse_sims(
         if name in specs:
             raise ParseError(f"duplicate similarity {name!r}", lineno)
         if body == "eq":
-            spec = SimilaritySpec(name=name, kind="eq", declared_transitive=True,
-                                  transitive=True)
+            spec = SimilaritySpec(name=name, kind="eq")
         elif lm := _LEV_BODY.match(body):
             if len(lm.group(1)) > 9:
                 raise ParseError(f"edit-distance bound {lm.group(1)[:12]}... is too large", lineno)
@@ -330,10 +334,8 @@ def parse_sims(
             path = base_dir / tm.group(1)
             if not os.path.isfile(path):
                 raise ParseError(f"similarity {name!r}: no such table file {path}", lineno)
-            pairs = load_table(read_text(path), str(path))
             spec = SimilaritySpec(
-                name=name, kind="table", pairs=pairs,
-                transitive=_table_transitive(pairs),
+                name=name, kind="table", pairs=load_table(read_text(path), str(path))
             )
         else:
             raise ParseError(f"cannot parse similarity body: {body!r}", lineno)

@@ -6,6 +6,7 @@ reads, and no package module is left that only the tests import."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -22,6 +23,16 @@ TRACING = ROOT / "bench" / "tracing.py"
 def test_all_names_resolve():
     for name in mdres.__all__:
         assert hasattr(mdres, name), name
+
+
+def test_no_public_callable_takes_a_verdict():
+    """The join-safety verdict and the classification are computed by the
+    code that owns them, never passed in by a caller. (AnswerSet's `ujcq`
+    field records the verdict its answers were computed under.)"""
+    for name in mdres.__all__:
+        obj = getattr(mdres, name)
+        if inspect.isfunction(obj):
+            assert not {"ujcq", "cls"} & set(inspect.signature(obj).parameters), name
 
 
 def test_traced_functions_exist():

@@ -91,6 +91,27 @@ def test_filtered_chain_easy_via_components():
     assert _ev(cls, "similarities transitive: s")
 
 
+def test_table_verdict_needs_no_domain():
+    """A non-transitive table breaks the chain's easiness whether or not the
+    set has a domain."""
+    bundle = load_bundle("filtered_chain")
+    text = (bundle.root / "mds.txt").read_text(encoding="utf-8")
+    table = SimilaritySpec(name="s", kind="table",
+                           pairs=frozenset({("a", "b"), ("b", "c")}))
+    for domain in (None, bundle.instance.active_domain):
+        mdset = parse_mds(text, bundle.schema, {"s": table}, domain)
+        cls = classify(mdset)
+        assert cls.label == "LinearPairHard"
+        assert _ev(cls, "non-transitive similarities break the easiness condition: s")
+
+
+def test_direct_eq_spec_is_transitive():
+    bundle = load_bundle("bound_pair")
+    text = (bundle.root / "mds.txt").read_text(encoding="utf-8")
+    mdset = parse_mds(text, bundle.schema, {"u": SimilaritySpec("u", "eq")})
+    assert classify(mdset).label == "LinearPairEasy"
+
+
 def test_multi_target_pair_hard():
     bundle = load_bundle("multi_target_pair")
     cls = classify(bundle.mdset)

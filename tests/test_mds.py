@@ -16,11 +16,7 @@ from mdres.similarity import SimilaritySpec
 
 
 def sims_for(*names, kind="eq"):
-    return {
-        n: SimilaritySpec(name=n, kind=kind, declared_transitive=True,
-                          transitive=True)
-        for n in names
-    }
+    return {n: SimilaritySpec(name=n, kind=kind) for n in names}
 
 
 def test_parse_single_md():

@@ -230,9 +230,27 @@ def test_auto_falls_back_to_oracle(conp_regression):
     assert ans.provenance == "oracle"
     assert ans.ujcq == is_ujcq(q, mdset) and ans.ujcq[0] is False
     # some minimal resolution collapses C to a single value, losing the pair
-    assert not ans.boolean_true
-    with pytest.raises(NotEligibleError, match="not available"):
+    assert ans.tuples == ()
+    with pytest.raises(NotEligibleError, match="not join-safe for rewriting"):
         resolved_answers(q, d, mdset, mode="rewrite")
+    # no caller can hand rewrite a verdict that would answer ((),)
+    with pytest.raises(TypeError):
+        rewrite(q, mdset, ujcq=(True, None))
+
+
+def test_rewrite_names_every_reason(hard_chain):
+    q = parse_query("Q(x) :- R(x, 'b', z)", hard_chain.schema)
+    with pytest.raises(NotEligibleError) as exc:
+        rewrite(q, hard_chain.mdset)
+    assert str(exc.value) == (
+        "query is not join-safe for rewriting: constant 'b' sits at changeable "
+        "position R[B] (atom 1); rewriting applies to NonInteracting, "
+        "SimpleCycle and HitSimpleCycle sets; this set classifies as "
+        "LinearPairHard"
+    )
+    with pytest.raises(NotEligibleError) as via_answers:
+        resolved_answers(q, hard_chain.instance, hard_chain.mdset, mode="rewrite")
+    assert str(via_answers.value) == str(exc.value)
 
 
 def test_auto_reports_both_failures(hard_chain):

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,15 +9,19 @@ from mdres import (
     ParseError,
     check_all,
     check_transitivity,
+    load_instance,
     neighbours,
+    parse_mds,
+    parse_schema,
     parse_sims,
     similar,
     verify_transitivity,
 )
 from mdres.similarity import EQUALITY, SimilaritySpec, load_table, within_distance
+from mdres.taclosure import link_groups
 
 from generators import VALUE_POOL, rand_table_sim
-from reference import ref_levenshtein, ref_similar, ref_verify_transitivity
+from reference import _lhs_pairs, ref_levenshtein, ref_similar, ref_verify_transitivity
 
 
 def test_levenshtein_matches_recursive_reference():
@@ -138,6 +143,9 @@ def test_similar_kinds():
     assert similar(table, "a", "b")
     assert similar(table, "a", "a")  # reflexive even when unlisted
     assert not similar(table, "a", "c")
+    one_way = SimilaritySpec(name="t", kind="table", pairs=frozenset({("a", "b")}))
+    assert similar(one_way, "b", "a") and one_way.pairs == table.pairs
+    assert neighbours(one_way, ["a", "b"]) == {"a": ["a", "b"], "b": ["b", "a"]}
     assert similar(EQUALITY, "x", "x")
     assert not similar(EQUALITY, "x", "y")
 
@@ -192,7 +200,9 @@ def test_check_all_resolves_every_spec():
 
 def test_load_table_symmetric_and_strict():
     pairs = load_table("a,b\n# comment\nc,d\n", "inline")
-    assert ("b", "a") in pairs and ("d", "c") in pairs
+    assert pairs == {("a", "b"), ("c", "d")}
+    spec = SimilaritySpec(name="t", kind="table", pairs=pairs)
+    assert ("b", "a") in spec.pairs and ("d", "c") in spec.pairs
     with pytest.raises(InputError):
         load_table("a\n", "inline")
     with pytest.raises(InputError):
@@ -224,3 +234,92 @@ def test_parse_sims_rejects_bad_lines(tmp_path):
         parse_sims("sim q = eq\nsim q = eq", tmp_path)
     with pytest.raises(ParseError):
         parse_sims("sim q = table missing.csv", tmp_path)
+
+
+SYM_SCHEMA = parse_schema("relation R(A:str, B:str)\nrelation S(C:str, D:str)")
+_RAW_PAIRS = st.sets(st.tuples(st.sampled_from(VALUE_POOL), st.sampled_from(VALUE_POOL)),
+                     max_size=8)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, print_blob=False)
+@given(_RAW_PAIRS, st.lists(st.sampled_from(VALUE_POOL), min_size=1, max_size=6))
+@example({("a", "b")}, ["a", "b"])
+def test_table_is_symmetric_however_built(raw, column):
+    spec = SimilaritySpec(name="t", kind="table", pairs=frozenset(raw))
+    values = sorted(set(VALUE_POOL) | set(column) | {v for pair in raw for v in pair})
+    for a in values:
+        for b in values:
+            assert similar(spec, a, b) == similar(spec, b, a), (a, b)
+    near = {v: set(ns) for v, ns in neighbours(spec, values).items()}
+    for a in values:
+        for b in near[a]:
+            assert a in near[b], (a, b)
+    mdset = parse_mds(
+        "R[A] ~t R[A] -> R[B] == R[B]; R[A] ~t S[C] -> R[B] == S[D]",
+        SYM_SCHEMA, {"t": spec},
+    )
+    inst = load_instance(SYM_SCHEMA, {
+        "R": [[v, "r"] for v in column],
+        "S": [[v, "s"] for v in reversed(column)],
+    })
+    for md in mdset.mds:
+        expanded = sorted(
+            (t1, t2)
+            for ltids, rtids in link_groups(md, inst, mdset.sims)
+            for t1 in ltids
+            for t2 in rtids
+        )
+        assert expanded == _lhs_pairs(md, inst, mdset.sims), md
+
+
+def _brute_table_verdict(raw) -> bool:
+    """The cubic verdict over the values the symmetric closure mentions."""
+    closed = frozenset(raw) | {(b, a) for a, b in raw}
+    ref = SimpleNamespace(kind="table", pairs=closed)
+    return not ref_verify_transitivity(ref, {v for pair in closed for v in pair})
+
+
+def test_spec_verdicts_match_brute_force(tmp_path):
+    rng = random.Random(11)
+    domain = ["aa", "ab", "bb", "u", "v"]
+    for case in range(60):
+        raw = {(rng.choice(VALUE_POOL), rng.choice(VALUE_POOL))
+               for _ in range(rng.randint(0, 6))}
+        (tmp_path / f"t{case}.csv").write_text(
+            "".join(f"{a},{b}\n" for a, b in sorted(raw)), encoding="utf-8"
+        )
+        parsed = parse_sims(
+            f"sim e = eq\nsim l = lev <= 1\nsim d = lev <= 1 [transitive]\n"
+            f"sim t = table t{case}.csv\n",
+            tmp_path,
+        )
+        direct = {
+            "e": SimilaritySpec(name="e", kind="eq"),
+            "l": SimilaritySpec(name="l", kind="lev", max_distance=1),
+            "t": SimilaritySpec(name="t", kind="table", pairs=frozenset(raw)),
+        }
+        expected = {"e": True, "l": False, "t": _brute_table_verdict(raw)}
+        for specs in (direct, parsed, check_all(direct, domain), check_all(parsed, domain)):
+            assert {n: specs[n].transitive for n in expected} == expected, (case, raw)
+        assert parsed["d"].transitive is None
+        checked = check_all(parsed, domain)["d"]
+        assert checked.transitive is (not ref_verify_transitivity(checked, domain))
+
+
+def test_contrary_verdict_is_an_input_error():
+    lone_pair = frozenset({("a", "b")})
+    chain = frozenset({("a", "b"), ("b", "c")})
+    contrary = [
+        dict(kind="eq", transitive=False),
+        dict(kind="lev", max_distance=1, transitive=True),
+        dict(kind="table", pairs=chain, transitive=True),
+        dict(kind="table", pairs=lone_pair, transitive=False),
+    ]
+    for kwargs in contrary:
+        with pytest.raises(InputError, match="given transitive="):
+            SimilaritySpec(name="s", **kwargs)
+    # a verdict that agrees is accepted, and a declared lev takes its checked one
+    assert SimilaritySpec(name="s", kind="table", pairs=chain, transitive=False)
+    declared = SimilaritySpec(name="s", kind="lev", max_distance=1,
+                              declared_transitive=True, transitive=False)
+    assert declared.transitive is False
