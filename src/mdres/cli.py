@@ -396,7 +396,8 @@ def cmd_oracle(**kw):
 @_common_options
 @_bounds_options
 @click.option("--query", required=True, help="Query file.")
-@click.option("--mode", default="auto", show_default=True, help="auto, rewrite or oracle.")
+@click.option("--mode", type=click.Choice(("auto", "rewrite", "oracle")), default="auto",
+              show_default=True, help="How the answers are computed.")
 def cmd_answers(**kw):
     """Resolved answers of a conjunctive query."""
     _execute("answers", **kw)

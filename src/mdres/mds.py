@@ -127,7 +127,7 @@ class MDSet:
             return spec.transitive
         verdict = self._verdicts.get(spec)
         if verdict is None:
-            verdict = not similarity.verify_transitivity(spec, self.domain())
+            verdict = similarity.verify_transitivity(spec, self.domain())
             self._verdicts[spec] = verdict
         return verdict
 
@@ -452,8 +452,9 @@ def previous_set(graph: MDGraph, mid: str) -> frozenset[str]:
     return frozenset(seen)
 
 
-def _components(pairs: Iterable[tuple], universe: Iterable) -> list[tuple]:
-    ds: DisjointSet = DisjointSet(universe)
+def _components(pairs: Iterable[tuple]) -> list[tuple]:
+    """The connected components of the items the pairs mention."""
+    ds: DisjointSet = DisjointSet()
     for a, b in pairs:
         ds.union(a, b)
     return ds.groups()
@@ -480,6 +481,9 @@ def eqr_class(mdset: MDSet, attr: Attr) -> tuple[Attr, ...]:
 # A chain m1 -> m2 is analyzed over "side attributes" ("L"/"R" occurrence
 # copies). For two distinct relations this is plain renaming; for a single
 # relation matched against itself it keeps the two occurrences apart.
+# parse_mds orients every condition and match over sorted relation names, so
+# the left end of each is side L and the right end side R, and the two MDs
+# of a chain agree on which occurrence is which.
 
 _SIDE_L = "L"
 _SIDE_R = "R"
@@ -487,28 +491,18 @@ _SIDE_R = "R"
 
 class _SideView:
     def __init__(self, m1: MD, m2: MD):
-        if {m1.left_rel, m1.right_rel} != {m2.left_rel, m2.right_rel}:
+        if (m1.left_rel, m1.right_rel) != (m2.left_rel, m2.right_rel):
             raise NotEligibleError(
                 "the two MDs of a chain must span the same relations"
             )
         self.rel_l, self.rel_r = m1.left_rel, m1.right_rel
         self.same_rel = self.rel_l == self.rel_r
-        # parse_mds orients every MD over sorted relation names, so the two
-        # MDs of a chain always agree on which occurrence is which.
-        self.lhs1 = [(self._l(c.left), self._r(c.right), c.sim) for c in m1.lhs]
-        self.rhs1 = [(self._l(a), self._r(b)) for a, b in m1.rhs]
-        self.lhs2 = [(self._l(c.left), self._r(c.right), c.sim) for c in m2.lhs]
-        self.lhs1_attrs = {a for l, r, _ in self.lhs1 for a in (l, r)}
-        self.lhs2_attrs = {a for l, r, _ in self.lhs2 for a in (l, r)}
+        self.lhs1 = [_sides(c.left, c.right) for c in m1.lhs]
+        self.rhs1 = [_sides(a, b) for a, b in m1.rhs]
+        self.lhs2 = [_sides(c.left, c.right) for c in m2.lhs]
+        self.lhs1_attrs = {a for p in self.lhs1 for a in p}
+        self.lhs2_attrs = {a for p in self.lhs2 for a in p}
         self.rhs1_attrs = {a for p in self.rhs1 for a in p}
-
-    def _l(self, attr: Attr):
-        return (_SIDE_L, attr[1]) if attr[0] == self.rel_l else (_SIDE_R, attr[1])
-
-    def _r(self, attr: Attr):
-        if self.same_rel:
-            return (_SIDE_R, attr[1])
-        return (_SIDE_L, attr[1]) if attr[0] == self.rel_l else (_SIDE_R, attr[1])
 
     def real(self, side_attr) -> Attr:
         return (self.rel_l if side_attr[0] == _SIDE_L else self.rel_r, side_attr[1])
@@ -525,27 +519,21 @@ class _SideView:
         return f"{self.rel_l}/left" if side == _SIDE_L else f"{self.rel_l}/right"
 
     def equivalent_sets(self, side: str):
-        """TC classes of the relating-relation restricted to one side, filtered
-        to classes that touch LHS(m2)."""
-        l_comp_m2 = DisjointSet(
-            a for l, r, _ in self.lhs2 for a in (l, r)
-        )
-        for l, r, _ in self.lhs2:
-            l_comp_m2.union(l, r)
-        r_comp_m1 = DisjointSet(a for p in self.rhs1 for a in p)
-        for a, b in self.rhs1:
-            r_comp_m1.union(a, b)
-        pool = sorted(
-            a for a in (self.rhs1_attrs | self.lhs2_attrs) if a[0] == side
-        )
-        ds = DisjointSet(pool)
-        for i, a in enumerate(pool):
-            for b in pool[i + 1 :]:
-                same_r1 = a in r_comp_m1 and b in r_comp_m1 and r_comp_m1.same(a, b)
-                same_l2 = a in l_comp_m2 and b in l_comp_m2 and l_comp_m2.same(a, b)
-                if same_r1 or same_l2:
-                    ds.union(a, b)
+        """TC classes of the relating-relation restricted to one side: the
+        side's attributes in one component of m1's matches or of m2's
+        conditions share a class. Only classes that touch LHS(m2) are kept."""
+        ds = DisjointSet(a for a in self.rhs1_attrs | self.lhs2_attrs if a[0] == side)
+        for pairs in (self.rhs1, self.lhs2):
+            for comp in _components(pairs):
+                on_side = [a for a in comp if a[0] == side]
+                for a in on_side[1:]:
+                    ds.union(on_side[0], a)
         return [c for c in ds.groups() if any(a in self.lhs2_attrs for a in c)]
+
+
+def _sides(left: Attr, right: Attr):
+    """A condition's or match's two ends as side attributes."""
+    return (_SIDE_L, left[1]), (_SIDE_R, right[1])
 
 
 def _chain_edge(mdset: MDSet) -> tuple[MD, MD] | None:
@@ -588,9 +576,7 @@ def _classify_chain(mdset: MDSet) -> Classification:
         return Classification("Unknown", (*evidence, str(exc)))
 
     overlap = view.rhs1_attrs & view.lhs2_attrs
-    l_comps_m1 = _components(
-        [(l, r) for l, r, _ in view.lhs1], view.lhs1_attrs
-    )
+    l_comps_m1 = _components(view.lhs1)
 
     side_ok: dict[str, bool] = {}
     for side in (_SIDE_L, _SIDE_R):

@@ -6,14 +6,14 @@ also transitive matters to the classifier, so every spec carries a
 `transitive` verdict, derived by the spec wherever the spec alone decides it:
 
 - eq: transitive, always.
-- table: decided when the spec is built. A violating triple needs both of
-  its similar pairs in the table, so checking the values the table mentions
-  decides the question for every domain.
+- table: decided when the spec is built. A violation needs two similar
+  pairs in the table, so checking the values the table mentions decides the
+  question for every domain.
 - lev(k): not transitive unless declared so in the sims file. A declared
   lev is the one verdict a domain decides: it stays None until checked, and
-  is False when the active domain exhibits a violating triple. An MD set
-  loaded with a domain checks it the first time the classifier asks
-  (`MDSet.transitive`) and keeps the answer.
+  is False when two similar values of the active domain have different
+  neighbours. An MD set loaded with a domain checks it the first time the
+  classifier asks (`MDSet.transitive`) and keeps the answer.
 
 A `transitive=` that contradicts a derived verdict is an input error.
 
@@ -74,7 +74,7 @@ class SimilaritySpec:
         if self.kind == "lev" and self.declared_transitive:
             return  # the one verdict that needs a domain
         if self.kind == "table":
-            verdict = not verify_transitivity(self, {v for pair in pairs for v in pair})
+            verdict = verify_transitivity(self, {v for pair in pairs for v in pair})
         else:
             verdict = self.kind == "eq"
         if self.transitive not in (None, verdict):
@@ -227,29 +227,20 @@ def _lev_neighbours(spec: SimilaritySpec, values: list[str]) -> dict[str, list[s
     return near
 
 
-def verify_transitivity(
-    spec: SimilaritySpec, domain: Iterable[str]
-) -> list[tuple[str, str, str]]:
-    """All violating triples (x, y, z) over the domain, with x ~ y ~ z, x !~ z.
+def verify_transitivity(spec: SimilaritySpec, domain: Iterable[str]) -> bool:
+    """Whether the spec is transitive over the domain.
 
-    Triples are reported with x < z lexicographically and sorted. Neighbour
-    lists come from `neighbours`, so no pair of values is tested unless an
-    index leaves it as a candidate; a violation is then a pair of neighbours
-    of y that are not neighbours of each other, which costs the sum of the
-    squared degrees.
+    A reflexive, symmetric relation is transitive exactly when any two
+    similar values have the same neighbours. So each value's neighbour set,
+    from `neighbours`, is numbered by its content, and every similar pair
+    must get one number: linear in the neighbour lists. The domain is
+    sorted first, so the comparisons `neighbours` makes do not depend on
+    the iteration order of a set.
     """
-    values = sorted(set(domain))
-    near = {v: set(ns) for v, ns in neighbours(spec, values).items()}
-    violations = []
-    for y in values:
-        around = sorted(near[y] - {y})
-        for i, x in enumerate(around):
-            near_x = near[x]
-            for z in around[i + 1 :]:
-                if z not in near_x:
-                    violations.append((x, y, z))
-    violations.sort()
-    return violations
+    near = neighbours(spec, sorted(set(domain)))
+    ids: dict[frozenset[str], int] = {}
+    block = {v: ids.setdefault(frozenset(ns), len(ids)) for v, ns in near.items()}
+    return all(block[u] == block[v] for v, ns in near.items() for u in ns)
 
 
 def check_transitivity(spec: SimilaritySpec, domain: Iterable[str]) -> SimilaritySpec:
@@ -260,13 +251,14 @@ def check_transitivity(spec: SimilaritySpec, domain: Iterable[str]) -> Similarit
     """
     if spec.kind != "lev" or not spec.declared_transitive:
         return spec
-    return replace(spec, transitive=not verify_transitivity(spec, domain))
+    return replace(spec, transitive=verify_transitivity(spec, domain))
 
 
 def check_all(
     specs: Mapping[str, SimilaritySpec], domain: Iterable[str]
 ) -> dict[str, SimilaritySpec]:
-    values = sorted(set(domain))
+    """Every spec with its verdict resolved for the domain (`check_transitivity`)."""
+    values = set(domain)
     return {name: check_transitivity(spec, values) for name, spec in specs.items()}
 
 

@@ -7,8 +7,9 @@ produced each verdict, not just the label.
 
 import pytest
 
-from mdres import classify, parse_mds, parse_schema
-from mdres.mds import FAST_LABELS
+from mdres import classify, equivalent_sets, parse_mds, parse_schema
+from mdres.mds import FAST_LABELS, Conjunct
+from mdres.relation import format_attr
 from mdres.similarity import SimilaritySpec
 
 from conftest import load_bundle
@@ -124,6 +125,33 @@ def test_bound_pair_easy_via_equivalent_sets():
     cls = classify(bundle.mdset)
     assert cls.label == "LinearPairEasy"
     assert _ev(cls, "(ii) every equivalent set on R is bound")
+
+
+@pytest.mark.parametrize(
+    "name, mds, sims",
+    [
+        ("bound_pair", "mds.txt", None),
+        ("multi_target_pair", "mds.txt", None),
+        ("hard_chain", "mds.txt", None),
+        ("hard_chain", "mds_joined.txt", None),
+        ("filtered_chain", "mds.txt", None),
+        ("overlap_pair", "mds.txt", "sims_eq.txt"),
+        ("overlap_pair", "mds.txt", "sims_table.txt"),
+    ],
+)
+def test_chain_verdict_ignores_how_each_condition_is_written(name, mds, sims):
+    """Writing every condition and match of a chain the other way round
+    changes neither its label and evidence nor its equivalent sets."""
+    bundle = load_bundle(name, mds=mds, sims=sims)
+    swapped = ";\n".join(
+        ", ".join(str(Conjunct(c.right, c.left, c.sim)) for c in md.lhs)
+        + " -> "
+        + ", ".join(f"{format_attr(b)} == {format_attr(a)}" for a, b in md.rhs)
+        for md in bundle.mdset.mds
+    )
+    mdset = parse_mds(swapped, bundle.schema, bundle.mdset.sims)
+    assert classify(mdset) == classify(bundle.mdset)
+    assert equivalent_sets(mdset) == equivalent_sets(bundle.mdset)
 
 
 def test_easy_and_hard_labels_are_not_fast():

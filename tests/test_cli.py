@@ -434,7 +434,9 @@ def test_usage_error_is_one_line_input_error(argv, message):
 def test_unknown_answer_mode_exits_1():
     res = invoke(args_for("majority_column", "answers", "--mode", "x", query="query.txt"))
     assert res.exit_code == 1
-    assert res.stderr == "error: unknown answer mode 'x'\n"
+    assert res.stderr == (
+        "error: Invalid value for '--mode': 'x' is not one of 'auto', 'rewrite', 'oracle'.\n"
+    )
     assert res.stdout == ""
 
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -154,7 +156,7 @@ def test_verify_transitivity_table_triple():
     # e relates to both a and i, but a and i stay dissimilar
     pairs = frozenset({("e", "a"), ("a", "e"), ("e", "i"), ("i", "e")})
     spec = SimilaritySpec(name="w", kind="table", pairs=pairs)
-    assert verify_transitivity(spec, {"a", "e", "i"}) == [("a", "e", "i")]
+    assert verify_transitivity(spec, {"a", "e", "i"}) is False
     checked = check_transitivity(spec, {"a", "e", "i"})
     assert checked.transitive is False
 
@@ -162,7 +164,7 @@ def test_verify_transitivity_table_triple():
 def test_verify_transitivity_lev_triple():
     lev1 = SimilaritySpec(name="l", kind="lev", max_distance=1,
                           declared_transitive=True)
-    assert verify_transitivity(lev1, {"aa", "ab", "bb"}) == [("aa", "ab", "bb")]
+    assert verify_transitivity(lev1, {"aa", "ab", "bb"}) is False
     # the declaration is downgraded when the active domain disproves it
     assert check_transitivity(lev1, {"aa", "ab", "bb"}).transitive is False
     assert check_transitivity(lev1, {"aa", "ab"}).transitive is True
@@ -173,13 +175,35 @@ def test_verify_transitivity_lev_triple():
 def test_verify_transitivity_matches_cubic_reference(seed):
     rng = random.Random(seed)
     if rng.random() < 0.5:
-        spec = SimilaritySpec(name="l", kind="lev", max_distance=rng.randint(0, 2))
-        domain = {"".join(rng.choice("ab") for _ in range(rng.randint(1, 4)))
-                  for _ in range(rng.randint(0, 12))}
+        # components of more than three values, cliques and chains all occur
+        spec = SimilaritySpec(name="l", kind="lev", max_distance=rng.randint(0, 3))
+        domain = {"".join(rng.choice("abc") for _ in range(rng.randint(1, 5)))
+                  for _ in range(rng.randint(0, 25))}
     else:
         spec = rand_table_sim(rng)
         domain = set(rng.sample(VALUE_POOL + ("y", "z"), rng.randint(0, 6)))
-    assert verify_transitivity(spec, domain) == ref_verify_transitivity(spec, domain)
+    assert verify_transitivity(spec, domain) is (not ref_verify_transitivity(spec, domain))
+
+
+def test_verdict_of_a_1000_value_clique_within_10_s():
+    """All 1,000 three-letter words over ten letters are within lev 3 of
+    each other: one clique. A pass over each value's pairs of neighbours
+    would take a billion steps."""
+    words = ["".join(w) for w in itertools.product("abcdefghij", repeat=3)]
+    spec = SimilaritySpec(name="c", kind="lev", max_distance=3, declared_transitive=True)
+    start = time.perf_counter()
+    assert check_transitivity(spec, words).transitive is True
+    assert time.perf_counter() - start < 10
+
+
+def test_verdict_of_a_4000_value_star_within_10_s():
+    """One hub paired with 4,000 values: the table's verdict, taken when it
+    is built, must not list the 8 million pairs of the hub's neighbours."""
+    start = time.perf_counter()
+    spec = SimilaritySpec(name="h", kind="table",
+                          pairs=frozenset(("hub", f"v{i}") for i in range(4000)))
+    assert spec.transitive is False
+    assert time.perf_counter() - start < 10
 
 
 def test_undeclared_lev_never_upgraded():
