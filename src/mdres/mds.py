@@ -2,9 +2,13 @@
 
 An MD has the shape `R[A1] ~s1 S[B1], ... -> R[C1] == S[E1], ...`: when the
 left-hand similarity conditions hold on a pair of tuples, the right-hand
-attribute pairs must be made equal. A set of MDs is kept in standard form
-(no two MDs share a left-hand side; right-hand sides of duplicates merge).
-MDs are separated by `;` (one after the last MD is optional) and `#`
+attribute pairs must be made equal. Each condition and match is oriented
+onto the MD's two relations in sorted order: across two relations the end
+in the first one comes first; on a relation matched with itself the left
+end is the first tuple and the right end the second, as written. A set of
+MDs is kept in standard form: MDs whose conditions are equal as written
+(once oriented, in any order) merge their right-hand sides. MDs are
+separated by `;` (one after the last MD is optional) and `#`
 starts a comment that runs to the end of the line.
 
 `TokenStream` is the one tokenizer of the package: MD text here and query
@@ -31,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .dsets import DisjointSet
 from .errors import InputError, NotEligibleError, ParseError
@@ -53,9 +57,6 @@ class Conjunct:
     def __str__(self) -> str:
         op = "=" if self.sim == "=" else f"~{self.sim}"
         return f"{format_attr(self.left)} {op} {format_attr(self.right)}"
-
-    def canonical(self):
-        return (frozenset((self.left, self.right)), self.sim)
 
 
 @dataclass(frozen=True)
@@ -103,11 +104,15 @@ class MDSet:
         default_factory=dict, init=False, repr=False
     )
 
+    @cached_property
+    def _by_id(self) -> dict[str, MD]:
+        return {md.mid: md for md in self.mds}
+
     def by_id(self, mid: str) -> MD:
-        for md in self.mds:
-            if md.mid == mid:
-                return md
-        raise InputError(f"no MD named {mid!r}")
+        try:
+            return self._by_id[mid]
+        except KeyError:
+            raise InputError(f"no MD named {mid!r}") from None
 
     @cached_property
     def changeable(self) -> frozenset[Attr]:
@@ -143,16 +148,25 @@ class MDGraph:
     def edgeless(self) -> bool:
         return not self.edges
 
+    # Built once per graph: the closure asks for every MD's predecessors.
+    @cached_property
+    def _successors(self) -> dict[str, tuple[str, ...]]:
+        return _adjacency(self.edges)
+
+    @cached_property
+    def _predecessors(self) -> dict[str, tuple[str, ...]]:
+        return _adjacency((b, a) for a, b in self.edges)
+
     def successors(self, mid: str) -> tuple[str, ...]:
-        return tuple(sorted(b for a, b in self.edges if a == mid))
+        return self._successors.get(mid, ())
 
     def predecessors(self, mid: str) -> tuple[str, ...]:
-        return tuple(sorted(a for a, b in self.edges if b == mid))
+        return self._predecessors.get(mid, ())
 
     def on_cycle(self, mid: str) -> bool:
         """True when some path of length >= 1 leads from mid back to itself."""
         seen: set[str] = set()
-        frontier = [b for a, b in self.edges if a == mid]
+        frontier = list(self.successors(mid))
         while frontier:
             v = frontier.pop()
             if v == mid:
@@ -164,17 +178,24 @@ class MDGraph:
         return False
 
     def is_single_cycle(self) -> bool:
-        outs = {v: self.successors(v) for v in self.vertices}
-        ins = {v: self.predecessors(v) for v in self.vertices}
-        if any(len(outs[v]) != 1 or len(ins[v]) != 1 for v in self.vertices):
+        if any(
+            len(self.successors(v)) != 1 or len(self.predecessors(v)) != 1
+            for v in self.vertices
+        ):
             return False
         start = self.vertices[0]
-        seen = [start]
-        v = outs[start][0]
+        v, length = self.successors(start)[0], 1
         while v != start:
-            seen.append(v)
-            v = outs[v][0]
-        return len(seen) == len(self.vertices)
+            v, length = self.successors(v)[0], length + 1
+        return length == len(self.vertices)
+
+
+def _adjacency(edges: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
+    """Each edge source's targets, sorted."""
+    adj: dict[str, list[str]] = {}
+    for a, b in sorted(edges):
+        adj.setdefault(a, []).append(b)
+    return {a: tuple(bs) for a, bs in adj.items()}
 
 
 @dataclass(frozen=True)
@@ -282,20 +303,16 @@ class TokenStream:
         return True
 
 
-def _parse_attr(ts: TokenStream, schema: Schema) -> Attr:
+def _parse_attr(ts: TokenStream, schema: Schema) -> tuple[Attr, str]:
+    """An attribute `Rel[Name]` and its domain tag."""
     rel = ts.take("ident")
     ts.take("lbrack")
     name = ts.take("ident")
     ts.take("rbrack")
-    attr = (rel, name)
-    if not schema.has_attr(attr):
-        raise InputError(f"unknown attribute {format_attr(attr)}")
-    return attr
-
-
-def _attr_tag(schema: Schema, attr: Attr) -> str:
-    rschema = schema.relation(attr[0])
-    return rschema.tags[rschema.index(attr[1])]
+    if not schema.has_attr((rel, name)):
+        raise InputError(f"unknown attribute {format_attr((rel, name))}")
+    rschema = schema.relation(rel)
+    return (rel, name), rschema.tags[rschema.index(name)]
 
 
 def parse_mds(
@@ -304,75 +321,42 @@ def parse_mds(
     sims: Mapping[str, SimilaritySpec] | None = None,
     domain: Callable[[], Iterable[str]] | None = None,
 ) -> MDSet:
-    """Parse MD text into a standard-form MDSet.
+    """Parse MD text into a standard-form MDSet, one MD at a time.
 
-    MDs are separated by `;`; one after the last MD is optional. Ids m1,
-    m2, ... are assigned in input order; MDs with the same left-hand side
-    are merged (their right-hand sides are concatenated) and ids reassigned
-    over the merged list. `domain` becomes the set's `MDSet.domain`.
+    MDs are separated by `;`; one after the last MD is optional. Each MD is
+    oriented (`_orient`) before the next is read, so the first bad MD is
+    the one reported. On a relation matched with itself the left end of a
+    condition or match is the first tuple and the right end the second.
+    MDs whose conditions are equal as written, in any order, merge: their
+    matches are concatenated without repeats, and ids m1, m2, ... are
+    assigned over the merged list. `domain` becomes the set's `domain`.
     """
     sims = dict(sims or {})
     sims.setdefault("=", EQUALITY)
     ts = TokenStream(text, "MD text")
-    raw = []
+    merged: dict[frozenset[Conjunct], tuple[str, str, tuple[Conjunct, ...], dict]] = {}
     while ts.peek() is not _END:
-        conjuncts = []
-        while True:
-            left = _parse_attr(ts, schema)
-            if ts.skip("eq"):
-                sim_name = "="
-            elif ts.skip("tilde"):
-                sim_name = ts.take("ident")
-                if sim_name not in sims:
-                    raise InputError(f"unknown similarity {sim_name!r}")
-            else:
-                raise ParseError(
-                    "expected a similarity operator (= or ~name) in MD text, "
-                    f"got {ts.peek()[1]!r}"
-                )
-            right = _parse_attr(ts, schema)
-            if _attr_tag(schema, left) != _attr_tag(schema, right):
-                raise InputError(
-                    f"condition {format_attr(left)} / {format_attr(right)}: "
-                    "domain tags differ"
-                )
-            conjuncts.append(Conjunct(left, right, sim_name))
-            if not ts.skip("comma"):
-                break
+        conds = _read_side(ts, schema, sims)
         ts.take("arrow")
-        matches = []
-        while True:
-            left = _parse_attr(ts, schema)
-            ts.take("matcheq")
-            right = _parse_attr(ts, schema)
-            if _attr_tag(schema, left) != _attr_tag(schema, right):
-                raise InputError(
-                    f"match {format_attr(left)} / {format_attr(right)}: "
-                    "domain tags differ"
-                )
-            matches.append((left, right))
-            if not ts.skip("comma"):
-                break
-        raw.append((conjuncts, matches))
+        matches = _read_side(ts, schema)
+        rels = sorted({a[0] for left, _, right in conds + matches for a in (left, right)})
+        if len(rels) > 2:
+            raise InputError(
+                f"an MD relates exactly two relation occurrences, got {rels}"
+            )
+        pair = (rels[0], rels[-1])
+        lhs = tuple(
+            Conjunct(*_orient("condition", c, pair), sim=c[1].lstrip("~")) for c in conds
+        )
+        rhs = merged.setdefault(frozenset(lhs), (*pair, lhs, {}))[3]
+        rhs.update(dict.fromkeys(_orient("match", m, pair) for m in matches))
         if ts.peek() is not _END:
             ts.take("semi")
-    if not raw:
+    if not merged:
         raise InputError("no MDs given")
-
-    normalized = [_normalize(conjs, matches) for conjs, matches in raw]
-
-    # Standard form: merge MDs with equal left-hand sides, in first-seen order.
-    merged: dict[frozenset, list] = {}
-    for left_rel, right_rel, conjs, matches in normalized:
-        key = frozenset(c.canonical() for c in conjs)
-        if key not in merged:
-            merged[key] = [left_rel, right_rel, list(conjs), []]
-        for pair in matches:
-            if pair not in merged[key][3]:
-                merged[key][3].append(pair)
     mds = tuple(
-        MD(f"m{i}", left_rel, right_rel, tuple(conjs), tuple(matches))
-        for i, (left_rel, right_rel, conjs, matches) in enumerate(merged.values(), start=1)
+        MD(f"m{i}", left_rel, right_rel, lhs, tuple(rhs))
+        for i, (left_rel, right_rel, lhs, rhs) in enumerate(merged.values(), start=1)
     )
     used = {c.sim for md in mds for c in md.lhs}
     return MDSet(
@@ -380,61 +364,77 @@ def parse_mds(
     )
 
 
-def _normalize(conjuncts: Sequence[Conjunct], matches: Sequence[tuple[Attr, Attr]]):
-    """Orient an MD so the two relation occurrences appear in a fixed order.
+def _read_side(
+    ts: TokenStream, schema: Schema, sims: Mapping[str, SimilaritySpec] | None = None
+) -> list[tuple[Attr, str, Attr]]:
+    """One side of an MD as written: `attr op attr` items, comma separated.
 
-    Every condition and match must span the same two relations (or a single
-    relation related to itself). Similarities and matches are symmetric, so
-    swapping the sides of individual conditions is harmless.
+    With `sims`, conditions (op `=` or `~name` for a known similarity);
+    without, matches (op `==`). Both ends of an item share a domain tag.
     """
-    rels: set[str] = set()
-    for c in conjuncts:
-        rels.update((c.left[0], c.right[0]))
-    for left, right in matches:
-        rels.update((left[0], right[0]))
-    if len(rels) > 2:
-        raise InputError(
-            f"an MD relates exactly two relation occurrences, got {sorted(rels)}"
-        )
-    if len(rels) == 1:
-        rel = next(iter(rels))
-        return rel, rel, tuple(conjuncts), tuple(matches)
-    left_rel, right_rel = sorted(rels)
-    oriented_conjs = []
-    for c in conjuncts:
-        if c.left[0] == left_rel and c.right[0] == right_rel:
-            oriented_conjs.append(c)
-        elif c.left[0] == right_rel and c.right[0] == left_rel:
-            oriented_conjs.append(Conjunct(c.right, c.left, c.sim))
+    kind = "condition" if sims is not None else "match"
+    items = []
+    while True:
+        left, tag = _parse_attr(ts, schema)
+        if sims is None:
+            op = ts.take("matcheq")
+        elif ts.skip("eq"):
+            op = "="
+        elif ts.skip("tilde"):
+            name = ts.take("ident")
+            if name not in sims:
+                raise InputError(f"unknown similarity {name!r}")
+            op = "~" + name
         else:
-            raise InputError(
-                f"condition {c} stays inside one relation while the MD spans two"
+            raise ParseError(
+                "expected a similarity operator (= or ~name) in MD text, "
+                f"got {ts.peek()[1]!r}"
             )
-    oriented_matches = []
-    for left, right in matches:
-        if left[0] == left_rel and right[0] == right_rel:
-            oriented_matches.append((left, right))
-        elif left[0] == right_rel and right[0] == left_rel:
-            oriented_matches.append((right, left))
-        else:
+        right, right_tag = _parse_attr(ts, schema)
+        if tag != right_tag:
             raise InputError(
-                f"match {format_attr(left)} == {format_attr(right)} stays inside "
-                "one relation while the MD spans two"
+                f"{kind} {format_attr(left)} / {format_attr(right)}: "
+                "domain tags differ"
             )
-    return left_rel, right_rel, tuple(oriented_conjs), tuple(oriented_matches)
+        items.append((left, op, right))
+        if not ts.skip("comma"):
+            return items
+
+
+def _orient(
+    kind: str, item: tuple[Attr, str, Attr], pair: tuple[str, str]
+) -> tuple[Attr, Attr]:
+    """The ends of a condition or match, the one in pair[0] first.
+
+    Similarities and matches are symmetric, so swapping the ends is
+    harmless. Within one relation the ends stay as written.
+    """
+    left, op, right = item
+    if (left[0], right[0]) == pair:
+        return left, right
+    if (right[0], left[0]) == pair:
+        return right, left
+    raise InputError(
+        f"{kind} {format_attr(left)} {op} {format_attr(right)} stays inside "
+        "one relation while the MD spans two"
+    )
 
 
 # ---------------------------------------------------------------------------
 # Graph and structural helpers
 
 def build_md_graph(mdset: MDSet) -> MDGraph:
-    vertices = tuple(md.mid for md in mdset.mds)
-    edges = set()
-    for a in mdset.mds:
-        for b in mdset.mds:
-            if a.rhs_attrs & b.lhs_attrs:
-                edges.add((a.mid, b.mid))
-    return MDGraph(vertices, frozenset(edges))
+    readers: dict[Attr, list[str]] = {}  # attribute -> MDs conditioning on it
+    for md in mdset.mds:
+        for attr in md.lhs_attrs:
+            readers.setdefault(attr, []).append(md.mid)
+    edges = frozenset(
+        (a.mid, b)
+        for a in mdset.mds
+        for attr in a.rhs_attrs
+        for b in readers.get(attr, ())
+    )
+    return MDGraph(tuple(md.mid for md in mdset.mds), edges)
 
 
 def previous_set(graph: MDGraph, mid: str) -> frozenset[str]:
@@ -675,20 +675,11 @@ def classify(mdset: MDSet) -> Classification:
 
     pair_fail = None
     for md in mdset.mds:
-        for c in md.lhs:
-            if c.left != c.right:
-                pair_fail = f"condition {c} of {md.mid} relates distinct attributes"
-                break
-        if pair_fail:
-            break
-        for left, right in md.rhs:
-            if left != right:
-                pair_fail = (
-                    f"match {format_attr(left)} == {format_attr(right)} of "
-                    f"{md.mid} relates distinct attributes"
-                )
-                break
-        if pair_fail:
+        bad = [f"condition {c}" for c in md.lhs if c.left != c.right] + [
+            f"match {format_attr(a)} == {format_attr(b)}" for a, b in md.rhs if a != b
+        ]
+        if bad:
+            pair_fail = f"{bad[0]} of {md.mid} relates distinct attributes"
             break
 
     lhs_fail = None

@@ -225,3 +225,44 @@ def test_longer_paths_unknown():
     cls = classify(mdset)
     assert cls.label == "Unknown"
     assert _ev(cls, "not a two-MD chain")
+
+
+def test_unknown_names_a_match_relating_distinct_attributes():
+    schema = parse_schema("relation R(A:str, B:str, C:str, E:str)")
+    mdset = parse_mds(
+        "R[A] = R[A] -> R[B] == R[C];"
+        "R[B] = R[B] -> R[E] == R[E];"
+        "R[E] = R[E] -> R[A] == R[A]",
+        schema,
+    )
+    cls = classify(mdset)
+    assert (cls.label, cls.evidence) == ("Unknown", (
+        "no fast structure and not a two-MD chain",
+        "match R[B] == R[C] of m1 relates distinct attributes",
+    ))
+
+
+def test_unknown_names_an_md_conditioning_on_two_changeable_attributes():
+    schema = parse_schema("relation R(A:str, B:str, C:str, E:str)")
+    mdset = parse_mds(
+        "R[A] = R[A], R[B] = R[B] -> R[C] == R[C];"
+        "R[C] = R[C] -> R[A] == R[A];"
+        "R[E] = R[E] -> R[B] == R[B]",
+        schema,
+    )
+    assert mdset.graph.edges == frozenset({("m1", "m2"), ("m2", "m1"), ("m3", "m1")})
+    cls = classify(mdset)
+    assert (cls.label, cls.evidence) == ("Unknown", (
+        "no fast structure and not a two-MD chain",
+        "m1 conditions on 2 changeable attributes (R[A], R[B])",
+    ))
+
+
+def test_two_mds_whose_only_edge_is_a_self_loop_are_not_a_chain():
+    schema = parse_schema("relation R(A:str, B:str, C:str)")
+    mdset = parse_mds("R[A] = R[A] -> R[A] == R[A]; R[B] = R[B] -> R[C] == R[C]", schema)
+    assert mdset.graph.edges == frozenset({("m1", "m1")})
+    cls = classify(mdset)
+    assert (cls.label, cls.evidence) == (
+        "Unknown", ("no fast structure and not a two-MD chain",)
+    )

@@ -636,3 +636,30 @@ def test_answers_text_format():
     assert res.exit_code == 0, res.output
     lines = res.output.splitlines()
     assert "a1\tb2\tc1" in lines
+
+
+def test_cqa_export_text(tmp_path):
+    root = FIXTURES / "keyed_majority"
+    res = invoke([
+        "cqa-export", "--schema", str(root / "schema.txt"), "--data", str(root / "data"),
+        "--relation", "Emp", "--key", "Name", "--out", str(tmp_path), "--format", "text",
+    ])
+    assert res.exit_code == 0, res.output
+    assert res.output == "Emp key=Name groups=2 rows=2 repairs=1\n"
+
+
+def test_missing_data_file_exits_1(tmp_path):
+    argv = args_for("dup_groups", "classify")
+    argv[argv.index("--data") + 1] = str(tmp_path)
+    res = invoke(argv)
+    assert (res.exit_code, res.stdout) == (1, "")
+    assert res.stderr == f"error: missing data file for relation R: {tmp_path / 'R.csv'}\n"
+
+
+def test_oracle_materialization_bound_exits_3():
+    res = invoke(args_for("dup_groups", "oracle", "--max-materialized", "1"))
+    assert (res.exit_code, res.stdout) == (3, "")
+    assert res.stderr == (
+        "bounds exceeded: 4 minimal resolved instances exceed the materialization "
+        "bound 1\n"
+    )

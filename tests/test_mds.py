@@ -8,11 +8,15 @@ from mdres import (
     eqr_class,
     eqr_classes,
     equivalent_sets,
+    load_instance,
     parse_mds,
     parse_schema,
     previous_set,
+    ta_closure,
 )
+from mdres.relation import Position
 from mdres.similarity import SimilaritySpec
+from mdres.taclosure import linked_pairs
 
 
 def sims_for(*names, kind="eq"):
@@ -185,3 +189,68 @@ def _bound_pair():
         "R[F] ~u S[E], R[I] ~u S[E], R[A] ~u S[E], R[F] ~u S[B] -> R[M] == S[N]",
         schema, sims_for("u"),
     )
+
+
+def test_reversed_self_condition_is_a_different_md():
+    # On a relation matched with itself the left end of a condition is the
+    # first tuple, so R[A] = R[B] and R[B] = R[A] are different conditions:
+    # merging the two MDs would drop the Y link the second one makes alone.
+    schema = parse_schema(
+        "relation R(A:str, B:str, C:str, E:str, X:str, Y:str)"
+    )
+    first = "R[A] = R[B], R[C] = R[E] -> R[X] == R[X]"
+    second = "R[B] = R[A], R[C] = R[E] -> R[Y] == R[Y]"
+    mdset = parse_mds(f"{first}; {second}", schema)
+    assert [str(md) for md in mdset.mds] == [f"m1: {first}", f"m2: {second}"]
+    d = load_instance(schema, {"R": [
+        ("1", "2", "3", "9", "x1", "y1"), ("2", "7", "8", "3", "x2", "y2"),
+    ]})
+    y_link = (Position(1, ("R", "Y")), Position(2, ("R", "Y")))
+    assert y_link in ta_closure(d, mdset).blocks
+    assert y_link in ta_closure(d, parse_mds(second, schema)).blocks
+
+
+def test_conditions_merge_only_when_equal_as_written():
+    schema = parse_schema("relation R(A:str, B:str, C:str)")
+    sims = sims_for("s")
+    both = "R[B] ~s R[A], R[A] ~s R[B] -> R[C] == R[C]"
+    one = "R[A] ~s R[B] -> R[A] == R[B]"
+    mdset = parse_mds(f"{both}; {one}", schema, sims)
+    assert [str(md) for md in mdset.mds] == [f"m1: {both}", f"m2: {one}"]
+    # the order of the conditions does not matter, only each one's ends
+    merged = parse_mds(f"{both}; R[A] ~s R[B], R[B] ~s R[A] -> R[A] == R[B]", schema, sims)
+    assert [str(md) for md in merged.mds] == [f"m1: {both}, R[A] == R[B]"]
+
+
+def test_mirror_image_mds_stay_two_and_link_the_same_pairs():
+    schema = parse_schema("relation R(A:str, B:str, C:str)")
+    mdset = parse_mds("R[A] = R[B] -> R[C] == R[C]; R[B] = R[A] -> R[C] == R[C]", schema)
+    m1, m2 = mdset.mds
+    d = load_instance(schema, {"R": [("1", "2", "c1"), ("2", "1", "c2"), ("2", "3", "c3")]})
+    assert sorted(linked_pairs(m1, d, mdset.sims)) == sorted(
+        (t2, t1) for t1, t2 in linked_pairs(m2, d, mdset.sims)
+    )
+
+
+@pytest.mark.parametrize("text, message", [
+    ("R[A] = S[C] -> T[F] == T[F]",
+     "an MD relates exactly two relation occurrences, got ['R', 'S', 'T']"),
+    ("R[A] = S[C], R[A] = R[B] -> R[B] == S[E]",
+     "condition R[A] = R[B] stays inside one relation while the MD spans two"),
+    ("S[C] = R[A] -> S[E] == S[C]",
+     "match S[E] == S[C] stays inside one relation while the MD spans two"),
+])
+def test_orientation_errors(text, message):
+    schema = parse_schema(
+        "relation R(A:str, B:str)\nrelation S(C:str, E:str)\nrelation T(F:str)"
+    )
+    with pytest.raises(InputError) as err:
+        parse_mds(text, schema)
+    assert str(err.value) == message
+
+
+def test_first_bad_md_is_reported_first():
+    # each MD is oriented before the next is read
+    schema = parse_schema("relation R(A:str, B:str)\nrelation S(C:str, E:str)")
+    with pytest.raises(InputError, match="^match R\\[B\\] == R\\[B\\] stays inside"):
+        parse_mds("R[A] = S[C] -> R[B] == R[B]; R[A] = R[Z] -> R[B] == R[B]", schema)

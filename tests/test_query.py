@@ -42,6 +42,11 @@ def test_parse_constants(majority_column):
     assert eval_cq(q, majority_column.instance).tuples == (("a1",),)
 
 
+def test_parse_numeric_constant():
+    q = parse_query("Q(x) :- R(x, 5)", parse_schema("relation R(A:str, B:int)"))
+    assert q.atoms[0].terms == (Var("x"), Const("5"))
+
+
 def test_parse_rejects():
     schema = load_bundle("majority_column").schema
     with pytest.raises(InputError, match="unknown relation"):

@@ -1,5 +1,6 @@
 import random
 import string
+import time
 from collections import Counter
 
 import pytest
@@ -19,7 +20,7 @@ from mdres import (
 from mdres.dsets import DisjointSet
 from mdres.relation import Position
 from mdres.similarity import SimilaritySpec
-from mdres.taclosure import link_groups, linked_pairs
+from mdres.taclosure import feeders, link_groups, linked_pairs
 
 from conftest import FIXTURES, load_bundle
 from datalog_engine import datalog_partition
@@ -279,3 +280,21 @@ def test_lev_linking_is_not_quadratic(monkeypatch):
     monkeypatch.setattr(mdres.similarity, "within_distance", counted)
     ta_closure(inst, mdset)
     assert calls < 20_000
+
+
+def test_feeders_of_a_long_cycle_are_not_cubic():
+    # every MD of an n-MD cycle is fed by all n; the graph's neighbour
+    # tuples and the id index are built once, so this stays near n^2
+    n = 1000
+    schema = parse_schema("relation R(" + ", ".join(f"A{i}:str" for i in range(n)) + ")")
+    mdset = parse_mds(
+        "; ".join(
+            f"R[A{i}] = R[A{i}] -> R[A{(i + 1) % n}] == R[A{(i + 1) % n}]"
+            for i in range(n)
+        ),
+        schema,
+    )
+    start = time.perf_counter()
+    for md in mdset.mds:
+        assert len(feeders(mdset, md)) == n
+    assert time.perf_counter() - start < 10.0
