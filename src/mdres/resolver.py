@@ -11,8 +11,14 @@ The oracle enumerates chase runs breadth-first and is the ground truth the
 fast path is checked against. It runs on ChaseSpace, where a state is a flat
 tuple of values. The merge partition is rebuilt from memos: each MD's links
 are kept as an interned link set per value of the MD's condition columns,
-and the merged blocks per tuple of link sets. Fresh values are the rungs of
-one ladder per space, renamed in each successor by first occurrence.
+read off the state on a miss, and the merged blocks per tuple of link sets.
+Fresh values are the rungs of one ladder per space, renamed in each
+successor by first occurrence. What a step reads off its layout of open
+blocks is built once per layout. For one oracle call, the combinations
+already expanded are kept per (layout, values outside the open blocks), and
+a repeated one is skipped before its successor is built. A step whose open
+blocks hold no condition slot has only stable successors, which go straight
+to the stable list without being relinked.
 
 The fast path applies when the classifier returns NonInteracting,
 SimpleCycle or HitSimpleCycle: the closure partition of the original
@@ -33,7 +39,16 @@ from .dsets import DisjointSet
 from .errors import BoundsExceededError, InputError, NotEligibleError
 from .mds import MD, Classification, MDSet, classify
 from .relation import Instance, Position
-from .taclosure import TAPartition, link_groups, slot_map, ta_closure, union_groups
+from .taclosure import (
+    TAPartition,
+    link_conditions,
+    link_groups,
+    match_keys,
+    reads_one_side,
+    slot_map,
+    ta_closure,
+    union_groups,
+)
 
 # How far a fresh value may outgrow the longest stored value. Rungs of the
 # fresh ladder grow by the largest edit-distance bound plus one, so without a
@@ -125,9 +140,58 @@ class OracleBounds:
                 raise InputError(f"{f.name} must be at least 0")
 
 
+def _key_groups(
+    side: tuple[list[int], int, Callable], values: tuple[str, ...]
+) -> dict[tuple[str, ...], list[int]]:
+    """{link key: tids in order} for one side of an MD, read off a state."""
+    tids, width, project = side
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for tid, key in zip(tids, zip(*[iter(project(values))] * width)):
+        at = groups.get(key)
+        if at is None:
+            groups[key] = [tid]
+        else:
+            at.append(tid)
+    return groups
+
+
 def _projection(slots: list[int]):
-    """Function from a state to its values at the given slots (a memo key)."""
+    """Function from a state to the tuple of its values at the given slots."""
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda values: (values[slot],)
     return itemgetter(*slots) if slots else lambda values: ()
+
+
+class _Layout:
+    """What a chase step reads off one layout of open blocks; built once.
+
+    For a state of n slots, `source` maps a slot to itself, or to n + i
+    when the i-th open block holds it; `heads` are (first slot, block
+    number), `order` the block numbers in the slot order of their heads,
+    and `take` reads a successor off `values + assignment`. `outside`
+    projects a state onto the slots that no open block holds. The layout
+    `settles` when no open block holds a condition slot.
+    """
+
+    __slots__ = (
+        "number", "source", "heads", "order", "take", "outside_slots", "outside", "settles",
+    )
+
+    def __init__(
+        self, number: int, blocks: tuple[tuple[int, ...], ...], n: int, conditions: frozenset[int]
+    ):
+        self.number = number
+        self.source = source = list(range(n))
+        for i, block in enumerate(blocks):
+            for s in block:
+                source[s] = n + i
+        self.heads = [(block[0], i) for i, block in enumerate(blocks)]
+        self.order = [j for _, j in sorted(self.heads)]
+        self.take = itemgetter(*source)
+        self.outside_slots = [s for s in range(n) if source[s] == s]
+        self.outside = _projection(self.outside_slots)
+        self.settles = all(conditions.isdisjoint(block) for block in blocks)
 
 
 class ChaseSpace:
@@ -140,18 +204,18 @@ class ChaseSpace:
 
     An MD's links depend only on the state's values at the MD's condition
     slots, and a chase step often changes target slots only, so they are
-    memoised per MD on that projection. A miss runs link_groups on the
-    state's instance, unions the groups over the slots (slot_map numbers
-    them, union_groups links them, as in ta_closure), and keeps the MD's
-    blocks of two slots or more as its link set, interned by content. The
-    merged blocks are memoised on the projection onto every MD's condition
-    slots and, behind that, on the tuple of the MDs' link sets, so a new
+    memoised per MD on that projection. A miss reads each tuple's link key
+    off the state, matches the keys with taclosure.match_keys, unions the
+    groups over the slots (slot_map numbers them, union_groups links them,
+    as in ta_closure), and keeps the MD's blocks of two slots or more as
+    its link set, interned by content; no Instance is built. The merged
+    blocks are memoised on the projection onto every MD's condition slots
+    and, behind that, on the tuple of the MDs' link sets, so a new
     condition projection that links the same way merges nothing.
     """
 
     def __init__(self, d: Instance, mdset: MDSet):
         self.schema = d.schema
-        self.sims = mdset.sims
         self.positions = d.positions()
         # per attribute {tid: slot}; a relation without tuples has no map
         self.slots, start = slot_map(d, self.positions)
@@ -164,9 +228,19 @@ class ChaseSpace:
         self.sentinel, self.base, self.k = _fresh_params(d, mdset)
         self._ladder: list[str] = []
         self._rungs: dict[str, int] = {}
-        self._links: list[tuple[MD, Callable, dict[tuple, int]]] = []
+        # per MD: the MD, its conditions (link_conditions), and its left and
+        # right sides as _key_slots gives them (the right side is None when
+        # both sides read the same columns); and the projection onto its
+        # condition slots with its memo of link set ids
+        self._links: list[tuple[MD, list, tuple, tuple | None]] = []
+        self._memos: list[tuple[Callable, dict[tuple, int]]] = []
         conditions: set[int] = set()
         for md in mdset.mds:
+            conds = link_conditions(md, d.schema, mdset.sims)
+            left = self._key_slots(md.left_rel, [li for li, _, _ in conds])
+            right = None if reads_one_side(md, conds) else (
+                self._key_slots(md.right_rel, [ri for _, ri, _ in conds])
+            )
             slots = {
                 i
                 for c in md.lhs
@@ -174,12 +248,23 @@ class ChaseSpace:
                 for i in self.slots.get(attr, {}).values()
             }
             conditions |= slots
-            self._links.append((md, _projection(sorted(slots)), {}))
+            self._links.append((md, conds, left, right))
+            self._memos.append((_projection(sorted(slots)), {}))
+        self._condition_slots = frozenset(conditions)
         self._conditions = _projection(sorted(conditions))
         self._link_ids: dict[tuple[tuple[int, ...], ...], int] = {}
         self._link_sets: list[tuple[tuple[int, ...], ...]] = []
         self._blocks: dict[tuple, list[tuple[int, ...]]] = {}
         self._merged: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        self._layouts: dict[tuple[tuple[int, ...], ...], _Layout] = {}
+
+    def _key_slots(self, rel: str, columns: list[int]) -> tuple[list[int], int, Callable]:
+        """(tids in order, key width, projection onto every tuple's link-key
+        slots, end to end) for one side of an MD."""
+        attrs = self.schema.relation(rel).attrs
+        maps = [self.slots.get((rel, attrs[c]), {}) for c in columns]
+        tids = sorted(maps[0])
+        return tids, len(columns), _projection([m[tid] for tid in tids for m in maps])
 
     def instance(self, values: tuple[str, ...]) -> Instance:
         data: dict[str, dict[int, tuple[str, ...]]] = {rel: {} for rel in self.rels}
@@ -208,11 +293,23 @@ class ChaseSpace:
             ladder.append(rung)
         return ladder[i]
 
-    def _link_set(self, md: MD, instance: Instance) -> int:
-        """Id of the interned link set of md on an instance: its blocks."""
+    def link_set(self, i: int, values: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
+        """Sorted slot blocks, of two slots or more, that the i-th MD links on
+        a state.
+
+        Every tuple's link key is read off the state, and the keys are
+        matched by taclosure.match_keys, as link_groups matches them on an
+        instance; no Instance is built.
+        """
+        md, conds, left, right = self._links[i]
+        left_keys = _key_groups(left, values)
+        right_keys = left_keys if right is None else _key_groups(right, values)
         ds: DisjointSet[int] = DisjointSet()
-        union_groups(ds, link_groups(md, instance, self.sims), md.rhs, self.slots)
-        content = tuple([g for g in ds.groups() if len(g) > 1])
+        union_groups(ds, match_keys(conds, left_keys, right_keys), md.rhs, self.slots)
+        return tuple([g for g in ds.groups() if len(g) > 1])
+
+    def _link_id(self, content: tuple[tuple[int, ...], ...]) -> int:
+        """Id of a link set, interned by content."""
         lid = self._link_ids.get(content)
         if lid is None:
             lid = self._link_ids[content] = len(self._link_sets)
@@ -225,14 +322,11 @@ class ChaseSpace:
         blocks = self._blocks.get(key)
         if blocks is None:
             ids = []
-            instance = None
-            for md, project, memo in self._links:
+            for i, (project, memo) in enumerate(self._memos):
                 md_key = project(values)
                 lid = memo.get(md_key)
                 if lid is None:
-                    if instance is None:
-                        instance = self.instance(values)
-                    lid = memo[md_key] = self._link_set(md, instance)
+                    lid = memo[md_key] = self._link_id(self.link_set(i, values))
                 ids.append(lid)
             ids = tuple(ids)
             blocks = self._merged.get(ids)
@@ -258,20 +352,53 @@ class ChaseSpace:
                 out.append((block, tuple(sorted(pool))))
         return out
 
+    def _layout(self, open_blocks: list[tuple[tuple[int, ...], tuple[str, ...]]]) -> _Layout:
+        blocks = tuple([block for block, _ in open_blocks])
+        layout = self._layouts.get(blocks)
+        if layout is None:
+            layout = self._layouts[blocks] = _Layout(
+                len(self._layouts), blocks, len(self.start), self._condition_slots
+            )
+        return layout
+
+    def settles(self, open_blocks: list[tuple[tuple[int, ...], tuple[str, ...]]]) -> bool:
+        """Whether every successor over these open blocks is stable.
+
+        Links read only condition slots. When no open block holds one, a
+        successor's condition values are the state's, up to a one-to-one
+        renaming of fresh values, which links alike; so the successor has
+        the state's blocks, the open ones now holding one value each and
+        the others unchanged.
+        """
+        return self._layout(open_blocks).settles
+
     def successors(
         self,
         values: tuple[str, ...],
         open_blocks: list[tuple[tuple[int, ...], tuple[str, ...]]],
         max_values: int = OracleBounds.max_values,
+        expanded: dict[tuple, set[tuple[str, ...]]] | None = None,
     ) -> Iterator[tuple[str, ...]]:
-        """The chase step: all successors of a state, with fresh values canonized.
+        """The chase step: the successors of a state, with fresh values canonized.
 
         A stable state has none. Otherwise there is one successor per
         combination of block assignments, in product order: each open block
         takes one of its current values or a fresh value seen nowhere else
-        (a distinct one per block). Duplicates are not removed. Raises
-        BoundsExceededError when a block offers more than max_values
-        assignments.
+        (a distinct one per block). Raises BoundsExceededError when a block
+        offers more than max_values assignments.
+
+        `expanded` is the memo of one oracle call. It is keyed on (layout
+        of the open blocks, values outside them) and holds the raw
+        combinations, fresh values not yet renamed, already expanded under
+        each key: at most one entry per successor built. A combination
+        found there is skipped before it is renamed or built, which is
+        exact: an equal layout, equal outside values and an equal raw
+        combination give the successor already built. Without the memo,
+        every combination is expanded, duplicates included.
+
+        When no open block holds a condition slot (`settles`), every
+        successor is stable. A successor is linked by `blocks`, whose memo
+        misses read each tuple's link key off the state.
 
         Fresh values introduced along different chase paths are
         interchangeable (mutually dissimilar, dissimilar to everything
@@ -280,12 +407,15 @@ class ChaseSpace:
         visited set. The first occurrence of a value is at a head: the
         first slot of an open block, or the first slot of a fresh value
         kept outside the open blocks. So only the heads are read, in slot
-        order, to number a combination's fresh values.
+        order, to number a combination's fresh values. What a step reads
+        off its layout is built once per layout; a state with a fresh value
+        outside its open blocks adds that value's slots to it.
         """
         if not open_blocks:
             return
+        layout = self._layout(open_blocks)
         rungs = self._rungs
-        used = len({v for v in values if v in rungs})
+        used = len(rungs.keys() & values)
         pools = []
         for i, (block, pool) in enumerate(open_blocks):
             if len(pool) + 1 > max_values:
@@ -297,27 +427,31 @@ class ChaseSpace:
         # A successor is read off `values + assignment` by one itemgetter;
         # the assignment holds each block's value, then each fresh value
         # kept outside the open blocks.
-        n = len(values)
-        source = list(range(n))
-        heads = []
-        for i, (block, _) in enumerate(open_blocks):
-            heads.append((block[0], i))
-            for s in block:
-                source[s] = n + i
-        kept: dict[str, int] = {}
-        for s, v in enumerate(values):
-            if source[s] == s and v in rungs:
-                j = kept.get(v)
-                if j is None:
-                    j = kept[v] = len(open_blocks) + len(kept)
-                    heads.append((s, j))
-                source[s] = n + j
-        order = [j for _, j in sorted(heads)]
-        kept_values = tuple(kept)
-        take = itemgetter(*source)
+        outside = layout.outside(values)
+        order, take, kept = layout.order, layout.take, ()
+        if used and not rungs.keys().isdisjoint(outside):
+            n, heads, source = len(values), layout.heads[:], layout.source[:]
+            firsts: dict[str, int] = {}
+            for s, v in zip(layout.outside_slots, outside):
+                if v in rungs:
+                    j = firsts.get(v)
+                    if j is None:
+                        j = firsts[v] = len(open_blocks) + len(firsts)
+                        heads.append((s, j))
+                    source[s] = n + j
+            order = [j for _, j in sorted(heads)]
+            take = itemgetter(*source)
+            kept = tuple(firsts)
+        seen = None
+        if expanded is not None:
+            seen = expanded.setdefault((layout.number, outside), set())
         ladder = self._ladder
         for combo in product(*pools):
-            assignment = combo + kept_values
+            if seen is not None:
+                if combo in seen:
+                    continue
+                seen.add(combo)
+            assignment = combo + kept
             renamed: dict[str, str] = {}
             for j in order:
                 v = assignment[j]
@@ -326,6 +460,40 @@ class ChaseSpace:
             if renamed:
                 assignment = tuple([renamed.get(v, v) for v in assignment])
             yield take(values + assignment)
+
+
+def stable_states(space: ChaseSpace, bounds: OracleBounds) -> list[tuple[str, ...]]:
+    """Every stable state the chase reaches from space.start, breadth-first.
+
+    Each state is expanded once, in the order it was first reached; the
+    successors of a step that settles are stable and are not relinked.
+    Raises BoundsExceededError when the visited states exceed max_states
+    or a block offers more than max_values assignments.
+    """
+    start = space.start
+    visited = {start}
+    frontier = [start]
+    stable: list[tuple[str, ...]] = []
+    expanded: dict[tuple, set[tuple[str, ...]]] = {}
+    while frontier:
+        next_frontier = []
+        for values in frontier:
+            open_blocks = space.open_blocks(values)
+            if not open_blocks:
+                stable.append(values)
+                continue
+            reached = stable if space.settles(open_blocks) else next_frontier
+            for succ in space.successors(values, open_blocks, bounds.max_values, expanded):
+                if succ in visited:
+                    continue
+                visited.add(succ)
+                if len(visited) > bounds.max_states:
+                    raise BoundsExceededError(
+                        f"chase state space exceeds {bounds.max_states} instances"
+                    )
+                reached.append(succ)
+        frontier = next_frontier
+    return stable
 
 
 def enumerate_mris_oracle(
@@ -349,29 +517,10 @@ def enumerate_mris_oracle(
             f"instance has {d.total_tuples} tuples, oracle bound is {b.max_tuples}"
         )
     space = ChaseSpace(d, mdset)
-    start = space.start
-    visited = {start}
-    frontier = [start]
-    stable: list[tuple[str, ...]] = []
-    while frontier:
-        next_frontier = []
-        for values in frontier:
-            open_blocks = space.open_blocks(values)
-            if not open_blocks:
-                stable.append(values)
-                continue
-            for succ in space.successors(values, open_blocks, b.max_values):
-                if succ in visited:
-                    continue
-                visited.add(succ)
-                if len(visited) > b.max_states:
-                    raise BoundsExceededError(
-                        f"chase state space exceeds {b.max_states} instances"
-                    )
-                next_frontier.append(succ)
-        frontier = next_frontier
+    stable = stable_states(space, b)
     if not stable:
         raise BoundsExceededError("no stable instance")
+    start = space.start
     changes = [sum(map(ne, start, s)) for s in stable]
     min_change = min(changes)
     winners = [s for n, s in zip(changes, stable) if n == min_change]

@@ -26,7 +26,7 @@ from .dsets import DisjointSet
 from .errors import InputError
 from .join import quote
 from .mds import MD, MDSet, previous_set
-from .relation import Attr, Instance, Position
+from .relation import Attr, Instance, Position, Schema
 from .similarity import SimilaritySpec, neighbours, similar
 
 
@@ -96,6 +96,30 @@ class TAPartition:
         ]
 
 
+def link_conditions(
+    md: MD, schema: Schema, sims: Mapping[str, SimilaritySpec]
+) -> list[tuple[int, int, SimilaritySpec]]:
+    """(left column, right column, spec) per conjunct of md, `=`/`eq` first.
+
+    A link key is a row's values at these columns, in this order.
+    """
+    eq, rest = [], []
+    for c in md.lhs:
+        li = schema.relation(c.left[0]).index(c.left[1])
+        ri = schema.relation(c.right[0]).index(c.right[1])
+        try:
+            spec = sims[c.sim]
+        except KeyError:
+            raise InputError(f"no similarity spec for {c.sim!r}") from None
+        (eq if spec.kind == "eq" else rest).append((li, ri, spec))
+    return eq + rest
+
+
+def reads_one_side(md: MD, conds: list[tuple[int, int, SimilaritySpec]]) -> bool:
+    """Whether both sides of md read the same columns of one relation."""
+    return md.left_rel == md.right_rel and all(li == ri for li, ri, _ in conds)
+
+
 def link_groups(
     md: MD, instance: Instance, sims: Mapping[str, SimilaritySpec]
 ) -> list[tuple[list[int], list[int]]]:
@@ -103,47 +127,49 @@ def link_groups(
 
     Every cross pair inside a group satisfies the conditions, and every
     satisfying pair lies in exactly one group. Rows are grouped by their
-    condition values (`=`/`eq` conjuncts first). With equality conjuncts
-    only, a left key links the right key equal to it. Otherwise right keys
-    are bucketed on the equality part and the value of the first `lev`/
-    `table` conjunct, and a left key visits only the buckets of that value's
-    `neighbours`; the remaining conjuncts are tested with `similar`, once
-    per pair of keys that reach each other. For a self-matched relation the
-    pairs include a tuple with itself, and when both sides read the same
-    columns, a group of tuples with equal keys has its left and right tids
-    in one list.
+    link keys (`link_conditions`), in tid order, and the groups are matched
+    by match_keys. For a self-matched relation the pairs include a tuple
+    with itself, and when both sides read the same columns, a group of
+    tuples with equal keys has its left and right tids in one list.
     """
-    eq, rest = [], []
-    for c in md.lhs:
-        li = instance.schema.relation(c.left[0]).index(c.left[1])
-        ri = instance.schema.relation(c.right[0]).index(c.right[1])
-        try:
-            spec = sims[c.sim]
-        except KeyError:
-            raise InputError(f"no similarity spec for {c.sim!r}") from None
-        (eq if spec.kind == "eq" else rest).append((li, ri, spec))
-    conds = eq + rest
-
+    conds = link_conditions(md, instance.schema, sims)
     left: dict[tuple[str, ...], list[int]] = {}
     for tid, row in instance.rows(md.left_rel):
         left.setdefault(tuple([row[li] for li, _, _ in conds]), []).append(tid)
-    if md.left_rel == md.right_rel and all(li == ri for li, ri, _ in conds):
-        # both sides read the same columns: a group of equal keys is one
-        # tid list on both sides, which union_groups links as a star once
+    if reads_one_side(md, conds):
         right = left
     else:
         right = {}
         for tid, row in instance.rows(md.right_rel):
             right.setdefault(tuple([row[ri] for _, ri, _ in conds]), []).append(tid)
-    if not rest:
+    return match_keys(conds, left, right)
+
+
+def match_keys(
+    conds: list[tuple[int, int, SimilaritySpec]],
+    left: dict[tuple[str, ...], list[int]],
+    right: dict[tuple[str, ...], list[int]],
+) -> list[tuple[list[int], list[int]]]:
+    """Link groups from the tids of each left and right link key.
+
+    With equality conjuncts only, a left key links the right key equal to
+    it. Otherwise right keys are bucketed on the equality part and the
+    value of the first `lev`/`table` conjunct, and a left key visits only
+    the buckets of that value's `neighbours`; the remaining conjuncts are
+    tested with `similar`, once per pair of keys that reach each other.
+    When `right` is `left` itself (both sides read the same columns), a
+    group of equal keys is one tid list on both sides, which union_groups
+    links as a star once.
+    """
+    probe = sum(spec.kind == "eq" for _, _, spec in conds)  # key index the index answers
+    if probe == len(conds):
         return [(ltids, right[key]) for key, ltids in left.items() if key in right]
 
-    probe = len(eq)  # key index of the conjunct the index answers
-    specs = [spec for _, _, spec in rest[1:]]
+    specs = [spec for _, _, spec in conds[probe + 1 :]]
     buckets: dict[tuple, list] = {}
     for key, tids in right.items():
         buckets.setdefault((key[:probe], key[probe]), []).append((key[probe + 1 :], tids))
-    near = neighbours(rest[0][2], {key[probe] for key in (*left, *right)})
+    near = neighbours(conds[probe][2], {key[probe] for key in (*left, *right)})
     groups = []
     for key, ltids in left.items():
         head, rest_left = key[:probe], key[probe + 1 :]

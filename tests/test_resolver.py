@@ -23,11 +23,14 @@ from mdres import (
     resolved_values,
     similar,
 )
+from mdres.dsets import DisjointSet
 from mdres.relation import Position, load_instance
-from mdres.resolver import ChaseSpace
+from mdres.resolver import ChaseSpace, stable_states
+from mdres.taclosure import link_groups, union_groups
 
 from conftest import FIXTURES, load_bundle
 from generators import (
+    dn_instance,
     rand_chain_case,
     rand_hsc_case,
     rand_keyed_case,
@@ -390,3 +393,136 @@ def test_resolved_values_are_in_every_oracle_mri(kind, seed):
             if fast:
                 common = set.intersection(*(set(m.column(rel, attr)) for m in mris))
                 assert resolved_values(d, mdset, rel, attr) == tuple(sorted(common))
+
+
+class _RecordingSpace(ChaseSpace):
+    """A ChaseSpace that records each state it expands and each successor
+    it yields."""
+
+    def __init__(self, d, mdset):
+        super().__init__(d, mdset)
+        self.expanded, self.built = [], []
+
+    def successors(self, values, open_blocks, max_values=OracleBounds.max_values, expanded=None):
+        self.expanded.append(values)
+        for succ in super().successors(values, open_blocks, max_values, expanded):
+            self.built.append(succ)
+            yield succ
+
+
+def _plain_search(space, bounds, expanded):
+    """Breadth-first search that relinks every state and builds every
+    combination: (stable set, number of states visited)."""
+    visited = {space.start}
+    frontier, stable = [space.start], set()
+    while frontier:
+        next_frontier = []
+        for values in frontier:
+            open_blocks = space.open_blocks(values)
+            if not open_blocks:
+                stable.add(values)
+                continue
+            expanded.append(values)
+            for succ in space.successors(values, open_blocks, bounds.max_values):
+                if succ not in visited:
+                    visited.add(succ)
+                    if len(visited) > bounds.max_states:
+                        raise BoundsExceededError(
+                            f"chase state space exceeds {bounds.max_states} instances"
+                        )
+                    next_frontier.append(succ)
+        frontier = next_frontier
+    return stable, len(visited)
+
+
+def _package_search(space, bounds):
+    stable = stable_states(space, bounds)
+    assert len(stable) == len(set(stable))
+    return set(stable), len({space.start, *space.built})
+
+
+def _search_outcome(search, *args):
+    try:
+        return search(*args)
+    except BoundsExceededError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
+@given(
+    st.sampled_from(sorted(CASES) + ["dn"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=300),
+)
+def test_search_matches_plain_breadth_first_search(kind, seed, states):
+    if kind == "dn":
+        _, d, mdset = dn_instance(4 + seed % 3)
+    else:
+        _, d, mdset = CASES[kind](random.Random(seed))
+    for bounds in (OracleBounds(), OracleBounds(max_states=states)):
+        plain = ChaseSpace(d, mdset)
+        plain_expanded = []
+        expected = _search_outcome(_plain_search, plain, bounds, plain_expanded)
+        space = _RecordingSpace(d, mdset)
+        assert _search_outcome(_package_search, space, bounds) == expected, bounds
+        assert space.expanded == plain_expanded, bounds
+
+
+def _condition_slots(space, mdset):
+    return {
+        space.slots[attr][tid]
+        for md in mdset.mds
+        for c in md.lhs
+        for attr in (c.left, c.right)
+        for tid in space.slots.get(attr, {})
+    }
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
+@given(
+    st.sampled_from(["hsc", "chain"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_settling_steps_and_state_keyed_links(kind, seed):
+    """A step whose open blocks hold no condition slot reaches only stable
+    states; link sets read off a state, fresh values included, equal
+    link_groups on the state's instance."""
+    _, d, mdset = CASES[kind](random.Random(seed))
+    space = ChaseSpace(d, mdset)
+    conditions = _condition_slots(space, mdset)
+    pending, seen = [space.start], set()
+    while pending and len(seen) < 200:
+        values = pending.pop()
+        if values in seen:
+            continue
+        seen.add(values)
+        open_blocks = space.open_blocks(values)
+        succ = list(space.successors(values, open_blocks, max_values=99))
+        if open_blocks:
+            settles = all(conditions.isdisjoint(block) for block, _ in open_blocks)
+            assert space.settles(open_blocks) == settles
+            if settles:
+                for s in succ:
+                    assert space.open_blocks(s) == [], (values, s)
+        instance = space.instance(values)
+        for i, md in enumerate(mdset.mds):
+            ds = DisjointSet()
+            union_groups(ds, link_groups(md, instance, mdset.sims), md.rhs, space.slots)
+            expected = tuple(g for g in ds.groups() if len(g) > 1)
+            assert space.link_set(i, values) == expected, (md.mid, values)
+        pending.extend(succ)
+
+
+def test_settling_step_on_duplicate_pairs(hard_chain):
+    # the targets of R[A] = R[A] -> R[B] == R[B] are no condition: one step
+    # settles every pair
+    _, d, mdset = dn_instance(3)
+    space = ChaseSpace(d, mdset)
+    open_blocks = space.open_blocks(space.start)
+    assert space.settles(open_blocks)
+    succ = list(space.successors(space.start, open_blocks))
+    assert len(succ) == 27
+    assert all(space.open_blocks(s) == [] for s in succ)
+    # m1 of the hard chain targets R[B], a condition of m2
+    space = ChaseSpace(hard_chain.instance, hard_chain.mdset)
+    assert not space.settles(space.open_blocks(space.start))
