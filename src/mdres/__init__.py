@@ -61,8 +61,6 @@ from .resolver import (
     enumerate_mris_oracle,
     fast_mri_family,
     is_stable,
-    merge_partition,
-    modifiable_positions,
 )
 from .similarity import (
     SimilaritySpec,
@@ -124,8 +122,6 @@ __all__ = [
     "load_instance",
     "load_schema",
     "load_sims",
-    "merge_partition",
-    "modifiable_positions",
     "neighbours",
     "parse_mds",
     "parse_query",

@@ -11,7 +11,10 @@ The oracle enumerates chase runs breadth-first and is the ground truth the
 fast path is checked against. It runs on ChaseSpace, where a state is a flat
 tuple of values. The merge partition is rebuilt from memos: each MD's links
 are kept as an interned link set per value of the MD's condition columns,
-read off the state on a miss, and the merged blocks per tuple of link sets.
+read off the state on a miss, and the merged blocks per tuple of link sets,
+which merge_partition computes on a miss. That is the package's one block
+computation on a state; is_stable reads the open blocks of an instance's
+start state through it.
 Fresh values are the rungs of one ladder per space, renamed in each
 successor by first occurrence. What a step reads off its layout of open
 blocks is built once per layout. For one oracle call, the combinations
@@ -33,16 +36,15 @@ from dataclasses import dataclass, fields
 from itertools import islice, product
 from math import prod
 from operator import itemgetter, ne
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .dsets import DisjointSet
 from .errors import BoundsExceededError, InputError, NotEligibleError
 from .mds import MD, Classification, MDSet, classify
-from .relation import Instance, Position
+from .relation import Instance
 from .taclosure import (
     TAPartition,
     link_conditions,
-    link_groups,
     match_keys,
     reads_one_side,
     slot_map,
@@ -56,49 +58,18 @@ from .taclosure import (
 FRESH_LADDER_LIMIT = 1024
 
 
-@dataclass(frozen=True)
-class MergeBlock:
-    """A linked set of positions on the current instance."""
-
-    positions: tuple[Position, ...]
-    values: tuple[str, ...]  # distinct current values, sorted
-
-    @property
-    def uniform(self) -> bool:
-        return len(self.values) == 1
-
-
-def merge_partition(d: Instance, mdset: MDSet) -> list[MergeBlock]:
-    """Blocks of positions linked by the MDs on the instance d itself.
-
-    Unlike the closure partition, this reads the current values, not those of
-    the original instance. Singleton blocks are kept. The chase computes the
-    same blocks, without the singletons, through ChaseSpace.blocks.
-    """
-    positions = d.positions()
-    slots, values = slot_map(d, positions)
+def merge_partition(
+    link_sets: Iterable[tuple[tuple[int, ...], ...]],
+) -> list[tuple[int, ...]]:
+    """The merged blocks of some link sets: the classes, in sorted order, of
+    the union of their blocks. Each link set holds sorted slot blocks of two
+    slots or more, so every class has two or more."""
     ds: DisjointSet[int] = DisjointSet()
-    for md in mdset.mds:
-        union_groups(ds, link_groups(md, d, mdset.sims), md.rhs, slots)
-    blocks = []
-    for group in ds.groups():
-        blocks.append(MergeBlock(
-            tuple([positions[i] for i in group]),
-            tuple(sorted({values[i] for i in group})),
-        ))
-    return blocks
-
-
-def modifiable_positions(d: Instance, mdset: MDSet) -> frozenset[Position]:
-    """Positions whose value is not yet settled: members of non-uniform blocks."""
-    return frozenset(
-        p for block in merge_partition(d, mdset) if not block.uniform
-        for p in block.positions
-    )
-
-
-def is_stable(d: Instance, mdset: MDSet) -> bool:
-    return all(block.uniform for block in merge_partition(d, mdset))
+    for link_set in link_sets:
+        for first, *rest in link_set:
+            for i in rest:
+                ds.union(first, i)
+    return ds.groups()
 
 
 def _fresh_params(instance: Instance, mdset: MDSet) -> tuple[str, int, int]:
@@ -331,12 +302,9 @@ class ChaseSpace:
             ids = tuple(ids)
             blocks = self._merged.get(ids)
             if blocks is None:
-                ds: DisjointSet[int] = DisjointSet()
-                for lid in ids:
-                    for first, *rest in self._link_sets[lid]:
-                        for i in rest:
-                            ds.union(first, i)
-                blocks = self._merged[ids] = ds.groups()
+                blocks = self._merged[ids] = merge_partition(
+                    [self._link_sets[lid] for lid in ids]
+                )
             self._blocks[key] = blocks
         return blocks
 
@@ -460,6 +428,12 @@ class ChaseSpace:
             if renamed:
                 assignment = tuple([renamed.get(v, v) for v in assignment])
             yield take(values + assignment)
+
+
+def is_stable(d: Instance, mdset: MDSet) -> bool:
+    """Whether every block the MDs link on d holds one value."""
+    space = ChaseSpace(d, mdset)
+    return not space.open_blocks(space.start)
 
 
 def stable_states(space: ChaseSpace, bounds: OracleBounds) -> list[tuple[str, ...]]:

@@ -20,7 +20,6 @@ from mdres import (
     MDSet,
     OracleBounds,
     diff_changeset,
-    merge_partition,
 )
 from mdres.query import Const
 from mdres.relation import Position
@@ -196,6 +195,40 @@ def ref_linked_position_pairs(instance: Instance, mdset: MDSet):
                 pairs.add((p, q))
                 pairs.add((q, p))
     return pairs
+
+
+def ref_merge_blocks(instance: Instance, mdset: MDSet):
+    """(positions, sorted distinct values) of every block of two positions
+    or more that the MDs link on the instance, in sorted order.
+
+    The blocks are the connected components of ref_linked_position_pairs,
+    found by a plain BFS. A self-pair (an MD over one relation links each
+    position with itself) adds no edge.
+    """
+    adj: dict[Position, set[Position]] = {}
+    for p, q in ref_linked_position_pairs(instance, mdset):
+        if p != q:
+            adj.setdefault(p, set()).add(q)
+    seen: set[Position] = set()
+    blocks = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp = []
+        queue = [start]
+        seen.add(start)
+        while queue:
+            node = queue.pop()
+            comp.append(node)
+            for nxt in adj[node]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        blocks.append((
+            tuple(sorted(comp)),
+            tuple(sorted({instance.value(p) for p in comp})),
+        ))
+    return sorted(blocks)
 
 
 def ref_modifiable(instance: Instance, mdset: MDSet) -> frozenset[Position]:
@@ -420,25 +453,16 @@ def ref_successors(values, blocks, sentinel: str, base: int, k: int):
     return out
 
 
-class _RefState:
-    def __init__(self, instance: Instance, blocks):
-        self.instance = instance
-        self.blocks = blocks
-
-    @property
-    def stable(self) -> bool:
-        return all(block.uniform for block in self.blocks)
-
-
 def ref_enumerate_mris_oracle(
     d: Instance, mdset: MDSet, bounds: OracleBounds | None = None
 ) -> tuple[list[Instance], int]:
     """The chase oracle with the merge partition recomputed on every state.
 
-    Each unseen state is rebuilt as an Instance and sent through
-    merge_partition; the change set is diffed instance against instance. The
-    bounds are checked in the same order, with the same messages, as
-    enumerate_mris_oracle.
+    Each unseen state is rebuilt as an Instance and linked by
+    ref_merge_blocks, pair by pair from the MDs' definition, with no linker
+    or union-find from the package; the change set is diffed instance
+    against instance. The bounds are checked in the same order, with the
+    same messages, as enumerate_mris_oracle.
     """
     b = bounds or OracleBounds()
     if d.total_tuples > b.max_tuples:
@@ -449,24 +473,28 @@ def ref_enumerate_mris_oracle(
     cells = _RefCells(d)
     start = cells.values(d)
     visited = {start}
-    frontier = [(_RefState(d, merge_partition(d, mdset)), start)]
+    frontier = [(d, start)]
     stable: list[Instance] = []
     while frontier:
         next_frontier = []
-        for state, values in frontier:
-            if state.stable:
-                stable.append(state.instance)
+        for inst, values in frontier:
+            open_blocks = [
+                (positions, pool)
+                for positions, pool in ref_merge_blocks(inst, mdset)
+                if len(pool) > 1
+            ]
+            if not open_blocks:
+                stable.append(inst)
                 continue
-            open_blocks = [blk for blk in state.blocks if not blk.uniform]
-            for blk in open_blocks:
-                if len(blk.values) + 1 > b.max_values:
+            for positions, pool in open_blocks:
+                if len(pool) + 1 > b.max_values:
                     raise BoundsExceededError(
-                        f"block at {blk.positions[0]} offers "
-                        f"{len(blk.values) + 1} assignments, bound is {b.max_values}"
+                        f"block at {positions[0]} offers "
+                        f"{len(pool) + 1} assignments, bound is {b.max_values}"
                     )
             blocks = [
-                ([cells.slot[pos] for pos in blk.positions], blk.values)
-                for blk in open_blocks
+                ([cells.slot[pos] for pos in positions], pool)
+                for positions, pool in open_blocks
             ]
             for key in ref_successors(values, blocks, sentinel, base, k):
                 if key in visited:
@@ -476,8 +504,7 @@ def ref_enumerate_mris_oracle(
                     raise BoundsExceededError(
                         f"chase state space exceeds {b.max_states} instances"
                     )
-                inst = cells.instance(key)
-                next_frontier.append((_RefState(inst, merge_partition(inst, mdset)), key))
+                next_frontier.append((cells.instance(key), key))
         frontier = next_frontier
     if not stable:
         raise BoundsExceededError("no stable instance")

@@ -18,13 +18,13 @@ from mdres import (
     eval_rewritten,
     fast_mri_family,
     is_stable,
-    modifiable_positions,
     parse_query,
     resolved_answers,
     rewrite,
     ta_closure,
 )
 from mdres.relation import Position, load_instance
+from mdres.resolver import ChaseSpace
 
 from conftest import load_bundle
 from datalog_engine import datalog_partition
@@ -222,7 +222,10 @@ def test_criterion_8_definitional_properties_hold():
             if any(p.attr not in mdset.changeable for p in diff_changeset(d, mri)):
                 violations.append(("unchangeable position changed", i))
 
-        mod = modifiable_positions(d, mdset)
+        space = ChaseSpace(d, mdset)
+        mod = frozenset(
+            space.positions[i] for block, _ in space.open_blocks(space.start) for i in block
+        )
         if mod != ref_modifiable(d, mdset):
             violations.append(("modifiable mismatch", i))
         linked = ref_linked_position_pairs(d, mdset)

@@ -35,14 +35,37 @@ def test_no_public_callable_takes_a_verdict():
             assert not {"ujcq", "cls"} & set(inspect.signature(obj).parameters), name
 
 
-def test_traced_functions_exist():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_functions_exist():
+    tracing = _load_tracing()
     for module, function in tracing.SPANS:
         assert hasattr(importlib.import_module(f"mdres.{module}"), function), (
             f"mdres.{module}.{function}"
         )
+
+
+def test_merge_partition_counter_reads_chase_work(dup_groups):
+    """The bench's merge_partition counter counts the chase's merges: one
+    for a stability check, and as many on each of two equal oracle calls."""
+    tracer = _load_tracing().Tracer()
+    counter = "resolver.merge_partition_calls"
+    tracer.install()
+    try:
+        assert mdres.is_stable(dup_groups.variant("D1"), dup_groups.mdset)
+        assert tracer.counts[counter] == 1
+        tracer.counts.clear()
+        mdres.enumerate_mris_oracle(dup_groups.instance, dup_groups.mdset)
+        first = tracer.counts[counter]
+        mdres.enumerate_mris_oracle(dup_groups.instance, dup_groups.mdset)
+        assert tracer.counts[counter] == 2 * first > 0
+    finally:
+        tracer.uninstall()
 
 
 def _dotted(node: ast.expr) -> str | None:

@@ -15,11 +15,11 @@ from mdres import (
     enumerate_mris_oracle,
     fast_mri_family,
     is_stable,
-    modifiable_positions,
     parse_mds,
     ta_closure,
 )
 from mdres.relation import Instance, Position, load_instance
+from mdres.resolver import ChaseSpace
 
 from generators import (
     rand_chain_case,
@@ -77,7 +77,10 @@ def test_merge_blocks_partition_positions(seed):
 @given(SEEDS)
 def test_modifiable_fixpoint(seed):
     d, mdset = ni_or_hsc(seed)
-    mod = modifiable_positions(d, mdset)
+    space = ChaseSpace(d, mdset)
+    mod = frozenset(
+        space.positions[i] for block, _ in space.open_blocks(space.start) for i in block
+    )
     assert mod == ref_modifiable(d, mdset)
     # one more application of the defining rule adds nothing
     linked = ref_linked_position_pairs(d, mdset)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mdres import (
     BoundsExceededError,
     InputError,
+    MDSet,
     NotEligibleError,
     OracleBounds,
     classify,
@@ -16,17 +17,13 @@ from mdres import (
     enumerate_mris_oracle,
     fast_mri_family,
     is_stable,
-    merge_partition,
-    modifiable_positions,
     parse_mds,
     parse_schema,
     resolved_values,
     similar,
 )
-from mdres.dsets import DisjointSet
 from mdres.relation import Position, load_instance
 from mdres.resolver import ChaseSpace, stable_states
-from mdres.taclosure import link_groups, union_groups
 
 from conftest import FIXTURES, load_bundle
 from generators import (
@@ -39,25 +36,36 @@ from generators import (
 )
 from reference import (
     ref_enumerate_mris_oracle,
+    ref_merge_blocks,
     ref_modifiable,
     ref_stable,
     ref_successors,
 )
 
 
+def _slots(space, positions):
+    return tuple(space.slots[p.attr][p.tid] for p in positions)
+
+
 def test_merge_partition_dup_groups(dup_groups):
-    blocks = merge_partition(dup_groups.instance, dup_groups.mdset)
+    space = ChaseSpace(dup_groups.instance, dup_groups.mdset)
+    open_blocks = space.open_blocks(space.start)
     shaped = [
-        (tuple(b.positions), tuple(sorted(b.values)), b.uniform) for b in blocks
+        (tuple(space.positions[i] for i in block), values) for block, values in open_blocks
     ]
     assert shaped == [
-        ((Position(1, ("R", "B")), Position(2, ("R", "B"))), ("c1", "c2"), False),
-        ((Position(3, ("R", "B")), Position(4, ("R", "B"))), ("c3", "c4"), False),
+        ((Position(1, ("R", "B")), Position(2, ("R", "B"))), ("c1", "c2")),
+        ((Position(3, ("R", "B")), Position(4, ("R", "B"))), ("c3", "c4")),
     ]
+    # both linked blocks are open
+    assert space.blocks(space.start) == [block for block, _ in open_blocks]
 
 
 def test_modifiable_positions_cross_relation_chain(hard_chain):
-    got = modifiable_positions(hard_chain.instance, hard_chain.mdset)
+    space = ChaseSpace(hard_chain.instance, hard_chain.mdset)
+    got = frozenset(
+        space.positions[i] for block, _ in space.open_blocks(space.start) for i in block
+    )
     assert got == frozenset({
         Position(1, ("R", "B")),
         Position(2, ("S", "F")),
@@ -219,7 +227,7 @@ def test_oracle_matches_per_state_reference(kind, seed, states, values):
 
 @settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
 @given(st.sampled_from(sorted(CASES)), st.integers(min_value=0, max_value=2**32 - 1))
-def test_memoised_blocks_match_merge_partition(kind, seed):
+def test_memoised_blocks_match_reference(kind, seed):
     _, d, mdset = CASES[kind](random.Random(seed))
     space = ChaseSpace(d, mdset)
     pending, seen = [space.start], set()
@@ -229,9 +237,8 @@ def test_memoised_blocks_match_merge_partition(kind, seed):
             continue
         seen.add(values)
         expected = [
-            tuple(space.slots[p.attr][p.tid] for p in block.positions)
-            for block in merge_partition(space.instance(values), mdset)
-            if len(block.positions) > 1
+            _slots(space, positions)
+            for positions, _ in ref_merge_blocks(space.instance(values), mdset)
         ]
         assert space.blocks(values) == expected
         pending.extend(space.successors(values, space.open_blocks(values), max_values=99))
@@ -239,12 +246,12 @@ def test_memoised_blocks_match_merge_partition(kind, seed):
 
 def _checked_successors(space, mdset, values):
     """The chase step on a state, checked against ref_successors over the
-    open blocks of merge_partition; every fresh value must be a ladder rung."""
+    open blocks of ref_merge_blocks; every fresh value must be a ladder rung."""
     got = list(space.successors(values, space.open_blocks(values), max_values=99))
     blocks = [
-        (tuple(space.slots[p.attr][p.tid] for p in block.positions), block.values)
-        for block in merge_partition(space.instance(values), mdset)
-        if not block.uniform
+        (_slots(space, positions), pool)
+        for positions, pool in ref_merge_blocks(space.instance(values), mdset)
+        if len(pool) > 1
     ]
     assert got == ref_successors(values, blocks, space.sentinel, space.base, space.k)
     for succ in got:
@@ -485,8 +492,8 @@ def _condition_slots(space, mdset):
 )
 def test_settling_steps_and_state_keyed_links(kind, seed):
     """A step whose open blocks hold no condition slot reaches only stable
-    states; link sets read off a state, fresh values included, equal
-    link_groups on the state's instance."""
+    states; link sets read off a state, fresh values included, equal the
+    reference blocks of the MD alone on the state's instance."""
     _, d, mdset = CASES[kind](random.Random(seed))
     space = ChaseSpace(d, mdset)
     conditions = _condition_slots(space, mdset)
@@ -506,9 +513,10 @@ def test_settling_steps_and_state_keyed_links(kind, seed):
                     assert space.open_blocks(s) == [], (values, s)
         instance = space.instance(values)
         for i, md in enumerate(mdset.mds):
-            ds = DisjointSet()
-            union_groups(ds, link_groups(md, instance, mdset.sims), md.rhs, space.slots)
-            expected = tuple(g for g in ds.groups() if len(g) > 1)
+            alone = MDSet((md,), mdset.schema, mdset.sims)
+            expected = tuple(
+                _slots(space, positions) for positions, _ in ref_merge_blocks(instance, alone)
+            )
             assert space.link_set(i, values) == expected, (md.mid, values)
         pending.extend(succ)
 

@@ -11,14 +11,13 @@ from mdres import (
     InputError,
     emit_datalog,
     load_instance,
-    merge_partition,
     neighbours,
     parse_mds,
     parse_schema,
     ta_closure,
 )
-from mdres.dsets import DisjointSet
 from mdres.relation import Position
+from mdres.resolver import ChaseSpace
 from mdres.similarity import SimilaritySpec
 from mdres.taclosure import feeders, link_groups, linked_pairs
 
@@ -27,7 +26,7 @@ from datalog_engine import datalog_partition
 from generators import rand_table_sim
 from reference import (
     _lhs_pairs,
-    ref_linked_position_pairs,
+    ref_merge_blocks,
     ref_similar,
     ref_ta_blocks,
 )
@@ -203,11 +202,10 @@ def test_link_groups_match_nested_loop(seed):
         tuple(sorted(Counter(inst.value(p) for p in block).items()))
         for block in ref_blocks
     )
-    ds = DisjointSet()
-    for p, q in ref_linked_position_pairs(inst, mdset):
-        ds.union(p, q)
-    expected = sorted(tuple(sorted(g)) for g in ds.groups())
-    assert [b.positions for b in merge_partition(inst, mdset)] == expected
+    space = ChaseSpace(inst, mdset)
+    assert [tuple(space.positions[i] for i in block) for block in space.blocks(space.start)] == [
+        positions for positions, _ in ref_merge_blocks(inst, mdset)
+    ]
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
