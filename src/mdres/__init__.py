@@ -7,7 +7,7 @@ conjunctive queries, either by query rewriting or by an exhaustive chase
 oracle that doubles as the ground truth in tests.
 """
 
-from .cqa import KeyedRelation, build_cqa_instance, enumerate_key_repairs
+from .cqa import KeyedRelation, build_cqa_instance
 from .errors import (
     BoundsExceededError,
     InputError,
@@ -17,7 +17,6 @@ from .errors import (
 )
 from .mds import (
     MD,
-    AttrPartition,
     Classification,
     Conjunct,
     MDGraph,
@@ -39,11 +38,9 @@ from .query import (
     is_ujcq,
     parse_query,
     resolved_answers,
-    resolved_values,
     rewrite,
 )
 from .relation import (
-    ChangeSet,
     Instance,
     Position,
     RelationSchema,
@@ -65,7 +62,6 @@ from .resolver import (
 from .similarity import (
     SimilaritySpec,
     check_all,
-    check_transitivity,
     load_sims,
     neighbours,
     parse_sims,
@@ -78,9 +74,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnswerSet",
-    "AttrPartition",
     "BoundsExceededError",
-    "ChangeSet",
     "Classification",
     "Conjunct",
     "ConjunctiveQuery",
@@ -104,11 +98,9 @@ __all__ = [
     "build_cqa_instance",
     "build_md_graph",
     "check_all",
-    "check_transitivity",
     "classify",
     "diff_changeset",
     "emit_datalog",
-    "enumerate_key_repairs",
     "enumerate_mris_oracle",
     "eqr_class",
     "eqr_classes",
@@ -129,7 +121,6 @@ __all__ = [
     "parse_sims",
     "previous_set",
     "resolved_answers",
-    "resolved_values",
     "rewrite",
     "similar",
     "ta_closure",

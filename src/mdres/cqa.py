@@ -88,13 +88,3 @@ def build_cqa_instance(d: Instance, rel: str, key: list[str] | tuple[str, ...]) 
     sub_schema = Schema((rschema,))
     return KeyedRelation(sub_schema, rel, key, nonkey, tuple(groups))
 
-
-def enumerate_key_repairs(kr: KeyedRelation) -> list[Instance]:
-    """All repairs: one candidate row per key group, as instances."""
-    pools = [rows for _, rows in kr.groups]
-    repairs = []
-    for combo in product(*pools):
-        rows = sorted(combo)
-        repairs.append(load_instance(kr.schema, {kr.rel: [list(r) for r in rows]}))
-    repairs.sort(key=Instance.key)
-    return repairs

@@ -52,9 +52,3 @@ class DisjointSet(Generic[T]):
         for item in self._parent:
             by_root.setdefault(self.find(item), []).append(item)
         return sorted(tuple(sorted(g)) for g in by_root.values())
-
-    def same(self, a: T, b: T) -> bool:
-        return self.find(a) == self.find(b)
-
-    def __contains__(self, item: T) -> bool:
-        return item in self._parent

@@ -199,19 +199,6 @@ def _adjacency(edges: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
 
 
 @dataclass(frozen=True)
-class AttrPartition:
-    """Partition of a set of attributes into blocks."""
-
-    blocks: tuple[tuple[Attr, ...], ...]
-
-    def block_of(self, attr: Attr) -> tuple[Attr, ...]:
-        for block in self.blocks:
-            if attr in block:
-                return block
-        raise InputError(f"{format_attr(attr)} is not covered by this partition")
-
-
-@dataclass(frozen=True)
 class ESInfo:
     """An equivalent set of a two-MD chain, with its boundedness verdict."""
 
@@ -460,19 +447,20 @@ def _components(pairs: Iterable[tuple]) -> list[tuple]:
     return ds.groups()
 
 
-def eqr_classes(mdset: MDSet) -> AttrPartition:
+def eqr_classes(mdset: MDSet) -> tuple[tuple[Attr, ...], ...]:
     """Classes of changeable attributes under the closure of the match relation."""
     ds: DisjointSet[Attr] = DisjointSet(mdset.changeable)
     for md in mdset.mds:
         for left, right in md.rhs:
             ds.union(left, right)
-    return AttrPartition(tuple(ds.groups()))
+    return tuple(ds.groups())
 
 
 def eqr_class(mdset: MDSet, attr: Attr) -> tuple[Attr, ...]:
+    """The class holding attr; an unchangeable attribute is a class of its own."""
     if attr not in mdset.changeable:
         return (attr,)
-    return eqr_classes(mdset).block_of(attr)
+    return next(c for c in eqr_classes(mdset) if attr in c)
 
 
 # ---------------------------------------------------------------------------

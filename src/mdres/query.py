@@ -415,18 +415,3 @@ def resolved_answers(
             break
     return AnswerSet(tuple(sorted(common or set())), "oracle", ujcq=is_ujcq(q, mdset))
 
-
-def resolved_values(d: Instance, mdset: MDSet, rel: str, attr: str) -> tuple[str, ...]:
-    """Values that appear in the column rel.attr of every MRI.
-
-    These are the resolved answers of the projection query
-    `Q(x) :- rel(..., x, ...)`, on the rewrite path. An unchangeable column
-    is the same in every MRI, so for any MD set it gives its distinct values.
-    """
-    rschema = d.schema.relation(rel)
-    i = rschema.index(attr)  # validates the attribute
-    if (rel, attr) not in mdset.changeable:
-        return tuple(sorted(set(d.column(rel, attr))))
-    terms = tuple(Var("x") if j == i else Var(f"y{j}") for j in range(rschema.arity))
-    q = ConjunctiveQuery("Q", (Var("x"),), (Atom(rel, terms),))
-    return tuple(v for v, in resolved_answers(q, d, mdset, mode="rewrite").tuples)

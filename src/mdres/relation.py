@@ -475,26 +475,7 @@ def write_csv_dir(instance: Instance, directory: str | Path) -> list[Path]:
     return written
 
 
-@dataclass(frozen=True)
-class ChangeSet:
-    """The set of positions on which two correlated instances differ."""
-
-    positions: frozenset[Position]
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def __iter__(self) -> Iterator[Position]:
-        return iter(sorted(self.positions))
-
-    def __contains__(self, pos: Position) -> bool:
-        return pos in self.positions
-
-    def as_json(self) -> list[list]:
-        return [[p.attr[0], p.tid, p.attr[1]] for p in sorted(self.positions)]
-
-
-def diff_changeset(d: Instance, d2: Instance) -> ChangeSet:
+def diff_changeset(d: Instance, d2: Instance) -> frozenset[Position]:
     """Positions where d2 differs from d.
 
     The instances must be correlated: same relations and the same tids in
@@ -515,7 +496,7 @@ def diff_changeset(d: Instance, d2: Instance) -> ChangeSet:
             for attr, a, b in zip(rschema.attrs, row, other):
                 if a != b:
                     changed.add(Position(tid, (rschema.name, attr)))
-    return ChangeSet(frozenset(changed))
+    return frozenset(changed)
 
 
 def instance_as_json(instance: Instance) -> dict[str, list[list]]:

@@ -243,23 +243,21 @@ def verify_transitivity(spec: SimilaritySpec, domain: Iterable[str]) -> bool:
     return all(block[u] == block[v] for v, ns in near.items() for u in ns)
 
 
-def check_transitivity(spec: SimilaritySpec, domain: Iterable[str]) -> SimilaritySpec:
-    """Return the spec with its `transitive` verdict resolved for this domain.
+def check_all(
+    specs: Mapping[str, SimilaritySpec], domain: Iterable[str]
+) -> dict[str, SimilaritySpec]:
+    """Every spec with its `transitive` verdict resolved for the domain.
 
     Only a declared lev is checked against the domain; every other spec
     derived its verdict when it was built.
     """
-    if spec.kind != "lev" or not spec.declared_transitive:
-        return spec
-    return replace(spec, transitive=verify_transitivity(spec, domain))
-
-
-def check_all(
-    specs: Mapping[str, SimilaritySpec], domain: Iterable[str]
-) -> dict[str, SimilaritySpec]:
-    """Every spec with its verdict resolved for the domain (`check_transitivity`)."""
     values = set(domain)
-    return {name: check_transitivity(spec, values) for name, spec in specs.items()}
+    return {
+        name: replace(spec, transitive=verify_transitivity(spec, values))
+        if spec.kind == "lev" and spec.declared_transitive
+        else spec
+        for name, spec in specs.items()
+    }
 
 
 def load_table(text: str, source: str = "<table>") -> frozenset[tuple[str, str]]:
@@ -296,8 +294,8 @@ def parse_sims(
     Lines: `sim NAME = eq`, `sim NAME = lev <= K [transitive]`,
     `sim NAME = table FILE` (FILE relative to base_dir). Every spec but a
     declared lev derives its transitivity verdict when it is built; a
-    declared lev stays unchecked until check_transitivity sees an active
-    domain, or an MD set loaded with one first reads it.
+    declared lev stays unchecked until check_all sees an active domain, or
+    an MD set loaded with one first reads it.
     """
     base_dir = Path(base_dir)
     specs: dict[str, SimilaritySpec] = {}

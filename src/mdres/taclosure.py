@@ -64,12 +64,6 @@ class TAPartition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, pos: Position) -> int:
-        try:
-            return self.block_index[pos.attr][pos.tid]
-        except KeyError:
-            raise InputError(f"position {pos} is not in the partition") from None
-
     @cached_property
     def winners(self) -> tuple[str | None, ...]:
         """Each block's unique most frequent value, or None on a tie."""
@@ -218,10 +212,10 @@ def union_groups(
     with it. A complete bipartite link set is connected, so that gives the
     same classes as the |L| * |R| linked pairs. When the right tids are the
     left list itself and the target pair is one attribute with itself, the
-    left star already links every right slot. `slots` maps each attribute
-    to {tid: slot}.
+    left star already links every right slot, and a tuple linked only to
+    itself unions nothing. `slots` maps each attribute to {tid: slot}.
     """
-    union, add = ds.union, ds.add
+    union = ds.union
     for ltids, rtids in groups:
         t1, others = ltids[0], ltids[1:]
         for left, right in rhs:
@@ -230,8 +224,6 @@ def union_groups(
             for t in others:
                 union(lslot[t], hub)
             if rtids is ltids and left == right:
-                # a tuple linked only to itself keeps its singleton block
-                add(hub)
                 continue
             for t in rtids:
                 union(hub, rslot[t])

@@ -209,3 +209,24 @@ def test_no_unread_private_names():
                     defined.setdefault(name, path.name)
     unread = sorted(f"{path}:{name}" for name, path in defined.items() if name not in reads)
     assert unread == []
+
+
+def test_readme_library_example_runs(monkeypatch):
+    """The README's `## Library` block runs from the repository root, and
+    each `expr  # value` line evaluates to the value in its comment."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = code.splitlines()
+    monkeypatch.chdir(ROOT)
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(code).body:
+        source = ast.get_source_segment(code, stmt)
+        if isinstance(stmt, ast.Expr):
+            comment = lines[stmt.end_lineno - 1].rsplit("#", 1)[1]
+            assert eval(source, namespace) == ast.literal_eval(comment.strip()), source
+            checked += 1
+        else:
+            exec(source, namespace)
+    assert checked == 3

@@ -133,8 +133,7 @@ def test_eqr_classes_three_md_closure():
         schema,
         sims_for("s0", "s1", "s2", "s3"),
     )
-    blocks = eqr_classes(mdset).blocks
-    assert blocks == (
+    assert eqr_classes(mdset) == (
         (("R", "C"), ("S", "D"), ("T", "J")),
         (("S", "K"), ("T", "L"), ("T", "M")),
         (("T", "N"), ("T", "P")),

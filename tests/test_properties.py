@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdres import (
+    build_cqa_instance,
     classify,
     diff_changeset,
     enumerate_mris_oracle,
@@ -29,6 +30,7 @@ from generators import (
     rand_overlap_chain_case,
 )
 from reference import (
+    ref_key_repairs,
     ref_linked_position_pairs,
     ref_modifiable,
     ref_stable,
@@ -155,15 +157,9 @@ def test_closure_invariant_under_tid_relabeling(seed):
 def test_key_repair_counts(seed):
     rng = random.Random(seed)
     _, d, mdset = rand_keyed_case(rng)
-    from mdres import build_cqa_instance, enumerate_key_repairs
-
     kr = build_cqa_instance(d, "K", ["Name"])
-    repairs = enumerate_key_repairs(kr)
-    assert len(repairs) == kr.repair_count
-    keys = {r.key() for r in repairs}
-    assert len(keys) == len(repairs)
-    for r in repairs:
-        grouped = {}
-        for _, row in r.rows("K"):
-            grouped.setdefault(row[0], set()).add(row)
-        assert all(len(v) == 1 for v in grouped.values())
+    repairs = ref_key_repairs(d, "K", ("Name",))
+    assert kr.repair_count == len(repairs)
+    assert kr.rows == tuple(sorted(frozenset().union(*repairs)))
+    for key_values, rows in kr.groups:
+        assert rows and all((row[0],) == key_values for row in rows)

@@ -18,8 +18,9 @@ from mdres import (
     fast_mri_family,
     is_stable,
     parse_mds,
+    parse_query,
     parse_schema,
-    resolved_values,
+    resolved_answers,
     similar,
 )
 from mdres.relation import Position, load_instance
@@ -359,6 +360,15 @@ def test_fast_family_refuses_slow_classes(hard_chain):
         fast_mri_family(hard_chain.instance, hard_chain.mdset)
 
 
+def resolved_values(d, mdset, rel, attr):
+    """Resolved answers of the projection query Q(x) :- rel(..., x, ...)."""
+    rschema = d.schema.relation(rel)
+    i = rschema.index(attr)  # validates the attribute
+    terms = ", ".join("x" if j == i else f"y{j}" for j in range(rschema.arity))
+    q = parse_query(f"Q(x) :- {rel}({terms})", d.schema)
+    return tuple(v for v, in resolved_answers(q, d, mdset, mode="rewrite").tuples)
+
+
 def test_resolved_values(majority_column):
     d, m = majority_column.instance, majority_column.mdset
     assert resolved_values(d, m, "R", "B") == ("b2",)
@@ -374,7 +384,7 @@ def test_resolved_values_empty_on_ties(dup_groups):
 def test_resolved_values_validates_attr(dup_groups):
     from mdres import InputError
 
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="relation R has no attribute 'Z'"):
         resolved_values(dup_groups.instance, dup_groups.mdset, "R", "Z")
 
 
@@ -390,16 +400,14 @@ def test_resolved_values_are_in_every_oracle_mri(kind, seed):
     for rschema in schema.relations:
         for attr in rschema.attrs:
             rel = rschema.name
-            if (rel, attr) not in mdset.changeable:
-                assert resolved_values(d, mdset, rel, attr) == tuple(
-                    sorted(set(d.column(rel, attr)))
-                )
-            elif not fast:
+            if not fast:
                 with pytest.raises(NotEligibleError):
                     resolved_values(d, mdset, rel, attr)
-            if fast:
-                common = set.intersection(*(set(m.column(rel, attr)) for m in mris))
-                assert resolved_values(d, mdset, rel, attr) == tuple(sorted(common))
+                continue
+            common = set.intersection(*(set(m.column(rel, attr)) for m in mris))
+            assert resolved_values(d, mdset, rel, attr) == tuple(sorted(common))
+            if (rel, attr) not in mdset.changeable:
+                assert common == set(d.column(rel, attr))
 
 
 class _RecordingSpace(ChaseSpace):

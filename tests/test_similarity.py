@@ -10,7 +10,6 @@ from mdres import (
     InputError,
     ParseError,
     check_all,
-    check_transitivity,
     load_instance,
     neighbours,
     parse_mds,
@@ -157,8 +156,7 @@ def test_verify_transitivity_table_triple():
     pairs = frozenset({("e", "a"), ("a", "e"), ("e", "i"), ("i", "e")})
     spec = SimilaritySpec(name="w", kind="table", pairs=pairs)
     assert verify_transitivity(spec, {"a", "e", "i"}) is False
-    checked = check_transitivity(spec, {"a", "e", "i"})
-    assert checked.transitive is False
+    assert check_all({"w": spec}, {"a", "e", "i"})["w"].transitive is False
 
 
 def test_verify_transitivity_lev_triple():
@@ -166,8 +164,8 @@ def test_verify_transitivity_lev_triple():
                           declared_transitive=True)
     assert verify_transitivity(lev1, {"aa", "ab", "bb"}) is False
     # the declaration is downgraded when the active domain disproves it
-    assert check_transitivity(lev1, {"aa", "ab", "bb"}).transitive is False
-    assert check_transitivity(lev1, {"aa", "ab"}).transitive is True
+    assert check_all({"s": lev1}, {"aa", "ab", "bb"})["s"].transitive is False
+    assert check_all({"s": lev1}, {"aa", "ab"})["s"].transitive is True
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, print_blob=False)
@@ -192,7 +190,7 @@ def test_verdict_of_a_1000_value_clique_within_10_s():
     words = ["".join(w) for w in itertools.product("abcdefghij", repeat=3)]
     spec = SimilaritySpec(name="c", kind="lev", max_distance=3, declared_transitive=True)
     start = time.perf_counter()
-    assert check_transitivity(spec, words).transitive is True
+    assert check_all({"s": spec}, words)["s"].transitive is True
     assert time.perf_counter() - start < 10
 
 
@@ -208,7 +206,7 @@ def test_verdict_of_a_4000_value_star_within_10_s():
 
 def test_undeclared_lev_never_upgraded():
     lev1 = SimilaritySpec(name="l", kind="lev", max_distance=1)
-    assert check_transitivity(lev1, {"aa"}).transitive is False
+    assert check_all({"s": lev1}, {"aa"})["s"].transitive is False
 
 
 def test_check_all_resolves_every_spec():

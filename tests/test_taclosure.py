@@ -3,12 +3,10 @@ import string
 import time
 from collections import Counter
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mdres.similarity
 from mdres import (
-    InputError,
     emit_datalog,
     load_instance,
     neighbours,
@@ -75,10 +73,10 @@ def test_cross_relation_block(three_rel_join):
     assert part.candidates(0) == ("b1",)
 
 
-def test_block_of(two_rule_cycle):
+def test_block_index(two_rule_cycle):
     part = ta_closure(two_rule_cycle.instance, two_rule_cycle.mdset)
     pos = Position(3, ("R", "A"))
-    assert pos in part.blocks[part.block_of(pos)]
+    assert pos in part.blocks[part.block_index[pos.attr][pos.tid]]
 
 
 def test_indexes_match_a_scan_of_blocks():
@@ -92,11 +90,11 @@ def test_indexes_match_a_scan_of_blocks():
         part = ta_closure(bundle.instance, bundle.mdset)
         for pos in bundle.instance.positions():
             owners = [i for i, block in enumerate(part.blocks) if pos in block]
+            at = part.block_index.get(pos.attr, {})
             if owners:
-                assert [part.block_of(pos)] == owners, (name, sims, pos)
+                assert [at[pos.tid]] == owners, (name, sims, pos)
             else:
-                with pytest.raises(InputError, match="is not in the partition"):
-                    part.block_of(pos)
+                assert pos.tid not in at, (name, sims, pos)
 
 
 def test_matches_reachability_reference():
