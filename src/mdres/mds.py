@@ -224,29 +224,16 @@ class Classification:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<impl>:-)
-  | (?P<arrow>->)
-  | (?P<matcheq>==)
-  | (?P<eq>=)
-  | (?P<tilde>~)
-  | (?P<comma>,)
-  | (?P<semi>;)
-  | (?P<dot>\.)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<lbrack>\[)
-  | (?P<rbrack>\])
-  | (?P<number>-?\d+)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<ident>[A-Za-z_]\w*)
-  | (?P<bad>.)
-""",
-    re.VERBOSE,
-)
+# One regex splits the text into tokens, and a token's kind is read off its
+# text. Its alternatives are tried in order: `ident`, the most common token,
+# comes first, which is safe because no other kind starts with a letter or
+# `_`; `:-`, `->` and `==` come before `-5` and `=`; a single character that
+# is no token's start ends up as a one-character token of its own.
+_TOKEN_RE = re.compile(r"[A-Za-z_]\w*|\s+|\#[^\n]*|:-|->|==|-?\d+|'(?:[^']|'')*'|.")
+_PUNCTUATION = {
+    ":-": "impl", "->": "arrow", "==": "matcheq", "=": "eq", "~": "tilde", ",": "comma",
+    ";": "semi", ".": "dot", "(": "lparen", ")": "rparen", "[": "lbrack", "]": "rbrack",
+}
 _END = ("end", "end of input")
 
 
@@ -261,12 +248,21 @@ class TokenStream:
     def __init__(self, text: str, what: str):
         self.what = what
         self.tokens = []
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            if kind == "bad":
-                raise ParseError(f"unexpected character {m.group()!r} in {what}")
-            if kind != "ws" and kind != "comment":
-                self.tokens.append((kind, m.group()))
+        for token in _TOKEN_RE.findall(text):
+            kind = _PUNCTUATION.get(token)
+            if kind is None:
+                first = token[0]  # \s is str.isspace, \d is str.isdecimal
+                if first == "_" or first.isascii() and first.isalpha():
+                    kind = "ident"
+                elif first.isspace() or first == "#":
+                    continue  # blanks and comments
+                elif first == "'" and len(token) > 1:
+                    kind = "string"
+                elif first.isdecimal() or first == "-" and len(token) > 1:
+                    kind = "number"
+                else:
+                    raise ParseError(f"unexpected character {token!r} in {what}")
+            self.tokens.append((kind, token))
         self.tokens.append(_END)  # never taken, so the stream never runs out
         self.i = 0
 

@@ -15,6 +15,7 @@ import gc
 import io
 import os
 import re
+import stat
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, count, filterfalse, islice
@@ -109,6 +110,10 @@ class Schema:
         return tuple(r.name for r in self.relations)
 
 
+_DECLARATION_RE = re.compile(r"^relation\s+([A-Za-z_]\w*)\s*\((.*)\)$")
+_ATTRIBUTE_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*:\s*(\w+)\s*$")
+
+
 def parse_schema(text: str) -> Schema:
     """Parse schema text: one `relation R(A:str, B:int)` declaration per line."""
     relations = []
@@ -116,7 +121,7 @@ def parse_schema(text: str) -> Schema:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = re.match(r"^relation\s+([A-Za-z_]\w*)\s*\((.*)\)$", line)
+        m = _DECLARATION_RE.match(line)
         if not m:
             raise ParseError(f"cannot parse schema declaration: {line!r}", lineno)
         name, body = m.group(1), m.group(2).strip()
@@ -124,7 +129,7 @@ def parse_schema(text: str) -> Schema:
             raise ParseError(f"relation {name} declares no attributes", lineno)
         attrs, tags = [], []
         for part in body.split(","):
-            am = re.match(r"^\s*([A-Za-z_]\w*)\s*:\s*(\w+)\s*$", part)
+            am = _ATTRIBUTE_RE.match(part)
             if not am:
                 raise ParseError(f"cannot parse attribute {part.strip()!r}", lineno)
             attr, tag = am.group(1), am.group(2)
@@ -143,14 +148,96 @@ def parse_schema(text: str) -> Schema:
     return Schema(tuple(relations))
 
 
-def read_text(path: str | Path) -> str:
-    """A UTF-8 text file's contents, less any leading BOM; bad bytes raise InputError."""
+# Input files are opened by their path string and read with os.read: no
+# pathlib object and no stat of the path. O_NONBLOCK lets the read of a
+# data file, which must be a regular file, open a FIFO without waiting for
+# a writer.
+_O_READ = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_CLOEXEC", 0)
+_O_NONBLOCK = getattr(os, "O_NONBLOCK", 0)
+
+
+class PathName:
+    """A path that opens as given and that messages spell as pathlib does,
+    str(Path(path)); the spelling is built only when a message is."""
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: str | Path):
+        self.path = path
+
+    def __fspath__(self) -> str:
+        return os.fspath(self.path)
+
+    def __str__(self) -> str:
+        return str(Path(self.path))
+
+
+def _file_bytes(path: str | Path | PathName, regular: bool = False) -> bytes | None:
+    """The bytes of the file at path, read to its end; None when it cannot
+    be opened or read, or, with `regular`, when it is not a regular file."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        fd = os.open(path, _O_READ | _O_NONBLOCK if regular else _O_READ)
+    except OSError:
+        return None
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            if regular:
+                return None
+            size = 1 << 16
+        else:
+            size = st.st_size + 1  # one read takes it all; the next finds the end
+        chunks = []
+        while chunk := os.read(fd, size):
+            chunks.append(chunk)
+        return b"".join(chunks)
+    except OSError:
+        return None
+    finally:
+        os.close(fd)
+
+
+def _decode(data: bytes, path: object) -> str:
+    """A file's bytes as text mode reads them with encoding utf-8-sig: less a
+    leading BOM, with `\r\n` and a lone `\r` read as `\n`. Bad bytes raise
+    InputError, which names `path` and counts the offset from the file's
+    first byte."""
+    bom = codecs.BOM_UTF8
+    skip = len(bom) if data.startswith(bom) else 0
+    try:
+        text = data[skip:].decode("utf-8")
     except UnicodeDecodeError as exc:
-        bom = codecs.BOM_UTF8  # utf-8-sig counts the bytes after it
-        start = exc.start + (len(bom) if Path(path).read_bytes().startswith(bom) else 0)
+        if bom.startswith(data):
+            return ""  # text mode waits for the rest of a BOM, and reads "" at the end
+        start = skip + exc.start
         raise InputError(f"{path}: not UTF-8 text (byte {start}: {exc.reason})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def read_text(path: str | Path | PathName) -> str:
+    """A UTF-8 text file's contents, less any leading BOM, with newlines
+    read as text mode reads them; bad bytes raise InputError."""
+    data = _file_bytes(path)
+    if data is None:
+        # read it as pathlib does: an error names the path as pathlib spells
+        # it, and a path that only pathlib reads, such as `file/`, is read
+        data = Path(path).read_bytes()
+    return _decode(data, path)
+
+
+def read_data_file(directory: str | Path, name: str) -> tuple[str | None, PathName | Path]:
+    """The text of the regular file `name` in `directory`, or None when there
+    is none; and its path, which messages spell as Path(directory) / name."""
+    path = PathName(os.path.join(directory, name))
+    data = _file_bytes(path, regular=True)
+    if data is None:  # as pathlib reads it: a stat of the path, then a read
+        path = Path(directory) / name
+        if not os.path.isfile(path):
+            return None, path
+        data = path.read_bytes()
+    return _decode(data, path), path
 
 
 def load_schema(path: str | Path) -> Schema:
@@ -351,7 +438,7 @@ def _plain_tids(raw: list[str]) -> bool:
 
 
 def _read_records(
-    rschema: RelationSchema, records: list[list[str]], with_tid: bool, source: str
+    rschema: RelationSchema, records: list[list[str]], with_tid: bool, source: object
 ):
     """Read record by record; raises for the first bad record.
 
@@ -380,11 +467,11 @@ def _read_records(
     return rows, (tids if with_tid else None)
 
 
-def _read_csv(rschema: RelationSchema, text: str, source: str):
+def _read_csv(rschema: RelationSchema, text: str, source: object):
     """One relation's rows and tids (None without a #tid column).
 
     The records are checked in bulk; the record-by-record loop runs only when
-    a bulk check fails.
+    a bulk check fails. Messages name the file as str(source).
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -413,7 +500,7 @@ def _read_csv(rschema: RelationSchema, text: str, source: str):
             gc.enable()
 
 
-def _read_bulk(rschema: RelationSchema, reader, with_tid: bool, width: int, source: str):
+def _read_bulk(rschema: RelationSchema, reader, with_tid: bool, width: int, source: object):
     """_read_csv after the header: the records, checked in bulk."""
     records: list[list[str]] = []
     try:
@@ -437,23 +524,22 @@ def _read_bulk(rschema: RelationSchema, reader, with_tid: bool, width: int, sour
 
 def load_csv_dir(schema: Schema, directory: str | Path) -> Instance:
     """Load one `<relation>.csv` per schema relation from a directory."""
-    directory = Path(directory)
     rows: dict[str, list[Sequence[str]]] = {}
     tids: dict[str, list[int]] = {}
     for rschema in schema.relations:
-        path = directory / f"{rschema.name}.csv"
-        if not os.path.isfile(path):
+        text, path = read_data_file(directory, f"{rschema.name}.csv")
+        if text is None:
             raise InputError(f"missing data file for relation {rschema.name}: {path}")
-        rel_rows, rel_tids = _read_csv(rschema, read_text(path), str(path))
+        rel_rows, rel_tids = _read_csv(rschema, text, path)
         rows[rschema.name] = rel_rows
         if rel_tids is not None:
             tids[rschema.name] = rel_tids
     return _load(schema, rows, tids, partial(_csv_row, directory))
 
 
-def _csv_row(directory: Path, rel: str, i: int) -> str:
+def _csv_row(directory: str | Path, rel: str, i: int) -> str:
     """Row i of rel's file, numbered as _read_csv numbers records (blank ones too)."""
-    path = directory / f"{rel}.csv"
+    path = Path(directory) / f"{rel}.csv"
     records = islice(csv.reader(io.StringIO(read_text(path))), 1, None)  # after the header
     rownums = [n for n, record in enumerate(records, start=1) if record]
     return f"{path}, row {rownums[i]}"

@@ -33,21 +33,21 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, fields
-from itertools import islice, product
+from itertools import chain, islice, product
 from math import prod
 from operator import itemgetter, ne
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .dsets import DisjointSet
 from .errors import BoundsExceededError, InputError, NotEligibleError
 from .mds import MD, Classification, MDSet, classify
-from .relation import Instance
+from .relation import Attr, Instance, Position
+from .similarity import SimilaritySpec
 from .taclosure import (
     TAPartition,
     link_conditions,
     match_keys,
     reads_one_side,
-    slot_map,
     ta_closure,
     union_groups,
 )
@@ -72,28 +72,25 @@ def merge_partition(
     return ds.groups()
 
 
-def _fresh_params(instance: Instance, mdset: MDSet) -> tuple[str, int, int]:
+def _fresh_params(
+    values: Collection[str], sims: Mapping[str, SimilaritySpec]
+) -> tuple[str, int, int]:
     """(sentinel char, base length, max edit bound) for building fresh values.
 
     Fresh values are runs of a sentinel character absent from every instance
     value and every similarity table, with lengths spaced further apart than
     the largest edit-distance bound: equality, table lookup and bounded edit
-    distance all fail between a fresh value and anything else.
+    distance all fail between a fresh value and anything else. `values` are
+    the instance's values, repeats allowed.
     """
-    dom = instance.active_domain()
-    avoid = set("".join(dom))
-    for spec in mdset.sims.values():
-        for a, b in spec.pairs:
-            avoid.update(a)
-            avoid.update(b)
+    avoid = set("".join(values))
+    for spec in sims.values():
+        avoid.update("".join(chain.from_iterable(spec.pairs)))
     code = 0x21
     while chr(code) in avoid:
         code += 1
-    longest = max((len(v) for v in dom), default=1)
-    k = max(
-        (spec.max_distance for spec in mdset.sims.values() if spec.kind == "lev"),
-        default=0,
-    )
+    longest = max(map(len, values), default=1)
+    k = max((spec.max_distance for spec in sims.values() if spec.kind == "lev"), default=0)
     return chr(code), longest, k
 
 
@@ -177,26 +174,44 @@ class ChaseSpace:
     slots, and a chase step often changes target slots only, so they are
     memoised per MD on that projection. A miss reads each tuple's link key
     off the state, matches the keys with taclosure.match_keys, unions the
-    groups over the slots (slot_map numbers them, union_groups links them,
-    as in ta_closure), and keeps the MD's blocks of two slots or more as
-    its link set, interned by content; no Instance is built. The merged
-    blocks are memoised on the projection onto every MD's condition slots
-    and, behind that, on the tuple of the MDs' link sets, so a new
-    condition projection that links the same way merges nothing.
+    groups over the slots (union_groups links them, as in ta_closure), and
+    keeps the MD's blocks of two slots or more as its link set, interned by
+    content; no Instance is built. The merged blocks are memoised on the
+    projection onto every MD's condition slots and, behind that, on the
+    tuple of the MDs' link sets, so a new condition projection that links
+    the same way merges nothing.
+
+    What only some callers read is built on first use: `positions` (the
+    position at each slot, for messages and tests), each tuple's slots (for
+    `instance`, which builds the instances returned), and `sentinel`, `base`
+    and `k` (the fresh-value parameters, first needed when a step builds a
+    fresh value).
     """
 
     def __init__(self, d: Instance, mdset: MDSet):
         self.schema = d.schema
-        self.positions = d.positions()
-        # per attribute {tid: slot}; a relation without tuples has no map
-        self.slots, start = slot_map(d, self.positions)
+        self._d, self._sims = d, mdset.sims
+        # Slot i is the i-th position of d in sorted order, by (tid, relation,
+        # attribute), numbered without building a Position per cell: a
+        # tuple's cells take consecutive slots, its attributes in name order.
+        names = {rel: sorted(d.schema.relation(rel).attrs) for rel in d.data}
+        columns = {rel: list(map(d.schema.relation(rel).index, names[rel])) for rel in d.data}
+        firsts: dict[str, dict[int, int]] = {rel: {} for rel in d.data}  # {tid: first slot}
+        start: list[str] = []
+        for tid, rel in sorted([(tid, rel) for rel, table in d.data.items() for tid in table]):
+            firsts[rel][tid] = len(start)
+            row = d.data[rel][tid]
+            start += [row[c] for c in columns[rel]]
         self.start = tuple(start)  # the state of d
-        self.rows = []
-        for rel, table in d.data.items():
-            columns = [self.slots.get((rel, a), {}) for a in d.schema.relation(rel).attrs]
-            self.rows += [(rel, tid, tuple([c[tid] for c in columns])) for tid in table]
-        self.rels = tuple(d.data)
-        self.sentinel, self.base, self.k = _fresh_params(d, mdset)
+        # per attribute {tid: slot}; a relation without tuples has no map
+        self.slots: dict[Attr, dict[int, int]] = {
+            (rel, a): {tid: first + j for tid, first in at.items()}
+            for rel, at in firsts.items() if at
+            for j, a in enumerate(names[rel])
+        }
+        self._positions: list[Position] | None = None
+        self._rows: list[tuple[str, int, tuple[int, ...]]] | None = None
+        self._params: tuple[str, int, int] | None = None
         self._ladder: list[str] = []
         self._rungs: dict[str, int] = {}
         # per MD: the MD, its conditions (link_conditions), and its left and
@@ -229,6 +244,43 @@ class ChaseSpace:
         self._merged: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         self._layouts: dict[tuple[tuple[int, ...], ...], _Layout] = {}
 
+    # What is built on first use is kept in attributes that __init__ sets to
+    # None, not in cached_property: that writes through the instance's
+    # __dict__, after which every attribute read on the instance, and the
+    # search reads them in its inner loop, is slower (2.6 times in a loop of
+    # reads on CPython 3.11).
+
+    @property
+    def positions(self) -> list[Position]:
+        """positions[i] is the position at slot i."""
+        if self._positions is None:
+            positions: list = [None] * len(self.start)
+            for attr, at in self.slots.items():
+                for tid, i in at.items():
+                    positions[i] = Position(tid, attr)
+            self._positions = positions
+        return self._positions
+
+    def _ladder_params(self) -> tuple[str, int, int]:
+        if self._params is None:
+            self._params = _fresh_params(self.start, self._sims)
+        return self._params
+
+    @property
+    def sentinel(self) -> str:
+        """The character that fresh values repeat; see _fresh_params."""
+        return self._ladder_params()[0]
+
+    @property
+    def base(self) -> int:
+        """The length of the longest stored value."""
+        return self._ladder_params()[1]
+
+    @property
+    def k(self) -> int:
+        """The largest edit-distance bound."""
+        return self._ladder_params()[2]
+
     def _key_slots(self, rel: str, columns: list[int]) -> tuple[list[int], int, Callable]:
         """(tids in order, key width, projection onto every tuple's link-key
         slots, end to end) for one side of an MD."""
@@ -238,8 +290,13 @@ class ChaseSpace:
         return tids, len(columns), _projection([m[tid] for tid in tids for m in maps])
 
     def instance(self, values: tuple[str, ...]) -> Instance:
-        data: dict[str, dict[int, tuple[str, ...]]] = {rel: {} for rel in self.rels}
-        for rel, tid, slots in self.rows:
+        if self._rows is None:  # (relation, tid, the tuple's slots in schema order)
+            self._rows = []
+            for rel, table in self._d.data.items():
+                columns = [self.slots.get((rel, a), {}) for a in self.schema.relation(rel).attrs]
+                self._rows += [(rel, tid, tuple([c[tid] for c in columns])) for tid in table]
+        data: dict[str, dict[int, tuple[str, ...]]] = {rel: {} for rel in self._d.data}
+        for rel, tid, slots in self._rows:
             data[rel][tid] = tuple(values[i] for i in slots)
         return Instance(self.schema, data)
 
@@ -252,14 +309,15 @@ class ChaseSpace:
         ladder = self._ladder
         if i < len(ladder):
             return ladder[i]
-        length = self.base + (self.k + 1) * (i + 1)
-        if length - self.base > FRESH_LADDER_LIMIT:
+        sentinel, base, k = self._ladder_params()
+        length = base + (k + 1) * (i + 1)
+        if length - base > FRESH_LADDER_LIMIT:
             raise BoundsExceededError(
                 f"fresh value {i + 1} needs {length} characters under edit-distance "
-                f"bound {self.k}, limit is {self.base + FRESH_LADDER_LIMIT}"
+                f"bound {k}, limit is {base + FRESH_LADDER_LIMIT}"
             )
         while len(ladder) <= i:
-            rung = self.sentinel * (self.base + (self.k + 1) * (len(ladder) + 1))
+            rung = sentinel * (base + (k + 1) * (len(ladder) + 1))
             self._rungs[rung] = len(ladder)
             ladder.append(rung)
         return ladder[i]

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import InputError, ParseError
-from .relation import read_text
+from .relation import PathName, read_data_file, read_text
 
 KINDS = ("eq", "lev", "table")
 
@@ -260,7 +260,7 @@ def check_all(
     }
 
 
-def load_table(text: str, source: str = "<table>") -> frozenset[tuple[str, str]]:
+def load_table(text: str, source: object = "<table>") -> frozenset[tuple[str, str]]:
     """Read `value,value` lines; a table spec closes them under symmetry."""
     pairs = set()
     rownum = 0
@@ -297,7 +297,6 @@ def parse_sims(
     declared lev stays unchecked until check_all sees an active domain, or
     an MD set loaded with one first reads it.
     """
-    base_dir = Path(base_dir)
     specs: dict[str, SimilaritySpec] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -321,12 +320,10 @@ def parse_sims(
                 declared_transitive=lm.group(2) is not None,
             )
         elif tm := _TABLE_BODY.match(body):
-            path = base_dir / tm.group(1)
-            if not os.path.isfile(path):
+            table, path = read_data_file(base_dir, tm.group(1))
+            if table is None:
                 raise ParseError(f"similarity {name!r}: no such table file {path}", lineno)
-            spec = SimilaritySpec(
-                name=name, kind="table", pairs=load_table(read_text(path), str(path))
-            )
+            spec = SimilaritySpec(name=name, kind="table", pairs=load_table(table, path))
         else:
             raise ParseError(f"cannot parse similarity body: {body!r}", lineno)
         specs[name] = spec
@@ -334,5 +331,9 @@ def parse_sims(
 
 
 def load_sims(path: str | Path) -> dict[str, SimilaritySpec]:
-    path = Path(path)
-    return parse_sims(read_text(path), path.parent)
+    """Parse a sims file; its tables are read from Path(path).parent."""
+    text = read_text(PathName(path))  # messages spell the path as Path(path)
+    # os.path.dirname names the same directory as Path(path).parent, unless
+    # path ends in "/" or "/.", a spelling of the file that only pathlib reads
+    head, tail = os.path.split(path)
+    return parse_sims(text, head if tail not in ("", ".") else Path(path).parent)

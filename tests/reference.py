@@ -7,11 +7,13 @@ walks the defining condition directly, however inefficiently.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
 import re
 from collections import Counter
+from pathlib import Path
 
 from mdres import (
     BoundsExceededError,
@@ -19,11 +21,62 @@ from mdres import (
     Instance,
     MDSet,
     OracleBounds,
+    ParseError,
     diff_changeset,
 )
 from mdres.query import Const
 from mdres.relation import Position
 from mdres.resolver import _fresh_params
+
+
+def ref_read_text(path) -> str:
+    """A file read in text mode by pathlib, encoding utf-8-sig; a bad byte
+    raises InputError with its offset in the file, BOM included."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        bom = codecs.BOM_UTF8  # utf-8-sig counts the bytes after it
+        start = exc.start + (len(bom) if Path(path).read_bytes().startswith(bom) else 0)
+        raise InputError(f"{path}: not UTF-8 text (byte {start}: {exc.reason})") from None
+
+
+# The lexer of MD text and query text read by a `finditer` loop: one named
+# group per token kind, `ident` tried last.
+REF_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<impl>:-)
+  | (?P<arrow>->)
+  | (?P<matcheq>==)
+  | (?P<eq>=)
+  | (?P<tilde>~)
+  | (?P<comma>,)
+  | (?P<semi>;)
+  | (?P<dot>\.)
+  | (?P<lparen>\()
+  | (?P<rparen>\))
+  | (?P<lbrack>\[)
+  | (?P<rbrack>\])
+  | (?P<number>-?\d+)
+  | (?P<string>'(?:[^']|'')*')
+  | (?P<ident>[A-Za-z_]\w*)
+  | (?P<bad>.)
+""",
+    re.VERBOSE,
+)
+
+
+def ref_tokens(text: str, what: str) -> list[tuple[str, str]]:
+    """The (kind, text) tokens of text, less blanks and comments, then the
+    end sentinel; ParseError at the first character no token takes."""
+    tokens = []
+    for m in REF_TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r} in {what}")
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append((m.lastgroup, m.group()))
+    return tokens + [("end", "end of input")]
 
 
 def ref_read_csv(rschema, text: str, source: str):
@@ -469,7 +522,7 @@ def ref_enumerate_mris_oracle(
         raise BoundsExceededError(
             f"instance has {d.total_tuples} tuples, oracle bound is {b.max_tuples}"
         )
-    sentinel, base, k = _fresh_params(d, mdset)
+    sentinel, base, k = _fresh_params(d.active_domain(), mdset.sims)
     cells = _RefCells(d)
     start = cells.values(d)
     visited = {start}

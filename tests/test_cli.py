@@ -663,3 +663,85 @@ def test_oracle_materialization_bound_exits_3():
         "bounds exceeded: 4 minimal resolved instances exceed the materialization "
         "bound 1\n"
     )
+
+
+@pytest.fixture
+def cycle_dir(tmp_path, monkeypatch):
+    """two_rule_cycle copied to ./c, with the working directory at its parent."""
+    shutil.copytree(FIXTURES / "two_rule_cycle", tmp_path / "c")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path / "c"
+
+
+def _cycle_argv(**paths):
+    given = {"schema": "c/schema.txt", "data": "c/data", "mds": "c/mds.txt",
+             "sims": "c/sims.txt", **paths}
+    return ["classify"] + [arg for k, v in given.items() for arg in (f"--{k}", v)]
+
+
+# Messages spell a path of a data file, a sims file or a table file as
+# pathlib does, whatever spelling was given; an unreadable --schema, --mds or
+# --sims file is named by the OS error, also as pathlib spells it.
+@pytest.mark.parametrize("paths, message", [
+    ({"data": "./c"}, "missing data file for relation R: c/R.csv"),
+    ({"data": "c/"}, "missing data file for relation R: c/R.csv"),
+    ({"data": "c//"}, "missing data file for relation R: c/R.csv"),
+    ({"data": "./c//data/../"}, "missing data file for relation R: c/data/../R.csv"),
+    ({"schema": "./c//nope.txt"}, "[Errno 2] No such file or directory: 'c/nope.txt'"),
+    ({"mds": "./c//nope.txt"}, "[Errno 2] No such file or directory: 'c/nope.txt'"),
+    ({"sims": "./c//nope.txt"}, "[Errno 2] No such file or directory: 'c/nope.txt'"),
+    ({"schema": ""}, "[Errno 21] Is a directory: '.'"),
+    ({"mds": "./c/data/"}, "[Errno 21] Is a directory: 'c/data'"),
+])
+def test_input_paths_in_messages_as_pathlib_spells_them(cycle_dir, paths, message):
+    res = invoke(_cycle_argv(**paths))
+    assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
+
+
+def test_data_file_that_is_a_directory_is_missing(cycle_dir):
+    (cycle_dir / "data" / "R.csv").unlink()
+    (cycle_dir / "data" / "R.csv").mkdir()
+    res = invoke(_cycle_argv(data="./c//data/"))
+    assert (res.exit_code, res.stdout) == (1, "")
+    assert res.stderr == "error: missing data file for relation R: c/data/R.csv\n"
+
+
+def test_missing_table_file_is_named_from_the_sims_directory(cycle_dir):
+    (cycle_dir / "sims.txt").write_text("sim s = table ./t//nope.csv\n", encoding="utf-8")
+    res = invoke(_cycle_argv(sims="./c//sims.txt"))
+    assert (res.exit_code, res.stdout) == (1, "")
+    assert res.stderr == "error: line 1: similarity 's': no such table file c/t/nope.csv\n"
+
+
+def test_bad_input_named_as_given_or_as_pathlib_spells_it(cycle_dir):
+    # the files read as a directory's data, or by name from a sims file, and
+    # the sims file itself are spelled as pathlib does; --schema and --mds are
+    # named as given
+    rows = (cycle_dir / "data" / "R.csv").read_bytes()
+    (cycle_dir / "data" / "R.csv").write_bytes(rows + b"5,a1\n")
+    res = invoke(_cycle_argv(data="./c//data/"))
+    assert res.stderr == "error: c/data/R.csv, row 5: expected 2 values, got 1\n"
+    (cycle_dir / "data" / "R.csv").write_bytes(rows + b"5,a\xff,b\n")
+    res = invoke(_cycle_argv(data="./c//data/"))
+    assert res.stderr == "error: c/data/R.csv: not UTF-8 text (byte 44: invalid start byte)\n"
+    (cycle_dir / "data" / "R.csv").write_bytes(rows)
+    (cycle_dir / "s_pairs.csv").write_bytes(b"a1,a2\r\nb1\r\n")
+    res = invoke(_cycle_argv(sims="./c//sims.txt"))
+    assert res.stderr == "error: c/s_pairs.csv, row 2: expected two values\n"
+    shutil.copy(FIXTURES / "two_rule_cycle" / "s_pairs.csv", cycle_dir)
+    for option in ("schema", "mds", "sims"):
+        (cycle_dir / f"{option}.txt").write_bytes(b"\xef\xbb\xbfx\xc3(")
+        res = invoke(_cycle_argv(**{option: f"./c//{option}.txt"}))
+        shown = "c/sims.txt" if option == "sims" else "./c//" + f"{option}.txt"
+        assert res.stderr == f"error: {shown}: not UTF-8 text (byte 4: invalid continuation byte)\n"
+        shutil.copy(FIXTURES / "two_rule_cycle" / f"{option}.txt", cycle_dir)
+
+
+def test_sims_path_that_only_pathlib_reads(cycle_dir):
+    # pathlib reads `c/sims.txt/` as c/sims.txt, so its tables are read from c
+    plain = invoke(_cycle_argv())
+    assert plain.exit_code == 0, plain.output
+    res = invoke(_cycle_argv(sims="c/sims.txt/"))
+    assert (res.exit_code, res.stdout) == (0, plain.stdout)
+    res = invoke(_cycle_argv(sims="c/sims.txt/."))
+    assert (res.exit_code, res.stdout) == (0, plain.stdout)

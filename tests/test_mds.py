@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdres import (
     InputError,
@@ -14,9 +15,12 @@ from mdres import (
     previous_set,
     ta_closure,
 )
+from mdres.mds import TokenStream
 from mdres.relation import Position
 from mdres.similarity import SimilaritySpec
 from mdres.taclosure import linked_pairs
+
+from reference import ref_tokens
 
 
 def sims_for(*names, kind="eq"):
@@ -253,3 +257,26 @@ def test_first_bad_md_is_reported_first():
     schema = parse_schema("relation R(A:str, B:str)\nrelation S(C:str, E:str)")
     with pytest.raises(InputError, match="^match R\\[B\\] == R\\[B\\] stays inside"):
         parse_mds("R[A] = S[C] -> R[B] == R[B]; R[A] = R[Z] -> R[B] == R[B]", schema)
+
+
+# Pieces of MD text and query text, near-misses, and characters no token
+# takes or that only Unicode classes take (blanks, digits, letters).
+TEXT_PIECES = [
+    "R", "S_1", "_x", "abc9", "R[A]", "R[A] = S[C]", " -> ", "==", "=", "~", "~s", ":-",
+    "->", "-", ":", ">", ",", ";", ".", "(", ")", "[", "]", "0", "-5", "12", "'", "'it''s'",
+    "''", "#", "# note\n", " ", "\n", "\t", "\r\n", "\u00a0", "\x1c", "\x85", "\u0663", "\u00b2",
+    "\u2167", "\u00e9", "x\u00e9", "\u00aa", "@", "!", "\"", "Q(x) :- R(x, y)",
+    "m1: R[A] ~s R[A] -> R[B] == R[B]",
+]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, print_blob=False)
+@given(st.lists(st.sampled_from(TEXT_PIECES), max_size=12).map("".join),
+       st.sampled_from(["MD text", "query"]))
+def test_token_stream_matches_ident_last_lexer(text, what):
+    def outcome(lex):
+        try:
+            return lex(text, what)
+        except ParseError as exc:
+            return str(exc)
+    assert outcome(lambda t, w: TokenStream(t, w).tokens) == outcome(ref_tokens)

@@ -1,4 +1,9 @@
+import codecs
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +18,9 @@ from mdres import (
     parse_schema,
     write_csv_dir,
 )
-from mdres.relation import Position, _read_csv, instance_as_json
+from mdres.relation import Position, _read_csv, instance_as_json, read_text
 
-from reference import ref_load_instance, ref_read_csv
+from reference import ref_load_instance, ref_read_csv, ref_read_text
 
 
 def test_parse_schema_two_relations():
@@ -250,3 +255,53 @@ def test_csv_parse_error_comes_after_earlier_bad_rows(tmp_path):
     (tmp_path / "R.csv").write_text("#tid,A,B\n\n1,u,7\n" + long_row, encoding="utf-8")
     with pytest.raises(InputError, match="R.csv, row 3: field larger than field limit"):
         load_csv_dir(INGEST_SCHEMA, tmp_path)
+
+
+# Byte pieces of a text file: line breaks of each kind, UTF-8 of one to four
+# bytes, pieces of a BOM, and bytes that are never valid UTF-8.
+BYTE_PIECES = [
+    b"a", b"R,1", b"\n", b"\r", b"\r\n", b"\n\r", "\u00e9".encode(), "\u20ac".encode(),
+    "\U0001f600".encode(), codecs.BOM_UTF8, b"\xef", b"\xef\xbb", b"\xbb\xbf", b"\xff",
+    b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf4\x90\x80\x80", b"\x00",
+]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, print_blob=False)
+@given(st.booleans(), st.lists(st.sampled_from(BYTE_PIECES), max_size=10),
+       st.integers(0, 40), st.sampled_from([None, b"\xff", b"\x80", b"\xc3", b"\xef\xbb"]))
+def test_read_text_matches_text_mode(tmp_path_factory, bom, pieces, at, bad):
+    data = b"".join(pieces)
+    if bad is not None:  # an invalid byte at a random offset
+        data = data[:at] + bad + data[at:]
+    if bom:
+        data = codecs.BOM_UTF8 + data
+    path = tmp_path_factory.getbasetemp() / "read_text.txt"
+    path.write_bytes(data)
+
+    def outcome(read):
+        try:
+            return read(str(path))
+        except InputError as exc:
+            return "InputError", str(exc)
+    assert outcome(read_text) == outcome(ref_read_text)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_fifo_in_place_of_a_data_file_is_missing(tmp_path):
+    # in a subprocess, so that a read that waits for a writer fails the test
+    os.mkfifo(tmp_path / "R.csv")
+    script = (
+        "import sys\n"
+        "from mdres import InputError, load_csv_dir, parse_schema\n"
+        "try:\n"
+        "    load_csv_dir(parse_schema('relation R(A:str)'), sys.argv[1])\n"
+        "except InputError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(mdres.relation.__file__).resolve().parents[1]
+    res = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    message = f"missing data file for relation R: {tmp_path / 'R.csv'}\n"
+    assert (res.returncode, res.stdout) == (0, message)

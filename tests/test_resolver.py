@@ -24,7 +24,7 @@ from mdres import (
     similar,
 )
 from mdres.relation import Position, load_instance
-from mdres.resolver import ChaseSpace, stable_states
+from mdres.resolver import ChaseSpace, _fresh_params, stable_states
 
 from conftest import FIXTURES, load_bundle
 from generators import (
@@ -243,6 +243,37 @@ def test_memoised_blocks_match_reference(kind, seed):
         ]
         assert space.blocks(values) == expected
         pending.extend(space.successors(values, space.open_blocks(values), max_values=99))
+
+
+def _check_slots(space, d, mdset):
+    """The slots number d's positions in sorted order; the lazy attributes
+    equal what they are built from."""
+    positions = d.positions()
+    assert set(space.slots) == {p.attr for p in positions}
+    assert _slots(space, positions) == tuple(range(len(positions)))
+    assert space.start == tuple(map(d.value, positions))
+    assert space.instance(space.start).data == d.data
+    assert space.positions == positions
+    assert (space.sentinel, space.base, space.k) == _fresh_params(d.active_domain(), mdset.sims)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
+@given(st.sampled_from(sorted(CASES)), st.integers(min_value=0, max_value=2**32 - 1))
+def test_slots_number_the_sorted_positions(kind, seed):
+    _, d, mdset = CASES[kind](random.Random(seed))
+    _check_slots(ChaseSpace(d, mdset), d, mdset)
+
+
+def test_slots_with_unsorted_tids_and_an_empty_relation():
+    schema = parse_schema("relation S(Z:str, A:int)\nrelation R(B:str)\nrelation T(C:str)")
+    d = load_instance(
+        schema, {"S": [["z1", "1"], ["z2", "2"]], "R": [["b1"], ["b2"]]},
+        tids={"S": [5, 2], "R": [3, 9]},
+    )
+    mdset = parse_mds("S[Z] = S[Z] -> S[A] == S[A]", schema)
+    space = ChaseSpace(d, mdset)
+    _check_slots(space, d, mdset)
+    assert space.start == ("2", "z2", "b1", "1", "z1", "b2")
 
 
 def _checked_successors(space, mdset, values):
