@@ -7,7 +7,8 @@ and the oracle's per-MRI answers all run through `join`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,16 @@ class Const:
         return quote(self.value)
 
 
+def _tuple_getter(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """A function from a row to the tuple of its values at positions."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (j,) = positions
+        return lambda row: (row[j],)
+    return lambda row: ()
+
+
 def join(
     head: Sequence[Var | Const],
     body: Sequence[Sequence[Var | Const]],
@@ -40,16 +51,20 @@ def join(
     """Head tuples of every binding of the body atoms to the given rows.
 
     `body` holds one term sequence per atom and `sources` one row iterable
-    per atom, read once. Atoms are joined in the given order. Each atom's
-    rows go into a hash index keyed on the positions whose variables earlier
-    atoms bind; rows that miss one of the atom's constants, or disagree on a
-    variable repeated inside the atom, are dropped while the index is built.
-    A binding is the tuple of variable values in the order the variables are
-    first bound, so a lookup reads fixed slots. The bindings are one list,
-    extended atom by atom through the atom's index, and the head tuples are
-    read off the last list, in the nested-loop order of the atoms' rows.
-    Every head variable must occur in the body. A head tuple comes once per
-    binding; callers that want a set build one.
+    per atom, read once. Atoms are joined in the given order. Rows that miss
+    one of the atom's constants, or disagree on a variable repeated inside
+    the atom, are dropped first; an atom with neither keeps every row
+    unchecked. Each atom's rows then go into a hash index keyed on the
+    positions whose variables earlier atoms bind. Index keys and lookup keys
+    come from `operator.itemgetter` over the row and the binding, so both
+    are the bare value when one position is keyed and a tuple otherwise; an
+    atom that shares no variable with earlier atoms is a cross product with
+    no index. A binding is the tuple of variable values in the order the
+    variables are first bound, so a lookup reads fixed slots. The bindings
+    are one list, extended atom by atom, and the head tuples are read off
+    the last list, in the nested-loop order of the atoms' rows. Every head
+    variable must occur in the body. A head tuple comes once per binding;
+    callers that want a set build one.
     """
     slots: dict[str, int] = {}
     bindings: list[tuple] = [()]
@@ -66,20 +81,27 @@ def join(
                 repeats.append((j, first[term.name]))
             else:
                 first[term.name] = j
-        new = tuple(first.values())
-        index: dict[tuple, list[tuple]] = {}
-        for row in rows:
-            if all(row[j] == v for j, v in consts) and all(
-                row[j] == row[i] for j, i in repeats
-            ):
-                key = tuple(row[j] for j in keyed)
-                index.setdefault(key, []).append(tuple(row[j] for j in new))
+        if consts or repeats:
+            rows = [
+                row for row in rows
+                if all(row[j] == v for j, v in consts)
+                and all(row[j] == row[i] for j, i in repeats)
+            ]
+        take = _tuple_getter(tuple(first.values()))
         for name in first:
             slots[name] = len(slots)
-        bindings = [
-            binding + values
-            for binding in bindings
-            for values in index.get(tuple(binding[s] for s in lookup), ())
-        ]
+        if keyed:
+            key, probe = itemgetter(*keyed), itemgetter(*lookup)
+            index: dict = {}
+            for row in rows:
+                index.setdefault(key(row), []).append(take(row))
+            bindings = [
+                binding + values
+                for binding in bindings
+                for values in index.get(probe(binding), ())
+            ]
+        else:
+            matches = list(map(take, rows))
+            bindings = [binding + values for binding in bindings for values in matches]
     out = [(slots[t.name], None) if isinstance(t, Var) else (None, t.value) for t in head]
     return [tuple(c if s is None else binding[s] for s, c in out) for binding in bindings]

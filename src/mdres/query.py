@@ -344,14 +344,18 @@ def eval_rewritten(rq: RewrittenQuery, d: Instance) -> AnswerSet:
     evaluation of the original query over one view per atom: each condition
     position holds its block's unique winner, and a row drops out when one
     of those blocks has no unique winner.
+
+    A view is a set of rows, kept in first-seen order: the duplicates that
+    the MDs resolve become identical rows, and since the answer is a set,
+    the join reads each distinct row once.
     """
     partition = ta_closure(d, rq.mdset)
     winners, index = partition.winners, partition.block_index
 
-    def view(ra: RewrittenAtom) -> list[tuple[str, ...]]:
+    def view(ra: RewrittenAtom) -> dict[tuple[str, ...], None]:
         # a changeable attribute of a relation without tuples has no index
         conditions = [(c.pos, index.get(c.attr, {})) for c in ra.conditions]
-        rows = []
+        rows: dict[tuple[str, ...], None] = {}
         for tid, row in d.rows(ra.original.rel):
             values = list(row)
             for pos, blocks in conditions:
@@ -360,7 +364,7 @@ def eval_rewritten(rq: RewrittenQuery, d: Instance) -> AnswerSet:
                     break
                 values[pos] = winner
             else:
-                rows.append(tuple(values))
+                rows[tuple(values)] = None
         return rows
 
     body = [ra.original.terms for ra in rq.atoms]

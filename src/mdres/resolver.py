@@ -46,10 +46,10 @@ from .similarity import SimilaritySpec
 from .taclosure import (
     TAPartition,
     link_conditions,
+    link_targets,
     match_keys,
     reads_one_side,
     ta_closure,
-    union_groups,
 )
 
 # How far a fresh value may outgrow the longest stored value. Rungs of the
@@ -174,12 +174,12 @@ class ChaseSpace:
     slots, and a chase step often changes target slots only, so they are
     memoised per MD on that projection. A miss reads each tuple's link key
     off the state, matches the keys with taclosure.match_keys, unions the
-    groups over the slots (union_groups links them, as in ta_closure), and
-    keeps the MD's blocks of two slots or more as its link set, interned by
-    content; no Instance is built. The merged blocks are memoised on the
-    projection onto every MD's condition slots and, behind that, on the
-    tuple of the MDs' link sets, so a new condition projection that links
-    the same way merges nothing.
+    groups over the slots with taclosure.link_targets (the closure's
+    kernel), and keeps the MD's blocks of two slots or more as its link
+    set, interned by content; no Instance is built. The merged blocks are
+    memoised on the projection onto every MD's condition slots and, behind
+    that, on the tuple of the MDs' link sets, so a new condition projection
+    that links the same way merges nothing.
 
     What only some callers read is built on first use: `positions` (the
     position at each slot, for messages and tests), each tuple's slots (for
@@ -334,7 +334,7 @@ class ChaseSpace:
         left_keys = _key_groups(left, values)
         right_keys = left_keys if right is None else _key_groups(right, values)
         ds: DisjointSet[int] = DisjointSet()
-        union_groups(ds, match_keys(conds, left_keys, right_keys), md.rhs, self.slots)
+        link_targets(ds, match_keys(conds, left_keys, right_keys), md.rhs, self.slots)
         return tuple([g for g in ds.groups() if len(g) > 1])
 
     def _link_id(self, content: tuple[tuple[int, ...], ...]) -> int:

@@ -11,7 +11,10 @@ what makes the fast resolution path a one-shot computation.
 
 The closure numbers the changeable positions once, in sorted order, and
 unions those slot numbers; Position tuples are built only for the partition
-it returns.
+it returns. Linking is one union kernel, `link_targets`, shared with the
+chase's `resolver.ChaseSpace.link_set`: it stars each distinct tid list of
+the link groups once per target attribute and joins the stars hub to hub,
+so its unions follow the number of link keys and groups, not the pairs.
 """
 
 from __future__ import annotations
@@ -151,9 +154,10 @@ def match_keys(
     value of the first `lev`/`table` conjunct, and a left key visits only
     the buckets of that value's `neighbours`; the remaining conjuncts are
     tested with `similar`, once per pair of keys that reach each other.
-    When `right` is `left` itself (both sides read the same columns), a
-    group of equal keys is one tid list on both sides, which union_groups
-    links as a star once.
+    A key's tid list is one list object in every group of that key, which
+    is what lets link_targets star it once. When `right` is `left` itself
+    (both sides read the same columns), a group of equal keys is one tid
+    list on both sides.
     """
     probe = sum(spec.kind == "eq" for _, _, spec in conds)  # key index the index answers
     if probe == len(conds):
@@ -199,34 +203,45 @@ def slot_map(
     return slots, values
 
 
-def union_groups(
+def link_targets(
     ds: DisjointSet[int],
     groups: list[tuple[list[int], list[int]]],
     rhs: tuple[tuple[Attr, Attr], ...],
     slots: Mapping[Attr, Mapping[int, int]],
 ) -> None:
-    """Link the target slots of every group as a star.
+    """Union the target slots that link groups join, over `slots` ({tid: slot}
+    per attribute).
 
-    For each target pair, the slot of the first left tuple is the hub, and
-    the other |L| - 1 left and the |R| right target slots are each unioned
-    with it. A complete bipartite link set is connected, so that gives the
-    same classes as the |L| * |R| linked pairs. When the right tids are the
-    left list itself and the target pair is one attribute with itself, the
-    left star already links every right slot, and a tuple linked only to
-    itself unions nothing. `slots` maps each attribute to {tid: slot}.
+    A group (L, R) joins the target slots of L on the left attribute of each
+    target pair with those of R on its right attribute. match_keys hands out
+    one tid list per link key, and a list sits in every group of its key, so
+    each distinct list is starred once per attribute: its first slot is the
+    hub and its other |L| - 1 slots are unioned with it. Each group then
+    unions its two hubs once per target pair, unless they are one slot (a
+    group of equal keys on one attribute). That is sum(|L| - 1) over the
+    distinct lists plus |groups| * |rhs| unions, and the same classes as the
+    |L| * |R| linked pairs of every group.
     """
+    if not groups:  # a relation without tuples has no slot map
+        return
     union = ds.union
-    for ltids, rtids in groups:
-        t1, others = ltids[0], ltids[1:]
-        for left, right in rhs:
-            lslot, rslot = slots[left], slots[right]
-            hub = lslot[t1]
-            for t in others:
-                union(lslot[t], hub)
-            if rtids is ltids and left == right:
-                continue
-            for t in rtids:
-                union(hub, rslot[t])
+    hubs: dict[Attr, dict[int, int]] = {}  # per attribute {id of a tid list: hub slot}
+    for left, right in rhs:
+        lhubs, rhubs = hubs.setdefault(left, {}), hubs.setdefault(right, {})
+        lslot, rslot = slots[left], slots[right]
+        for ltids, rtids in groups:
+            a = lhubs.get(id(ltids))
+            if a is None:
+                a = lhubs[id(ltids)] = lslot[ltids[0]]
+                for t in ltids[1:]:
+                    union(a, lslot[t])
+            b = rhubs.get(id(rtids))
+            if b is None:
+                b = rhubs[id(rtids)] = rslot[rtids[0]]
+                for t in rtids[1:]:
+                    union(b, rslot[t])
+            if a != b:
+                union(a, b)
 
 
 def linked_pairs(md: MD, instance: Instance, sims: Mapping[str, SimilaritySpec]):
@@ -264,19 +279,20 @@ def ta_closure(d: Instance, mdset: MDSet) -> TAPartition:
     """Compute the closure partition of d under the MD set.
 
     Slot i is the i-th changeable position in sorted order. The link groups
-    of each feeding MD are unioned over slots; a block is the ascending list
-    of its slots, so the blocks come out sorted by their first position, and
-    the value counts are read off the same lists.
+    of each feeding MD are built once and unioned over slots by one
+    link_targets call, on the target pairs of every MD it feeds; a block is
+    the ascending list of its slots, so the blocks come out sorted by their
+    first position, and the value counts are read off the same lists.
     """
     universe = d.positions(mdset.changeable)
     slots, values = slot_map(d, universe)
     ds: DisjointSet[int] = DisjointSet(range(len(universe)))
-    groups: dict[str, list] = {}
+    targets: dict[str, dict[tuple[Attr, Attr], None]] = {}  # per feeding MD
     for mi in mdset.mds:
         for mj in feeders(mdset, mi):
-            if mj.mid not in groups:
-                groups[mj.mid] = link_groups(mj, d, mdset.sims)
-            union_groups(ds, groups[mj.mid], mi.rhs, slots)
+            targets.setdefault(mj.mid, {}).update(dict.fromkeys(mi.rhs))
+    for mid, rhs in targets.items():
+        link_targets(ds, link_groups(mdset.by_id(mid), d, mdset.sims), tuple(rhs), slots)
     find = ds.find
     members: dict[int, list[int]] = {}
     for i in range(len(universe)):

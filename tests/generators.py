@@ -155,6 +155,40 @@ def rand_overlap_chain_case(rng: random.Random):
     return schema, instance, mdset
 
 
+def rand_dup_case(rng: random.Random):
+    """Schema, instance of 20-60 tuples in planted duplicate groups, and a
+    non-interacting MD set over two relations.
+
+    A group's tuples copy one row and differ only at target attributes,
+    where each cell keeps the group's value or, now and then, takes another
+    one; once the MDs resolve them, the copies are identical rows.
+    """
+    schema = parse_schema(
+        "relation R(A:str, B:str, C:str)\nrelation S(E:str, F:str, G:str)"
+    )
+    sims = {"s": rand_table_sim(rng)}
+    lines = [
+        f"R[A] {rng.choice(('=', '~s'))} R[A] -> R[B] == R[B], R[C] == R[C]",
+        f"S[E] {rng.choice(('=', '~s'))} S[E] -> S[F] == S[F]",
+    ]
+    if rng.random() < 0.5:
+        lines.append("R[A] = S[E] -> R[B] == S[F]")
+    mdset = parse_mds(";".join(lines), schema, sims)
+    targets = {"R": (1, 2), "S": (1,)}
+    rows: dict[str, list[list[str]]] = {"R": [], "S": []}
+    total = rng.randrange(20, 61)
+    while sum(map(len, rows.values())) < total:
+        rel = rng.choice(("R", "S"))
+        base = [rng.choice(VALUE_POOL) for _ in range(3)]
+        for _ in range(rng.randrange(2, 7)):
+            row = list(base)
+            for j in targets[rel]:
+                if rng.random() < 0.25:
+                    row[j] = rng.choice(VALUE_POOL)
+            rows[rel].append(row)
+    return schema, load_instance(schema, rows), mdset
+
+
 def rand_instance(rng: random.Random, schema: Schema, max_tuples: int = 8) -> Instance:
     rows: dict[str, list[list[str]]] = {r.name: [] for r in schema.relations}
     names = list(rows)

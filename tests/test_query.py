@@ -1,15 +1,18 @@
+import random
 from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mdres import (
     NotEligibleError,
     OracleBounds,
+    classify,
     enumerate_mris_oracle,
     eval_cq,
     eval_rewritten,
+    fast_mri_family,
     is_ujcq,
     load_instance,
     parse_mds,
@@ -24,6 +27,7 @@ from mdres.query import Atom, ConjunctiveQuery
 
 from conftest import load_bundle
 from datalog_engine import evaluate, parse_program
+from generators import rand_dup_case, rand_ujcq
 from reference import ref_certain_answers, ref_eval_cq
 
 
@@ -211,6 +215,47 @@ def test_rewrite_on_cycle_instance(two_rule_cycle):
         assert ans.tuples == ()
         mris, _ = enumerate_mris_oracle(d, mdset)
         assert ref_certain_answers(q, mris) == frozenset()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, print_blob=False)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_rewrite_over_deduplicated_views_matches_the_mris(seed):
+    """eval_rewritten reads each distinct view row once; its answers are
+    still the certain answers over every MRI, on instances of 20-60 tuples
+    in planted duplicate groups, past the oracle's size bound."""
+    rng = random.Random(seed)
+    _, d, mdset = rand_dup_case(rng)
+    assert classify(mdset).fast
+    family = fast_mri_family(d, mdset)
+    assume(family.count <= 256)
+    q = rand_ujcq(rng, d.schema, mdset)
+    mris, truncated = family.materialize(256)
+    assert not truncated
+    assert set(eval_rewritten(rewrite(q, mdset), d).tuples) == ref_certain_answers(q, mris)
+
+
+def test_boolean_rewrite_over_a_view_with_repeated_rows():
+    # the three k-rows resolve to one row (k, x); the j-rows tie on B, so a
+    # head variable there has no certain value, but some value is certain
+    schema = parse_schema("relation R(A:str, B:str)")
+    d = load_instance(schema, {"R": [
+        ["k", "x"], ["k", "x"], ["k", "y"], ["j", "x"], ["j", "y"],
+    ]})
+    mdset = parse_mds("R[A] = R[A] -> R[B] == R[B]", schema)
+    mris, _ = fast_mri_family(d, mdset).materialize()
+    assert {row for mri in mris for _, row in mri.rows("R") if row[0] == "k"} == {("k", "x")}
+    for text, expected in (
+        ("Q() :- R('k', b)", ((),)),
+        ("Q() :- R(a, b), R('k', c)", ((),)),
+        ("Q() :- R('j', b)", ((),)),
+        ("Q(b) :- R(a, b)", (("x",),)),
+        ("Q(b) :- R('j', b)", ()),
+        ("Q() :- R('m', b)", ()),
+    ):
+        q = parse_query(text, schema)
+        ans = eval_rewritten(rewrite(q, mdset), d)
+        assert ans.tuples == expected, text
+        assert set(ans.tuples) == ref_certain_answers(q, mris), text
 
 
 def test_resolved_answers_modes(majority_column):

@@ -14,6 +14,8 @@ from mdres import (
     parse_schema,
     ta_closure,
 )
+from mdres.dsets import DisjointSet
+from mdres.mds import MDSet
 from mdres.relation import Position
 from mdres.resolver import ChaseSpace
 from mdres.similarity import SimilaritySpec
@@ -150,7 +152,13 @@ LINK_VALUES = ("u", "v", "w", "x", "uv", "vw", "uvw", "wu")
 
 
 def _rand_link_case(rng):
-    """Instance and MD set mixing `=`, `lev <= k` and table conjuncts."""
+    """Instance and MD set mixing `=`, `lev <= k` and table conjuncts.
+
+    Each MD has 1-3 target pairs: two attributes of one relation when it
+    matches R or S with itself, cross-relation pairs when it matches R with
+    S. With up to 20 rows per relation, one tid list sits in many groups
+    and is linked on several target pairs.
+    """
     sims = {
         "l": SimilaritySpec(name="l", kind="lev", max_distance=rng.randint(0, 2)),
         "t": rand_table_sim(rng, "t"),
@@ -166,14 +174,17 @@ def _rand_link_case(rng):
                 f"{left}[{rng.choice(attrs[left])}] {op} "
                 f"{right}[{rng.choice(attrs[right])}]"
             )
-        lines.append(
-            f"{', '.join(dict.fromkeys(conjuncts))} -> "
+        targets = [
             f"{left}[{rng.choice(attrs[left])}] == {right}[{rng.choice(attrs[right])}]"
+            for _ in range(rng.randint(1, 3))
+        ]
+        lines.append(
+            f"{', '.join(dict.fromkeys(conjuncts))} -> {', '.join(dict.fromkeys(targets))}"
         )
     mdset = parse_mds(";".join(lines), LINK_SCHEMA, sims)
     rows = {
         rel: [[rng.choice(LINK_VALUES) for _ in range(3)]
-              for _ in range(rng.randint(1, 7))]
+              for _ in range(rng.randint(1, 20))]
         for rel in ("R", "S")
     }
     return load_instance(LINK_SCHEMA, rows), mdset
@@ -204,6 +215,12 @@ def test_link_groups_match_nested_loop(seed):
     assert [tuple(space.positions[i] for i in block) for block in space.blocks(space.start)] == [
         positions for positions, _ in ref_merge_blocks(inst, mdset)
     ]
+    for i, md in enumerate(mdset.mds):
+        alone = MDSet((md,), mdset.schema, mdset.sims)
+        assert [
+            tuple(space.positions[s] for s in block)
+            for block in space.link_set(i, space.start)
+        ] == [positions for positions, _ in ref_merge_blocks(inst, alone)], md
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
@@ -276,6 +293,42 @@ def test_lev_linking_is_not_quadratic(monkeypatch):
     monkeypatch.setattr(mdres.similarity, "within_distance", counted)
     ta_closure(inst, mdset)
     assert calls < 20_000
+
+
+def test_unions_follow_keys_and_groups_not_pairs(monkeypatch):
+    """K keys, all similar under a complete table, with T tuples each: K^2
+    groups whose sides are the same K tid lists. The kernel stars each list
+    once and joins the hubs once per group, so the closure and the chase's
+    link set each make at most K*T + K^2*|rhs| unions; a star per group
+    makes about 2*K^2*T."""
+    k, t = 30, 10
+    keys = [f"k{i}" for i in range(k)]
+    table = SimilaritySpec(
+        name="t", kind="table",
+        pairs=frozenset((a, b) for a in keys for b in keys if a != b),
+    )
+    schema = parse_schema("relation R(A:str, B:str)")
+    inst = load_instance(
+        schema, {"R": [[key, f"{key}v{j}"] for key in keys for j in range(t)]}
+    )
+    mdset = parse_mds("R[A] ~t R[A] -> R[B] == R[B]", schema, {"t": table})
+    calls = 0
+    union = DisjointSet.union
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return union(self, a, b)
+
+    monkeypatch.setattr(DisjointSet, "union", counted)
+    bound = k * t + k * k * len(mdset.mds[0].rhs)
+    (block,) = ta_closure(inst, mdset).blocks
+    assert len(block) == k * t
+    assert 0 < calls <= bound
+    calls = 0
+    space = ChaseSpace(inst, mdset)
+    assert [len(b) for b in space.link_set(0, space.start)] == [k * t]
+    assert 0 < calls <= bound
 
 
 def test_feeders_of_a_long_cycle_are_not_cubic():
