@@ -349,11 +349,11 @@ _input_options = _options(
     click.option("--sims", help="Similarity definitions file."),
 )
 _common_options = _options(_input_options, _format)
-_bounds_options = _options(*(
+_max_values, _max_materialized = (
     click.option(f"--{name.replace('_', '-')}", type=click.IntRange(min=0),
                  default=getattr(OracleBounds, name), show_default=True)
-    for name in ("max_tuples", "max_values", "max_materialized")
-))
+    for name in ("max_values", "max_materialized")
+)
 
 
 @click.group(cls=_Main, no_args_is_help=False)
@@ -386,7 +386,8 @@ def cmd_resolve(**kw):
 
 @main.command("oracle")
 @_common_options
-@_bounds_options
+@_max_values
+@_max_materialized
 def cmd_oracle(**kw):
     """Exhaustive chase enumeration of minimal resolved instances."""
     _execute("oracle", **kw)
@@ -394,7 +395,7 @@ def cmd_oracle(**kw):
 
 @main.command("answers")
 @_common_options
-@_bounds_options
+@_max_values
 @click.option("--query", required=True, help="Query file.")
 @click.option("--mode", type=click.Choice(("auto", "rewrite", "oracle")), default="auto",
               show_default=True, help="How the answers are computed.")

@@ -11,8 +11,8 @@ instance. Two evaluation paths produce them:
   the original query over one view per atom in which each such position
   holds its block's unique winner (rows whose block has none drop out).
   Polynomial, no instances materialized.
-- oracle: evaluate the query on every MRI produced by the exhaustive chase
-  and intersect the answer sets.
+- oracle: evaluate the query on each MRI of the exhaustive chase, built
+  one at a time, and intersect the answer sets.
 
 Every evaluation is the one indexed join of `join.py`. Query text is read
 through the MD text's `mds.TokenStream`, and `str` of a query gives text
@@ -31,7 +31,7 @@ from .errors import BoundsExceededError, InputError, NotEligibleError, ParseErro
 from .join import Const, Var, join, quote
 from .mds import MDSet, TokenStream, classify, eqr_class
 from .relation import Attr, Instance, Schema
-from .resolver import OracleBounds, enumerate_mris_oracle
+from .resolver import OracleBounds, minimal_states
 from .taclosure import ta_closure
 
 
@@ -386,8 +386,9 @@ def resolved_answers(
 
     mode "rewrite" insists on the fast path and raises rewrite's
     NotEligibleError when the query or the MD set disqualifies it; "oracle"
-    intersects over the enumerated MRIs; "auto" tries the rewrite and falls
-    back to the oracle when rewrite refuses. The answer set keeps the
+    intersects over the MRIs, built one at a time (so max_materialized does
+    not apply); "auto" tries the rewrite and falls back to the oracle when
+    rewrite refuses. The answer set keeps the
     query's is_ujcq verdict as `ujcq`: (True, None) on the rewrite path,
     which only a join-safe query reaches.
     """
@@ -404,7 +405,7 @@ def resolved_answers(
         else:
             return eval_rewritten(rq, d)
     try:
-        mris, _ = enumerate_mris_oracle(d, mdset, bounds)
+        space, winners, _ = minimal_states(d, mdset, bounds or OracleBounds())
     except BoundsExceededError as exc:
         if refusal is not None:
             raise BoundsExceededError(
@@ -412,8 +413,8 @@ def resolved_answers(
             ) from exc
         raise
     common: set[tuple[str, ...]] | None = None
-    for mri in mris:
-        tuples = _eval_tuples(q, mri)
+    for state in winners:
+        tuples = _eval_tuples(q, space.instance(state))
         common = tuples if common is None else common & tuples
         if not common:
             break

@@ -8,13 +8,14 @@ ones changing the fewest positions of the original instance are the minimal
 resolved instances (MRIs).
 
 The oracle enumerates chase runs breadth-first and is the ground truth the
-fast path is checked against. It runs on ChaseSpace, where a state is a flat
-tuple of values. The merge partition is rebuilt from memos: each MD's links
-are kept as an interned link set per value of the MD's condition columns,
-read off the state on a miss, and the merged blocks per tuple of link sets,
-which merge_partition computes on a miss. That is the package's one block
-computation on a state; is_stable reads the open blocks of an instance's
-start state through it.
+fast path is checked against. It is bounded by the cells of the states it
+visits (OracleBounds.max_cells), not by the instance's size. It runs on
+ChaseSpace, where a state is a flat tuple of values. The merge partition is
+rebuilt from memos: each MD's links are kept as an interned link set per
+value of the MD's condition columns, read off the state on a miss, and the
+merged blocks per tuple of link sets, which merge_partition computes on a
+miss. That is the package's one block computation on a state; is_stable
+reads the open blocks of an instance's start state through it.
 Fresh values are the rungs of one ladder per space, renamed in each
 successor by first occurrence. What a step reads off its layout of open
 blocks is built once per layout. For one oracle call, the combinations
@@ -96,10 +97,9 @@ def _fresh_params(
 
 @dataclass(frozen=True)
 class OracleBounds:
-    max_tuples: int = 12
     max_values: int = 6  # per-block assignment pool
     max_materialized: int = 1024
-    max_states: int = 200_000
+    max_cells: int = 10_000_000  # visited states times slots per state
 
     def __post_init__(self):
         # A negative bound is bad input, not a search that ran out of room.
@@ -183,9 +183,9 @@ class ChaseSpace:
 
     What only some callers read is built on first use: `positions` (the
     position at each slot, for messages and tests), each tuple's slots (for
-    `instance`, which builds the instances returned), and `sentinel`, `base`
-    and `k` (the fresh-value parameters, first needed when a step builds a
-    fresh value).
+    `instance`, which builds the instances returned), and the fresh-value
+    parameters of _fresh_params (`_ladder_params`, first needed when a step
+    builds a fresh value).
     """
 
     def __init__(self, d: Instance, mdset: MDSet):
@@ -265,21 +265,6 @@ class ChaseSpace:
         if self._params is None:
             self._params = _fresh_params(self.start, self._sims)
         return self._params
-
-    @property
-    def sentinel(self) -> str:
-        """The character that fresh values repeat; see _fresh_params."""
-        return self._ladder_params()[0]
-
-    @property
-    def base(self) -> int:
-        """The length of the longest stored value."""
-        return self._ladder_params()[1]
-
-    @property
-    def k(self) -> int:
-        """The largest edit-distance bound."""
-        return self._ladder_params()[2]
 
     def _key_slots(self, rel: str, columns: list[int]) -> tuple[list[int], int, Callable]:
         """(tids in order, key width, projection onto every tuple's link-key
@@ -499,10 +484,13 @@ def stable_states(space: ChaseSpace, bounds: OracleBounds) -> list[tuple[str, ..
 
     Each state is expanded once, in the order it was first reached; the
     successors of a step that settles are stable and are not relinked.
-    Raises BoundsExceededError when the visited states exceed max_states
-    or a block offers more than max_values assignments.
+    Raises BoundsExceededError when the visited states hold more than
+    max_cells cells (states times slots), or a block offers more than
+    max_values assignments.
     """
     start = space.start
+    width = len(start) or 1  # a state without slots has no successor
+    max_states = bounds.max_cells // width
     visited = {start}
     frontier = [start]
     stable: list[tuple[str, ...]] = []
@@ -519,13 +507,28 @@ def stable_states(space: ChaseSpace, bounds: OracleBounds) -> list[tuple[str, ..
                 if succ in visited:
                     continue
                 visited.add(succ)
-                if len(visited) > bounds.max_states:
+                if len(visited) > max_states:
                     raise BoundsExceededError(
-                        f"chase state space exceeds {bounds.max_states} instances"
+                        f"chase state space exceeds {max_states} states of {width} "
+                        f"cells each, bound is {bounds.max_cells} cells"
                     )
                 reached.append(succ)
         frontier = next_frontier
     return stable
+
+
+def minimal_states(
+    d: Instance, mdset: MDSet, bounds: OracleBounds
+) -> tuple[ChaseSpace, list[tuple[str, ...]], int]:
+    """(chase space of d, the MRIs as its states, their change against d);
+    space.instance builds an MRI."""
+    space = ChaseSpace(d, mdset)
+    stable = stable_states(space, bounds)
+    if not stable:
+        raise BoundsExceededError("no stable instance")
+    changes = [sum(map(ne, space.start, s)) for s in stable]
+    min_change = min(changes)
+    return space, [s for n, s in zip(changes, stable) if n == min_change], min_change
 
 
 def enumerate_mris_oracle(
@@ -544,18 +547,7 @@ def enumerate_mris_oracle(
     isomorphic successors and identical change-set sizes.
     """
     b = bounds or OracleBounds()
-    if d.total_tuples > b.max_tuples:
-        raise BoundsExceededError(
-            f"instance has {d.total_tuples} tuples, oracle bound is {b.max_tuples}"
-        )
-    space = ChaseSpace(d, mdset)
-    stable = stable_states(space, b)
-    if not stable:
-        raise BoundsExceededError("no stable instance")
-    start = space.start
-    changes = [sum(map(ne, start, s)) for s in stable]
-    min_change = min(changes)
-    winners = [s for n, s in zip(changes, stable) if n == min_change]
+    space, winners, min_change = minimal_states(d, mdset, b)
     if len(winners) > b.max_materialized:
         raise BoundsExceededError(
             f"{len(winners)} minimal resolved instances exceed the materialization "

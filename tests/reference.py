@@ -447,6 +447,11 @@ def ref_key_repairs(instance: Instance, rel: str, key: tuple[str, ...]):
     return sorted(repairs, key=sorted)
 
 
+# The reference oracle rebuilds and relinks an Instance for every state, so
+# it is kept to instances this small.
+REF_ORACLE_MAX_TUPLES = 12
+
+
 class _RefCells:
     """The fixed cell layout of the reference oracle's chase states: the tuple
     of values at the positions of d in sorted order."""
@@ -515,16 +520,21 @@ def ref_enumerate_mris_oracle(
     ref_merge_blocks, pair by pair from the MDs' definition, with no linker
     or union-find from the package; the change set is diffed instance
     against instance. The bounds are checked in the same order, with the
-    same messages, as enumerate_mris_oracle.
+    same messages, as enumerate_mris_oracle. Past REF_ORACLE_MAX_TUPLES
+    tuples it refuses with ValueError: that is a budget on the test's time,
+    so a test that passes a larger instance is wrong, not the package.
     """
-    b = bounds or OracleBounds()
-    if d.total_tuples > b.max_tuples:
-        raise BoundsExceededError(
-            f"instance has {d.total_tuples} tuples, oracle bound is {b.max_tuples}"
+    if d.total_tuples > REF_ORACLE_MAX_TUPLES:
+        raise ValueError(
+            f"the reference oracle takes at most {REF_ORACLE_MAX_TUPLES} tuples, "
+            f"got {d.total_tuples}"
         )
+    b = bounds or OracleBounds()
     sentinel, base, k = _fresh_params(d.active_domain(), mdset.sims)
     cells = _RefCells(d)
     start = cells.values(d)
+    width = len(start) or 1
+    max_states = b.max_cells // width
     visited = {start}
     frontier = [(d, start)]
     stable: list[Instance] = []
@@ -553,9 +563,10 @@ def ref_enumerate_mris_oracle(
                 if key in visited:
                     continue
                 visited.add(key)
-                if len(visited) > b.max_states:
+                if len(visited) > max_states:
                     raise BoundsExceededError(
-                        f"chase state space exceeds {b.max_states} instances"
+                        f"chase state space exceeds {max_states} states of {width} "
+                        f"cells each, bound is {b.max_cells} cells"
                     )
                 next_frontier.append((cells.instance(key), key))
         frontier = next_frontier

@@ -13,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 import mdres.cli
 from mdres.cli import _dump_json, _is_rows, main
+from mdres.relation import write_csv_dir
 
 from conftest import FIXTURES
+from generators import dn_instance
 
 
 def args_for(name, command, *extra, mds="mds.txt", sims=None, query=None):
@@ -309,22 +311,42 @@ def test_huge_edit_bound_refused_before_fresh_values(tmp_path):
 
 
 def test_oracle_bounds_exit_3():
-    res = invoke(args_for("dup_groups", "oracle", "--max-tuples", "2"))
-    assert res.exit_code == 3
-    assert res.stderr.startswith("bounds exceeded:")
+    res = invoke(args_for("dup_groups", "oracle", "--max-values", "2"))
+    assert (res.exit_code, res.stdout) == (3, "")
+    assert res.stderr == (
+        "bounds exceeded: block at (t1, R[B]) offers 3 assignments, bound is 2\n"
+    )
 
 
-@pytest.mark.parametrize("option, value", [
-    ("--max-tuples", "-1"),
-    ("--max-values", "-3"),
-    ("--max-materialized", "-2"),
+def test_answers_through_the_oracle_past_twelve_tuples(tmp_path):
+    # 14 tuples and 128 MRIs; the query is not join-safe, so auto takes the
+    # oracle, which has no size bound
+    _, d, _ = dn_instance(7)
+    write_csv_dir(d, tmp_path / "data")
+    (tmp_path / "schema.txt").write_text("relation R(A:str, B:str)\n", encoding="utf-8")
+    (tmp_path / "mds.txt").write_text("R[A] = R[A] -> R[B] == R[B]\n", encoding="utf-8")
+    (tmp_path / "q.txt").write_text("Q(x) :- R(x, y), R(z, y)\n", encoding="utf-8")
+    res = invoke([
+        "answers", "--schema", str(tmp_path / "schema.txt"), "--data", str(tmp_path / "data"),
+        "--mds", str(tmp_path / "mds.txt"), "--query", str(tmp_path / "q.txt"),
+    ])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.output)
+    assert payload["mode"] == "oracle"
+    assert payload["answers"] == [[f"a{i}"] for i in range(1, 8)]
+
+
+@pytest.mark.parametrize("option, value, commands", [
+    ("--max-values", "-3", ("oracle", "answers")),
+    ("--max-materialized", "-2", ("oracle",)),
 ])
-def test_negative_oracle_bound_exits_1(option, value):
-    for argv in (
-        args_for("dup_groups", "oracle", option, value),
-        args_for("majority_column", "answers", "--mode", "oracle", option, value,
-                 query="query.txt"),
-    ):
+def test_negative_oracle_bound_exits_1(option, value, commands):
+    argvs = {
+        "oracle": args_for("dup_groups", "oracle", option, value),
+        "answers": args_for("majority_column", "answers", "--mode", "oracle", option, value,
+                            query="query.txt"),
+    }
+    for argv in map(argvs.get, commands):
         res = invoke(argv)
         assert res.exit_code == 1, res.output
         assert res.stderr == (
@@ -352,16 +374,20 @@ def test_removed_threads_option_is_a_usage_error():
     ("cqa-export", "--mds", "mds.txt"),
     ("cqa-export", "--sims", "sims.txt"),
     ("oracle", "--max-depth", "1"),
+    ("oracle", "--max-tuples", "3"),
+    ("answers", "--max-tuples", "3"),
+    ("answers", "--max-materialized", "5"),
 ])
 def test_options_nothing_reads_are_usage_errors(command, option, value):
-    hint = {"--max-depth": " (Did you mean one of: '--max-tuples', '--max-values'?)"}
+    # the oracle has no size bound, and answers builds one MRI at a time
+    hint = " Did you mean '--max-values'?" if option.startswith("--max-") else ""
     root = FIXTURES / "keyed_majority"
     res = invoke([
         command, "--schema", str(root / "schema.txt"), "--data", str(root / "data"),
         option, value,
     ])
     assert res.exit_code == 1
-    assert res.stderr == f"error: No such option '{option}'.{hint.get(option, '')}\n"
+    assert res.stderr == f"error: No such option '{option}'.{hint}\n"
     assert res.stdout == ""
 
 
@@ -375,14 +401,14 @@ CONTRACT_VALUES = {
     "--key": "A",
 }
 INPUTS = ("--schema", "--data", "--mds")
-BOUNDS = dict.fromkeys(("--max-tuples", "--max-values", "--max-materialized"), "x>=0")
+ORACLE_BOUNDS = dict.fromkeys(("--max-values", "--max-materialized"), "x>=0")
 # command: (required options, {integer option: its range}, takes --format)
 CONTRACT = {
     "classify": (INPUTS, {}, True),
     "closure": (INPUTS, {}, True),
     "resolve": (INPUTS, {"--materialize": f"0<=x<={sys.maxsize}"}, True),
-    "oracle": (INPUTS, BOUNDS, True),
-    "answers": ((*INPUTS, "--query"), BOUNDS, True),
+    "oracle": (INPUTS, ORACLE_BOUNDS, True),
+    "answers": ((*INPUTS, "--query"), {"--max-values": "x>=0"}, True),
     "emit-datalog": (INPUTS, {}, False),
     "cqa-export": (("--schema", "--data", "--relation", "--key"), {}, True),
 }

@@ -27,7 +27,7 @@ from mdres.query import Atom, ConjunctiveQuery
 
 from conftest import load_bundle
 from datalog_engine import evaluate, parse_program
-from generators import rand_dup_case, rand_ujcq
+from generators import dn_instance, rand_dup_case, rand_ujcq
 from reference import ref_certain_answers, ref_eval_cq
 
 
@@ -222,7 +222,7 @@ def test_rewrite_on_cycle_instance(two_rule_cycle):
 def test_rewrite_over_deduplicated_views_matches_the_mris(seed):
     """eval_rewritten reads each distinct view row once; its answers are
     still the certain answers over every MRI, on instances of 20-60 tuples
-    in planted duplicate groups, past the oracle's size bound."""
+    in planted duplicate groups, which the MRI family reaches at once."""
     rng = random.Random(seed)
     _, d, mdset = rand_dup_case(rng)
     assert classify(mdset).fast
@@ -307,11 +307,41 @@ def test_auto_reports_both_failures(hard_chain):
     d = hard_chain.instance
     mdset = hard_chain.mdset
     q = parse_query("Q(x) :- R(x, y, z)", hard_chain.schema)
-    tight = OracleBounds(max_tuples=1)
+    tight = OracleBounds(max_cells=1)
     with pytest.raises(BoundsExceededError) as exc:
         resolved_answers(q, d, mdset, bounds=tight)
+    assert str(exc.value).startswith("chase state space exceeds 0 states of ")
     assert "rewrite path was not available" in str(exc.value)
     assert "LinearPairHard" in str(exc.value)
+
+
+@pytest.mark.parametrize("n", [7, 11])
+def test_oracle_answers_past_the_materialization_bound(n):
+    # the query is not join-safe, so auto takes the oracle; at n = 11 the
+    # 2,048 MRIs exceed max_materialized, which answers does not read
+    _, d, mdset = dn_instance(n)
+    q = parse_query("Q(x) :- R(x, y), R(z, y)", mdset.schema)
+    answers = resolved_answers(q, d, mdset, bounds=OracleBounds(max_materialized=0))
+    mris, truncated = fast_mri_family(d, mdset).materialize(4096)
+    assert (len(mris), truncated) == (2 ** n, False)
+    assert answers.provenance == "oracle"
+    assert set(answers.tuples) == ref_certain_answers(q, mris)
+    assert len(answers.tuples) == n
+
+
+def test_oracle_answers_hold_on_every_mri():
+    # each MRI keeps one B value of a pair, a different one in different
+    # MRIs, so only the lone tuple's row is certain; the winners are
+    # evaluated one at a time, and the first one alone has three rows
+    schema = parse_schema("relation R(A:str, B:str)")
+    d = load_instance(schema, {"R": [["a1", "c1"], ["a1", "c2"], ["a2", "c3"], ["a2", "c4"],
+                                     ["a3", "c5"]]})
+    mdset = parse_mds("R[A] = R[A] -> R[B] == R[B]", schema)
+    q = parse_query("Q(x, y) :- R(x, y)", schema)
+    mris, _ = enumerate_mris_oracle(d, mdset)
+    assert len(mris) == 4 and all(len(eval_cq(q, m)) == 3 for m in mris)
+    answers = resolved_answers(q, d, mdset, "oracle")
+    assert set(answers.tuples) == ref_certain_answers(q, mris) == {("a3", "c5")}
 
 
 def test_answerset_helpers(majority_column):

@@ -91,7 +91,7 @@ def test_chase_step_counts_values_only(dup_groups):
     space = ChaseSpace(dup_groups.instance, dup_groups.mdset)
     succ = [
         s for s in _expand(space, space.start)
-        if not any(space.sentinel in v for v in s)
+        if not any(space._ladder_params()[0] in v for v in s)
     ]
     # two open blocks with two candidate values each
     assert len(succ) == 4
@@ -161,20 +161,20 @@ def test_oracle_bounds_enforced(two_rule_cycle):
             two_rule_cycle.instance, two_rule_cycle.mdset,
             bounds=OracleBounds(max_values=2),
         )
-    with pytest.raises(BoundsExceededError):
+    width = len(ChaseSpace(two_rule_cycle.instance, two_rule_cycle.mdset).start)
+    with pytest.raises(BoundsExceededError) as exc:
         enumerate_mris_oracle(
             two_rule_cycle.instance, two_rule_cycle.mdset,
-            bounds=OracleBounds(max_tuples=3),
+            bounds=OracleBounds(max_cells=5 * width + width - 1),
         )
-    with pytest.raises(BoundsExceededError):
-        enumerate_mris_oracle(
-            two_rule_cycle.instance, two_rule_cycle.mdset,
-            bounds=OracleBounds(max_states=5),
-        )
+    assert str(exc.value) == (
+        f"chase state space exceeds 5 states of {width} cells each, "
+        f"bound is {6 * width - 1} cells"
+    )
 
 
 def test_negative_oracle_bounds_are_input_errors(dup_groups):
-    for name in ("max_tuples", "max_values", "max_materialized", "max_states"):
+    for name in ("max_values", "max_materialized", "max_cells"):
         with pytest.raises(InputError, match=f"^{name} must be at least 0$"):
             enumerate_mris_oracle(
                 dup_groups.instance, dup_groups.mdset, OracleBounds(**{name: -1})
@@ -183,12 +183,45 @@ def test_negative_oracle_bounds_are_input_errors(dup_groups):
 
 
 def test_oracle_has_no_depth_bound():
-    # max_states bounds the search; a depth cut could only truncate it
+    # max_cells bounds the search; a depth cut could only truncate it, and
+    # no bound reads the instance's size
     assert [f.name for f in fields(OracleBounds)] == [
-        "max_tuples", "max_values", "max_materialized", "max_states",
+        "max_values", "max_materialized", "max_cells",
     ]
     _, d, mdset = rand_hsc_case(random.Random(21))
     assert enumerate_mris_oracle(d, mdset)[1] == 7
+
+
+def test_oracle_on_a_state_without_cells():
+    # every relation is empty: the one state has no slot to divide the cell
+    # bound by, and it is the one MRI
+    schema = parse_schema("relation R(A:str, B:str)\nrelation S(C:str)")
+    d = load_instance(schema, {"R": [], "S": []})
+    mdset = parse_mds("R[A] = R[A] -> R[B] == R[B]", schema)
+    q = parse_query("Q(x) :- R(x, y)", schema)
+    for bounds in (None, OracleBounds(max_cells=0)):
+        mris, min_change = enumerate_mris_oracle(d, mdset, bounds)
+        assert ([m.key() for m in mris], min_change) == ([d.key()], 0)
+        answers = resolved_answers(q, d, mdset, "oracle", bounds)
+        assert (answers.tuples, answers.provenance) == ((), "oracle")
+
+
+def test_cell_bound_scales_with_width():
+    # under one bound, a wider state leaves room for fewer states
+    bounds = OracleBounds(max_cells=4_800)
+    refused = {}
+    for n in (12, 200):
+        _, d, mdset = dn_instance(n)
+        space = _RecordingSpace(d, mdset)
+        with pytest.raises(BoundsExceededError) as exc:
+            stable_states(space, bounds)
+        refused[n] = (len(space.built), str(exc.value))
+    assert refused == {
+        12: (100, "chase state space exceeds 100 states of 48 cells each, "
+                  "bound is 4800 cells"),
+        200: (6, "chase state space exceeds 6 states of 800 cells each, "
+                 "bound is 4800 cells"),
+    }
 
 
 def _oracle_outcome(oracle, d, mdset, bounds):
@@ -211,14 +244,14 @@ CASES = {
 @given(
     st.sampled_from(sorted(CASES)),
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=0, max_value=12_000),
     st.integers(min_value=2, max_value=4),
 )
-def test_oracle_matches_per_state_reference(kind, seed, states, values):
+def test_oracle_matches_per_state_reference(kind, seed, cells, values):
     _, d, mdset = CASES[kind](random.Random(seed))
     for bounds in (
         None,
-        OracleBounds(max_states=states),
+        OracleBounds(max_cells=cells),
         OracleBounds(max_values=values),
     ):
         assert _oracle_outcome(enumerate_mris_oracle, d, mdset, bounds) == (
@@ -254,7 +287,7 @@ def _check_slots(space, d, mdset):
     assert space.start == tuple(map(d.value, positions))
     assert space.instance(space.start).data == d.data
     assert space.positions == positions
-    assert (space.sentinel, space.base, space.k) == _fresh_params(d.active_domain(), mdset.sims)
+    assert space._ladder_params() == _fresh_params(d.active_domain(), mdset.sims)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
@@ -285,11 +318,12 @@ def _checked_successors(space, mdset, values):
         for positions, pool in ref_merge_blocks(space.instance(values), mdset)
         if len(pool) > 1
     ]
-    assert got == ref_successors(values, blocks, space.sentinel, space.base, space.k)
+    sentinel, base, k = space._ladder_params()
+    assert got == ref_successors(values, blocks, sentinel, base, k)
     for succ in got:
         for v in succ:
-            if space.sentinel in v:
-                assert v is space.fresh((len(v) - space.base) // (space.k + 1) - 1)
+            if sentinel in v:
+                assert v is space.fresh((len(v) - base) // (k + 1) - 1)
     return got
 
 
@@ -459,6 +493,7 @@ class _RecordingSpace(ChaseSpace):
 def _plain_search(space, bounds, expanded):
     """Breadth-first search that relinks every state and builds every
     combination: (stable set, number of states visited)."""
+    width = len(space.start)
     visited = {space.start}
     frontier, stable = [space.start], set()
     while frontier:
@@ -472,9 +507,10 @@ def _plain_search(space, bounds, expanded):
             for succ in space.successors(values, open_blocks, bounds.max_values):
                 if succ not in visited:
                     visited.add(succ)
-                    if len(visited) > bounds.max_states:
+                    if len(visited) * width > bounds.max_cells:
                         raise BoundsExceededError(
-                            f"chase state space exceeds {bounds.max_states} instances"
+                            f"chase state space exceeds {bounds.max_cells // width} states of "
+                            f"{width} cells each, bound is {bounds.max_cells} cells"
                         )
                     next_frontier.append(succ)
         frontier = next_frontier
@@ -498,14 +534,14 @@ def _search_outcome(search, *args):
 @given(
     st.sampled_from(sorted(CASES) + ["dn"]),
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=0, max_value=12_000),
 )
-def test_search_matches_plain_breadth_first_search(kind, seed, states):
+def test_search_matches_plain_breadth_first_search(kind, seed, cells):
     if kind == "dn":
         _, d, mdset = dn_instance(4 + seed % 3)
     else:
         _, d, mdset = CASES[kind](random.Random(seed))
-    for bounds in (OracleBounds(), OracleBounds(max_states=states)):
+    for bounds in (OracleBounds(), OracleBounds(max_cells=cells)):
         plain = ChaseSpace(d, mdset)
         plain_expanded = []
         expected = _search_outcome(_plain_search, plain, bounds, plain_expanded)
