@@ -9,8 +9,13 @@ so it takes no --format. MD files and query files are read by
 malformed file of either kind ends in the same kind of one-line error.
 The JSON writer is `_dump_json`: it gives the bytes of
 `json.dumps(payload, indent=2, sort_keys=True)`, built with `str.join`; a
-list of rows (table rows, block positions, answers) is encoded by one call
-of CPython's compact C encoder and then laid out.
+list of rows (table rows, answers) is encoded by one call of CPython's
+compact C encoder and then laid out. The `blocks` of closure and resolve
+are the closure partition itself, which `_dump_blocks` (and, for --format
+text, `_render_text`) writes in one pass over the partition's arrays, with
+each attribute's relation and name encoded once. Integers are written with
+all their digits, past int's str conversion limit too, so an MRI count or
+a repair count of any size is printed exactly.
 Each option's constraint (required, a choice, an integer range) is stated
 in its click declaration, and the click commands hand their parameters
 straight to `run`. Exit codes: 0 success; 1 input error, a usage error
@@ -47,7 +52,7 @@ from .relation import (
 )
 from .resolver import OracleBounds, enumerate_mris_oracle, fast_mri_family
 from .similarity import load_sims
-from .taclosure import emit_datalog, ta_closure
+from .taclosure import TAPartition, emit_datalog, ta_closure
 
 def _load(schema: str, data: str, mds: str, sims: str | None) -> tuple[Instance, MDSet]:
     instance = load_csv_dir(load_schema(schema), data)
@@ -91,6 +96,8 @@ def run(
     """Execute one CLI command on its parsed options; returns the payload
     (dict, or str for raw text). A command is passed only the options it
     declares; `bounds` are the --max-* options, as OracleBounds fields.
+    The `blocks` of closure and resolve are the TAPartition, which the
+    writers lay out.
 
     Raises InputError / NotEligibleError / BoundsExceededError; the CLI maps
     those to exit codes 1 / 2 / 3.
@@ -117,10 +124,9 @@ def run(
         return _classification_json(mdset)
 
     if command == "closure":
-        partition = ta_closure(instance, mdset)
         return {
             "changeable": sorted([r, a] for r, a in mdset.changeable),
-            "blocks": partition.as_json(),
+            "blocks": ta_closure(instance, mdset),
         }
 
     if command == "resolve":
@@ -132,7 +138,7 @@ def run(
             },
             "mri_count": family.count,
             "min_change": family.min_change,
-            "blocks": family.partition.as_json(),
+            "blocks": family.partition,
             "canonical": instance_as_json(family.canonical()),
         }
         if materialize:
@@ -177,13 +183,15 @@ def _render_text(command: str, payload: dict) -> str:
         lines.append(payload["label"])
         lines.extend(f"  {e}" for e in payload["evidence"])
     elif command == "closure":
-        for block in payload["blocks"]:
-            positions = " ".join(f"{r}.t{t}.{a}" for r, t, a in block["positions"])
-            values = ", ".join(f"{v}:{n}" for v, n in sorted(block["values"].items()))
+        partition = payload["blocks"]
+        labels = _slot_texts(partition, lambda rel, name: (f"{rel}.t", f".{name}"))
+        for block, counts in zip(partition.block_slots, partition.counts):
+            positions = " ".join(map(labels.__getitem__, block))
+            values = ", ".join([f"{v}:{n}" for v, n in counts])
             lines.append(f"block {positions} | {values}")
     elif command == "resolve":
         lines.append(f"label {payload['classification']['label']}")
-        lines.append(f"mri_count {payload['mri_count']}")
+        lines.append(f"mri_count {_int_text(payload['mri_count'])}")
         lines.append(f"min_change {payload['min_change']}")
     elif command == "oracle":
         lines.append(f"count {payload['count']}")
@@ -198,7 +206,7 @@ def _render_text(command: str, payload: dict) -> str:
         lines.append(
             f"{payload['relation']} key={','.join(payload['key'])} "
             f"groups={payload['groups']} rows={payload['rows']} "
-            f"repairs={payload['repair_count']}"
+            f"repairs={_int_text(payload['repair_count'])}"
         )
     return "\n".join(lines)
 
@@ -239,10 +247,11 @@ def _dump_json(obj, nl: str = "\n") -> str:
     With `indent` set, json.dumps skips CPython's C encoder and yields every
     token from Python generators; this builds each container's text with one
     `str.join` over its items instead. It covers what the CLI prints: dicts
-    with str keys, lists, tuples, str, int, bool and None. Anything else,
-    a non-str key included, raises TypeError. `nl` is the newline and indent
-    that obj's closing bracket sits on, for the recursive calls. A list of
-    rows goes through _dump_rows.
+    with str keys, lists, tuples, str, int, bool and None, and a closure
+    partition, which _dump_blocks writes. Anything else, a non-str key
+    included, raises TypeError. `nl` is the newline and indent that obj's
+    closing bracket sits on, for the recursive calls. A list of rows goes
+    through _dump_rows.
     """
     # The checks run in json's order. Inside a container, plain str and int
     # items are written inline, since they are most of a payload's tokens.
@@ -255,7 +264,7 @@ def _dump_json(obj, nl: str = "\n") -> str:
     if obj is False:
         return "false"
     if isinstance(obj, int):
-        return int.__repr__(obj)
+        return _int_text(obj)
     inner = nl + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -264,7 +273,7 @@ def _dump_json(obj, nl: str = "\n") -> str:
             return _dump_rows(obj, nl)
         items = [
             encode_basestring_ascii(v) if type(v) is str
-            else int.__repr__(v) if type(v) is int
+            else _int_text(v) if type(v) is int
             else _dump_json(v, inner)
             for v in obj
         ]
@@ -278,11 +287,63 @@ def _dump_json(obj, nl: str = "\n") -> str:
                 raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
             items.append(encode_basestring_ascii(key) + ": " + (
                 encode_basestring_ascii(v) if type(v) is str
-                else int.__repr__(v) if type(v) is int
+                else _int_text(v) if type(v) is int
                 else _dump_json(v, inner)
             ))
         return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, TAPartition):
+        return _dump_blocks(obj, nl)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _int_text(n: int) -> str:
+    """The decimal digits of n, however many. int's own conversion refuses
+    past sys.get_int_max_str_digits() digits (4,300 by default), and an MRI
+    count can have more; decimal's has no such limit."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(n))
+
+
+def _slot_texts(partition: TAPartition, affixes) -> dict[int, str]:
+    """{slot: head + tid + tail} for every slot of a closure partition, where
+    (head, tail) = affixes(relation, attribute) is built once per attribute."""
+    texts: dict[int, str] = {}
+    for (rel, name), at in partition.slots.items():
+        head, tail = affixes(rel, name)
+        texts.update(zip(at.values(), [f"{head}{tid}{tail}" for tid in at]))
+    return texts
+
+
+def _dump_blocks(partition: TAPartition, nl: str) -> str:
+    """_dump_json of a closure partition's blocks, written straight from its
+    arrays: a list with one object per block, whose `candidates` are its
+    pool, `positions` its [relation, tid, attribute] triples in slot order,
+    and `values` its counts. Each attribute's relation and name are encoded
+    once."""
+    if not partition.block_slots:
+        return "[]"
+    enc = encode_basestring_ascii
+    block, key, item, cell = nl + "  ", nl + "    ", nl + "      ", nl + "        "
+    labels = _slot_texts(partition, lambda rel, name: (
+        "[" + cell + enc(rel) + "," + cell, "," + cell + enc(name) + item + "]"
+    ))
+    sep = "," + item
+    head = "{" + key + '"candidates": [' + item
+    positions = key + "]," + key + '"positions": [' + item
+    values = key + "]," + key + '"values": {' + item
+    tail = key + "}" + block + "}"
+    texts = [
+        head + sep.join(map(enc, pool))
+        + positions + sep.join(map(labels.__getitem__, slots))
+        + values + sep.join([enc(v) + ": " + int.__repr__(n) for v, n in counts])
+        + tail
+        for slots, counts, pool in zip(partition.block_slots, partition.counts, partition.pools)
+    ]
+    return "[" + block + ("," + block).join(texts) + nl + "]"
 
 
 def _emit(command: str, fmt: str, payload) -> None:

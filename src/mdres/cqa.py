@@ -80,7 +80,7 @@ def build_cqa_instance(d: Instance, rel: str, key: list[str] | tuple[str, ...]) 
         members = list(members)
         if len(key_idx) == 1:
             key_values = (key_values,)
-        pools = [majority(Counter(map(column, members)).items()) for column in columns]
+        pools = [majority(Counter(map(column, members))) for column in columns]
         # product order is sorted order: the pools are sorted, and the rows
         # agree on the key and keep the non-key attributes in schema order
         rows = tuple(map(order, map(key_values.__add__, product(*pools))))

@@ -353,19 +353,17 @@ def eval_rewritten(rq: RewrittenQuery, d: Instance) -> AnswerSet:
     winners, index = partition.winners, partition.block_index
 
     def view(ra: RewrittenAtom) -> dict[tuple[str, ...], None]:
-        # a changeable attribute of a relation without tuples has no index
-        conditions = [(c.pos, index.get(c.attr, {})) for c in ra.conditions]
-        rows: dict[tuple[str, ...], None] = {}
-        for tid, row in d.rows(ra.original.rel):
-            values = list(row)
-            for pos, blocks in conditions:
-                winner = winners[blocks[tid]]
-                if winner is None:
-                    break
-                values[pos] = winner
-            else:
-                rows[tuple(values)] = None
-        return rows
+        table = d.data.get(ra.original.rel, {})
+        tids = sorted(table)
+        rows = map(table.__getitem__, tids)
+        if not ra.conditions or not tids:
+            return dict.fromkeys(rows)
+        # each condition column is replaced by its blocks' winners, read
+        # column-wise, and a row with a block that has none drops out
+        columns: list = list(zip(*rows))
+        for c in ra.conditions:
+            columns[c.pos] = map(winners.__getitem__, map(index[c.attr].__getitem__, tids))
+        return dict.fromkeys([row for row in zip(*columns) if None not in row])
 
     body = [ra.original.terms for ra in rq.atoms]
     results = set(join(rq.head, body, [view(ra) for ra in rq.atoms]))

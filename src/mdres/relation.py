@@ -18,10 +18,10 @@ import re
 import stat
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, count, filterfalse, islice
+from itertools import accumulate, chain, count, filterfalse, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, ParseError
 
@@ -585,8 +585,44 @@ def diff_changeset(d: Instance, d2: Instance) -> frozenset[Position]:
     return frozenset(changed)
 
 
+def number_slots(
+    d: Instance, attrs: Collection[Attr] | None = None
+) -> tuple[dict[Attr, dict[int, int]], list[str]]:
+    """Number the positions of d at `attrs` (every attribute when None):
+    slot i is the i-th of them in sorted order, by tid and then attribute
+    name. Tids are unique across the instance, so a tuple's positions take
+    consecutive slots. No Position is built.
+
+    Returns one map per attribute from tid to slot, and each slot's value.
+    A relation without tuples has no map.
+    """
+    names: dict[str, list[str]] = {}
+    width: dict[int, int] = {}  # {tid: slots of its tuple}
+    for rel, table in d.data.items():
+        wanted = sorted(
+            a for a in d.schema.relation(rel).attrs if attrs is None or (rel, a) in attrs
+        )
+        if wanted and table:
+            names[rel] = wanted
+            width.update(dict.fromkeys(table, len(wanted)))
+    tids = sorted(width)
+    firsts = dict(zip(tids, accumulate(map(width.__getitem__, tids), initial=0)))
+    slots: dict[Attr, dict[int, int]] = {}
+    values: list[str] = [""] * sum(width.values())
+    for rel, wanted in names.items():
+        table = d.data[rel]
+        index = d.schema.relation(rel).index
+        for j, a in enumerate(wanted):
+            at = slots[(rel, a)] = {tid: firsts[tid] + j for tid in table}
+            col = index(a)
+            for slot, row in zip(at.values(), table.values()):
+                values[slot] = row[col]
+    return slots, values
+
+
 def instance_as_json(instance: Instance) -> dict[str, list[list]]:
-    return {
-        rel.name: [[tid, *row] for tid, row in instance.rows(rel.name)]
-        for rel in instance.schema.relations
-    }
+    out = {}
+    for rel in instance.schema.relations:
+        table = instance.data.get(rel.name, {})
+        out[rel.name] = [[tid, *table[tid]] for tid in sorted(table)]
+    return out

@@ -39,10 +39,10 @@ from math import prod
 from operator import itemgetter, ne
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
-from .dsets import DisjointSet
+from .dsets import DisjointSet, SlotClasses
 from .errors import BoundsExceededError, InputError, NotEligibleError
 from .mds import MD, Classification, MDSet, classify
-from .relation import Attr, Instance, Position
+from .relation import Instance, Position, number_slots
 from .similarity import SimilaritySpec
 from .taclosure import (
     TAPartition,
@@ -173,10 +173,10 @@ class ChaseSpace:
     An MD's links depend only on the state's values at the MD's condition
     slots, and a chase step often changes target slots only, so they are
     memoised per MD on that projection. A miss reads each tuple's link key
-    off the state, matches the keys with taclosure.match_keys, unions the
-    groups over the slots with taclosure.link_targets (the closure's
-    kernel), and keeps the MD's blocks of two slots or more as its link
-    set, interned by content; no Instance is built. The merged blocks are
+    off the state, matches the keys with taclosure.match_keys, merges the
+    groups' classes over the slots with taclosure.link_targets (the
+    closure's kernel), and keeps the MD's blocks of two slots or more as
+    its link set, interned by content; no Instance is built. The merged blocks are
     memoised on the projection onto every MD's condition slots and, behind
     that, on the tuple of the MDs' link sets, so a new condition projection
     that links the same way merges nothing.
@@ -191,24 +191,10 @@ class ChaseSpace:
     def __init__(self, d: Instance, mdset: MDSet):
         self.schema = d.schema
         self._d, self._sims = d, mdset.sims
-        # Slot i is the i-th position of d in sorted order, by (tid, relation,
-        # attribute), numbered without building a Position per cell: a
-        # tuple's cells take consecutive slots, its attributes in name order.
-        names = {rel: sorted(d.schema.relation(rel).attrs) for rel in d.data}
-        columns = {rel: list(map(d.schema.relation(rel).index, names[rel])) for rel in d.data}
-        firsts: dict[str, dict[int, int]] = {rel: {} for rel in d.data}  # {tid: first slot}
-        start: list[str] = []
-        for tid, rel in sorted([(tid, rel) for rel, table in d.data.items() for tid in table]):
-            firsts[rel][tid] = len(start)
-            row = d.data[rel][tid]
-            start += [row[c] for c in columns[rel]]
+        # Slot i is the i-th position of d in sorted order (number_slots); a
+        # relation without tuples has no map in `slots`
+        self.slots, start = number_slots(d)
         self.start = tuple(start)  # the state of d
-        # per attribute {tid: slot}; a relation without tuples has no map
-        self.slots: dict[Attr, dict[int, int]] = {
-            (rel, a): {tid: first + j for tid, first in at.items()}
-            for rel, at in firsts.items() if at
-            for j, a in enumerate(names[rel])
-        }
         self._positions: list[Position] | None = None
         self._rows: list[tuple[str, int, tuple[int, ...]]] | None = None
         self._params: tuple[str, int, int] | None = None
@@ -318,9 +304,9 @@ class ChaseSpace:
         md, conds, left, right = self._links[i]
         left_keys = _key_groups(left, values)
         right_keys = left_keys if right is None else _key_groups(right, values)
-        ds: DisjointSet[int] = DisjointSet()
-        link_targets(ds, match_keys(conds, left_keys, right_keys), md.rhs, self.slots)
-        return tuple([g for g in ds.groups() if len(g) > 1])
+        classes = SlotClasses(len(values))
+        link_targets(classes, match_keys(conds, left_keys, right_keys), md.rhs, self.slots)
+        return tuple(sorted([tuple(sorted(m)) for m in classes.members.values()]))
 
     def _link_id(self, content: tuple[tuple[int, ...], ...]) -> int:
         """Id of a link set, interned by content."""
@@ -434,7 +420,15 @@ class ChaseSpace:
                     f"block at {self.positions[block[0]]} offers "
                     f"{len(pool) + 1} assignments, bound is {max_values}"
                 )
-            pools.append(pool + (self.fresh(used + i),))
+            try:
+                rung = self.fresh(used + i)
+            except BoundsExceededError as exc:
+                raise BoundsExceededError(
+                    f"a chase step opening {len(open_blocks)} blocks, the first at "
+                    f"{self.positions[open_blocks[0][0][0]]}, needs one fresh value per "
+                    f"block: {exc}"
+                ) from None
+            pools.append(pool + (rung,))
         # A successor is read off `values + assignment` by one itemgetter;
         # the assignment holds each block's value, then each fresh value
         # kept outside the open blocks.
@@ -573,11 +567,27 @@ class MRIFamily:
     classification: Classification
 
     def assignment(self, combo: tuple[str, ...]) -> Instance:
-        changes = {}
-        for block, value in zip(self.partition.blocks, combo):
-            for pos in block:
-                changes[pos] = value
-        return self.base.with_values(changes)
+        """The instance in which every position of block i holds combo[i].
+
+        Each relation with a changeable attribute is rebuilt in one pass:
+        its rows are read as columns, each changeable column is read off
+        `block_index`, and the rows are zipped back.
+        """
+        base, index = self.base, self.partition.block_index
+        value_of = combo.__getitem__
+        changed: dict[str, list[tuple[int, dict[int, int]]]] = {}
+        for (rel, name), at in index.items():
+            changed.setdefault(rel, []).append((base.schema.relation(rel).index(name), at))
+        data = {}
+        for rel, table in base.data.items():
+            if rel not in changed:
+                data[rel] = dict(table)
+                continue
+            columns = list(zip(*table.values()))
+            for col, at in changed[rel]:
+                columns[col] = map(value_of, map(at.__getitem__, table))
+            data[rel] = dict(zip(table, zip(*columns)))
+        return Instance(base.schema, data)
 
     def canonical(self) -> Instance:
         """The MRI taking the lexicographically smallest candidate per block."""
@@ -602,7 +612,6 @@ def fast_mri_family(d: Instance, mdset: MDSet) -> MRIFamily:
             f"HitSimpleCycle sets; this set classifies as {cls.label}"
         )
     partition = ta_closure(d, mdset)
-    candidates = tuple(partition.candidates(i) for i in range(len(partition)))
-    count = prod(len(pool) for pool in candidates)
-    min_change = sum(partition.min_changes(i) for i in range(len(partition)))
-    return MRIFamily(d, partition, candidates, count, min_change, cls)
+    count = prod(map(len, partition.pools))
+    min_change = sum(map(partition.min_changes, range(len(partition))))
+    return MRIFamily(d, partition, partition.pools, count, min_change, cls)

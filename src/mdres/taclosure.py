@@ -9,12 +9,17 @@ a single value in any resolved instance reachable without extra edits.
 Similarities are always evaluated on the original instance here. That is
 what makes the fast resolution path a one-shot computation.
 
-The closure numbers the changeable positions once, in sorted order, and
-unions those slot numbers; Position tuples are built only for the partition
-it returns. Linking is one union kernel, `link_targets`, shared with the
-chase's `resolver.ChaseSpace.link_set`: it stars each distinct tid list of
-the link groups once per target attribute and joins the stars hub to hub,
-so its unions follow the number of link keys and groups, not the pairs.
+The closure numbers the changeable positions once, in sorted order,
+straight off the instance's rows (relation.number_slots, which the chase's
+ChaseSpace shares), and merges classes of those slot numbers; no Position
+is built unless a caller reads TAPartition.blocks. Linking is one kernel,
+`link_targets`, shared with the chase's `resolver.ChaseSpace.link_set`: it
+merges the classes of each distinct tid list of the link groups in one
+step per target attribute and joins the lists hub to hub, over a
+dsets.SlotClasses, so its work follows the number of link keys and groups,
+not the pairs. Each block's value counts and candidate pool are counted
+once, when the partition is built; MRIFamily, the rewrite's views and the
+CLI's block writer all read them from there.
 """
 
 from __future__ import annotations
@@ -23,74 +28,82 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, repeat
 from operator import itemgetter
-from typing import Collection, Mapping
+from typing import Mapping
 
-from .dsets import DisjointSet
+from .dsets import SlotClasses
 from .errors import InputError
 from .join import quote
 from .mds import MD, MDSet, previous_set
-from .relation import Attr, Instance, Position, Schema
+from .relation import Attr, Instance, Position, Schema, number_slots
 from .similarity import SimilaritySpec, neighbours, similar
 
 
-def majority(tally: Collection[tuple[str, int]]) -> tuple[str, ...]:
-    """The candidates of a closure block or a CQA key group, from its (value,
-    count) pairs: the most frequent values, all of them on a tie, sorted."""
-    best = max(n for _, n in tally)
-    return tuple(sorted(v for v, n in tally if n == best))
+def majority(tally: Mapping[str, int]) -> tuple[str, ...]:
+    """The candidates of a closure block or a CQA key group, from its value
+    counts: the most frequent values, all of them on a tie, sorted."""
+    best = max(tally.values())
+    return tuple(sorted([v for v, n in tally.items() if n == best]))
 
 
 @dataclass(frozen=True)
 class TAPartition:
     """Partition of the changeable positions, with value frequencies from D.
 
-    Blocks are tuples of positions in sorted order; the block list is sorted
-    by each block's first position. Unlinked positions appear as singletons.
+    The positions are numbered as relation.number_slots numbers them, and
+    `slots` holds that numbering: per changeable attribute of a relation
+    with tuples, {tid: slot}. Block i is `block_slots[i]`, its slots in
+    ascending order, so its positions are in sorted order, and the blocks
+    are sorted by their first position. Unlinked positions appear as
+    singletons. `counts[i]` are block i's (value, count) pairs, sorted by
+    value, and `pools[i]` its candidates: the most frequent values, all of
+    them on a tie, sorted; both are counted once, by ta_closure.
+
+    `blocks` (the blocks as Position tuples) and `block_index` are built on
+    first use: resolve, closure and answers never read the first.
     """
 
-    blocks: tuple[tuple[Position, ...], ...]
+    slots: Mapping[Attr, Mapping[int, int]]
+    block_slots: tuple[tuple[int, ...], ...]
     counts: tuple[tuple[tuple[str, int], ...], ...]
+    pools: tuple[tuple[str, ...], ...]
 
-    # Built on first use: resolve and closure never read it.
+    @cached_property
+    def blocks(self) -> tuple[tuple[Position, ...], ...]:
+        """The blocks as tuples of positions."""
+        position: list = [None] * sum(map(len, self.block_slots))
+        for attr, at in self.slots.items():
+            for tid, slot in at.items():
+                position[slot] = Position(tid, attr)
+        return tuple([tuple(map(position.__getitem__, b)) for b in self.block_slots])
+
     @cached_property
     def block_index(self) -> dict[Attr, dict[int, int]]:
         """Per attribute, {tid: number of the block holding that position}."""
-        index: dict[Attr, dict[int, int]] = {}
-        for i, block in enumerate(self.blocks):
-            for tid, attr in block:
-                at = index.get(attr)
-                if at is None:
-                    at = index[attr] = {}
-                at[tid] = i
-        return index
+        block_of = [0] * sum(map(len, self.block_slots))
+        for i, block in enumerate(self.block_slots):
+            for slot in block:
+                block_of[slot] = i
+        return {
+            attr: dict(zip(at, map(block_of.__getitem__, at.values())))
+            for attr, at in self.slots.items()
+        }
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.block_slots)
 
     @cached_property
     def winners(self) -> tuple[str | None, ...]:
         """Each block's unique most frequent value, or None on a tie."""
-        return tuple(
-            pool[0] if len(pool) == 1 else None
-            for pool in map(self.candidates, range(len(self.blocks)))
-        )
+        return tuple([pool[0] if len(pool) == 1 else None for pool in self.pools])
 
     def candidates(self, i: int) -> tuple[str, ...]:
         """Most frequent values of block i, sorted."""
-        return majority(self.counts[i])
+        return self.pools[i]
 
     def min_changes(self, i: int) -> int:
-        return len(self.blocks[i]) - max(n for _, n in self.counts[i])
-
-    def as_json(self) -> list[dict]:
-        return [
-            {
-                "positions": [[p.attr[0], p.tid, p.attr[1]] for p in block],
-                "values": {v: n for v, n in self.counts[i]},
-                "candidates": list(self.candidates(i)),
-            }
-            for i, block in enumerate(self.blocks)
-        ]
+        """The changes block i needs: its positions that hold another value
+        than a candidate."""
+        return len(self.block_slots[i]) - dict(self.counts[i])[self.pools[i][0]]
 
 
 def link_conditions(
@@ -130,16 +143,33 @@ def link_groups(
     tuples with equal keys has its left and right tids in one list.
     """
     conds = link_conditions(md, instance.schema, sims)
-    left: dict[tuple[str, ...], list[int]] = {}
-    for tid, row in instance.rows(md.left_rel):
-        left.setdefault(tuple([row[li] for li, _, _ in conds]), []).append(tid)
+    left = _key_tids(instance, md.left_rel, [li for li, _, _ in conds])
     if reads_one_side(md, conds):
         right = left
     else:
-        right = {}
-        for tid, row in instance.rows(md.right_rel):
-            right.setdefault(tuple([row[ri] for _, ri, _ in conds]), []).append(tid)
+        right = _key_tids(instance, md.right_rel, [ri for _, ri, _ in conds])
     return match_keys(conds, left, right)
+
+
+def _key_tids(
+    instance: Instance, rel: str, columns: list[int]
+) -> dict[tuple[str, ...], list[int]]:
+    """{link key: its tids in ascending order}, a key being a row's values at
+    `columns`."""
+    table = instance.data.get(rel, {})
+    tids = sorted(table)
+    if len(columns) == 1:
+        keys = zip(map(itemgetter(columns[0]), map(table.__getitem__, tids)))
+    else:
+        keys = map(itemgetter(*columns), map(table.__getitem__, tids))
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for tid, key in zip(tids, keys):
+        at = groups.get(key)
+        if at is None:
+            groups[key] = [tid]
+        else:
+            at.append(tid)
+    return groups
 
 
 def match_keys(
@@ -181,67 +211,50 @@ def match_keys(
     return groups
 
 
-def slot_map(
-    d: Instance, positions: list[Position]
-) -> tuple[dict[Attr, dict[int, int]], list[str]]:
-    """Number the positions: slot i is positions[i].
-
-    Returns one map per attribute from tid to slot, and each slot's value.
-    """
-    slots: dict[Attr, dict[int, int]] = {}
-    values: list[str] = []
-    columns: dict[Attr, tuple[dict[int, tuple[str, ...]], int]] = {}
-    for i, (tid, attr) in enumerate(positions):
-        at = slots.get(attr)
-        if at is None:
-            at = slots[attr] = {}
-            rel, name = attr
-            columns[attr] = (d.data[rel], d.schema.relation(rel).index(name))
-        at[tid] = i
-        table, col = columns[attr]
-        values.append(table[tid][col])
-    return slots, values
-
-
 def link_targets(
-    ds: DisjointSet[int],
+    classes: SlotClasses,
     groups: list[tuple[list[int], list[int]]],
     rhs: tuple[tuple[Attr, Attr], ...],
     slots: Mapping[Attr, Mapping[int, int]],
 ) -> None:
-    """Union the target slots that link groups join, over `slots` ({tid: slot}
-    per attribute).
+    """Merge the classes of the target slots that link groups join, over
+    `slots` ({tid: slot} per attribute).
 
     A group (L, R) joins the target slots of L on the left attribute of each
     target pair with those of R on its right attribute. match_keys hands out
     one tid list per link key, and a list sits in every group of its key, so
-    each distinct list is starred once per attribute: its first slot is the
-    hub and its other |L| - 1 slots are unioned with it. Each group then
-    unions its two hubs once per target pair, unless they are one slot (a
-    group of equal keys on one attribute). That is sum(|L| - 1) over the
-    distinct lists plus |groups| * |rhs| unions, and the same classes as the
+    each distinct list is starred once per attribute: the classes of its
+    slots are merged in one step, and its first slot is its hub. Each group
+    then merges the classes of its two hubs once per target pair, unless
+    they are one class. That is one step per distinct list and attribute
+    plus at most |groups| * |rhs| steps, and the same classes as the
     |L| * |R| linked pairs of every group.
     """
     if not groups:  # a relation without tuples has no slot map
         return
-    union = ds.union
+    of, merge = classes.of, classes.merge
+    class_of = of.__getitem__
     hubs: dict[Attr, dict[int, int]] = {}  # per attribute {id of a tid list: hub slot}
     for left, right in rhs:
         lhubs, rhubs = hubs.setdefault(left, {}), hubs.setdefault(right, {})
-        lslot, rslot = slots[left], slots[right]
+        lslot, rslot = slots[left].__getitem__, slots[right].__getitem__
         for ltids, rtids in groups:
             a = lhubs.get(id(ltids))
             if a is None:
-                a = lhubs[id(ltids)] = lslot[ltids[0]]
-                for t in ltids[1:]:
-                    union(a, lslot[t])
+                a = lhubs[id(ltids)] = lslot(ltids[0])
+                if len(ltids) > 1:
+                    ids = set(map(class_of, map(lslot, ltids)))
+                    if len(ids) > 1:
+                        merge(ids)
             b = rhubs.get(id(rtids))
             if b is None:
-                b = rhubs[id(rtids)] = rslot[rtids[0]]
-                for t in rtids[1:]:
-                    union(b, rslot[t])
-            if a != b:
-                union(a, b)
+                b = rhubs[id(rtids)] = rslot(rtids[0])
+                if len(rtids) > 1:
+                    ids = set(map(class_of, map(rslot, rtids)))
+                    if len(ids) > 1:
+                        merge(ids)
+            if a != b and of[a] != of[b]:
+                merge({of[a], of[b]})
 
 
 def linked_pairs(md: MD, instance: Instance, sims: Mapping[str, SimilaritySpec]):
@@ -278,34 +291,30 @@ def feeders(mdset: MDSet, mi: MD) -> list[MD]:
 def ta_closure(d: Instance, mdset: MDSet) -> TAPartition:
     """Compute the closure partition of d under the MD set.
 
-    Slot i is the i-th changeable position in sorted order. The link groups
-    of each feeding MD are built once and unioned over slots by one
-    link_targets call, on the target pairs of every MD it feeds; a block is
-    the ascending list of its slots, so the blocks come out sorted by their
-    first position, and the value counts are read off the same lists.
+    The changeable positions are numbered by relation.number_slots. The link
+    groups of each feeding MD are built once and merged over the slots by
+    one link_targets call, on the target pairs of every MD it feeds. A block
+    is the ascending list of its slots, so the blocks come out sorted by
+    their first position; each block's value counts and candidates are read
+    off its slots once, here.
     """
-    universe = d.positions(mdset.changeable)
-    slots, values = slot_map(d, universe)
-    ds: DisjointSet[int] = DisjointSet(range(len(universe)))
+    slots, values = number_slots(d, mdset.changeable)
+    classes = SlotClasses(len(values))
     targets: dict[str, dict[tuple[Attr, Attr], None]] = {}  # per feeding MD
     for mi in mdset.mds:
         for mj in feeders(mdset, mi):
             targets.setdefault(mj.mid, {}).update(dict.fromkeys(mi.rhs))
     for mid, rhs in targets.items():
-        link_targets(ds, link_groups(mdset.by_id(mid), d, mdset.sims), tuple(rhs), slots)
-    find = ds.find
-    members: dict[int, list[int]] = {}
-    for i in range(len(universe)):
-        members.setdefault(find(i), []).append(i)
-    blocks, counts = [], []
-    for block in members.values():
+        link_targets(classes, link_groups(mdset.by_id(mid), d, mdset.sims), tuple(rhs), slots)
+    blocks = classes.blocks()
+    counts, pools = [], []
+    for block in blocks:
         tally: dict[str, int] = {}
-        for i in block:
-            value = values[i]
+        for value in map(values.__getitem__, block):
             tally[value] = tally.get(value, 0) + 1
-        blocks.append(tuple([universe[i] for i in block]))
         counts.append(tuple(sorted(tally.items())))
-    return TAPartition(tuple(blocks), tuple(counts))
+        pools.append(majority(tally))
+    return TAPartition(slots, tuple(blocks), tuple(counts), tuple(pools))
 
 
 # ---------------------------------------------------------------------------

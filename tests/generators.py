@@ -275,3 +275,48 @@ def dn_instance(n: int):
     instance = load_instance(schema, {"R": rows})
     mdset = parse_mds("R[A] = R[A] -> R[B] == R[B]", schema)
     return schema, instance, mdset
+
+
+LINK_SCHEMA = parse_schema(
+    "relation R(A:str, B:str, C:str)\nrelation S(E:str, F:str, G:str)"
+)
+LINK_VALUES = ("u", "v", "w", "x", "uv", "vw", "uvw", "wu")
+
+
+def rand_link_case(rng: random.Random, values: tuple[str, ...] = LINK_VALUES):
+    """Instance and MD set mixing `=`, `lev <= k` and table conjuncts.
+
+    Each MD has 1-3 target pairs: two attributes of one relation when it
+    matches R or S with itself, cross-relation pairs when it matches R with
+    S. With up to 20 rows per relation, one tid list sits in many groups
+    and is linked on several target pairs. Cells are drawn from `values`.
+    """
+    sims = {
+        "l": SimilaritySpec(name="l", kind="lev", max_distance=rng.randint(0, 2)),
+        "t": rand_table_sim(rng, "t"),
+    }
+    attrs = {r.name: r.attrs for r in LINK_SCHEMA.relations}
+    lines = []
+    for _ in range(rng.randint(1, 3)):
+        left, right = rng.choice((("R", "R"), ("R", "S"), ("S", "S")))
+        conjuncts = []
+        for _ in range(rng.randint(1, 3)):
+            op = rng.choice(("=", "~l", "~t"))
+            conjuncts.append(
+                f"{left}[{rng.choice(attrs[left])}] {op} "
+                f"{right}[{rng.choice(attrs[right])}]"
+            )
+        targets = [
+            f"{left}[{rng.choice(attrs[left])}] == {right}[{rng.choice(attrs[right])}]"
+            for _ in range(rng.randint(1, 3))
+        ]
+        lines.append(
+            f"{', '.join(dict.fromkeys(conjuncts))} -> {', '.join(dict.fromkeys(targets))}"
+        )
+    mdset = parse_mds(";".join(lines), LINK_SCHEMA, sims)
+    rows = {
+        rel: [[rng.choice(values) for _ in range(3)]
+              for _ in range(rng.randint(1, 20))]
+        for rel in ("R", "S")
+    }
+    return load_instance(LINK_SCHEMA, rows), mdset

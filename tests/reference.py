@@ -358,6 +358,30 @@ def ref_ta_blocks(instance: Instance, mdset: MDSet):
     return tuple(sorted(blocks))
 
 
+def ref_partition_json(part) -> list[dict]:
+    """The `blocks` that closure and resolve print, as dicts (what
+    TAPartition.as_json built before the CLI wrote them from the partition's
+    arrays), read off the partition's Position blocks and value counts."""
+    out = []
+    for block, counts in zip(part.blocks, part.counts):
+        best = max(n for _, n in counts)
+        out.append({
+            "positions": [[p.attr[0], p.tid, p.attr[1]] for p in block],
+            "values": dict(counts),
+            "candidates": sorted(v for v, n in counts if n == best),
+        })
+    return out
+
+
+def ref_closure_text(blocks: list[dict]) -> list[str]:
+    """The lines of `closure --format text` for ref_partition_json's blocks."""
+    return [
+        "block " + " ".join(f"{r}.t{t}.{a}" for r, t, a in block["positions"])
+        + " | " + ", ".join(f"{v}:{n}" for v, n in sorted(block["values"].items()))
+        for block in blocks
+    ]
+
+
 def _feeders(mdset: MDSet, mid: str) -> set[str]:
     """Ids with a directed path to mid in the MD graph, plus mid itself."""
     graph = mdset.graph

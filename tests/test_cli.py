@@ -6,17 +6,20 @@ import shutil
 import subprocess
 import sys
 from itertools import chain
+from math import prod
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import mdres.cli
+from mdres import load_instance, parse_mds, parse_schema, ta_closure
 from mdres.cli import _dump_json, _is_rows, main
-from mdres.relation import write_csv_dir
+from mdres.relation import instance_as_json, write_csv_dir
 
 from conftest import FIXTURES
-from generators import dn_instance
+from generators import LINK_VALUES, dn_instance, rand_link_case
+from reference import ref_closure_text, ref_partition_json
 
 
 def args_for(name, command, *extra, mds="mds.txt", sims=None, query=None):
@@ -490,6 +493,58 @@ def test_cqa_export(tmp_path):
     assert exported.splitlines()[0] == "#tid,Name,Dept,Salary"
 
 
+class _LiftedDigitLimit:
+    """Lift int's str conversion limit (Python 3.11, 3.10.7 and later) for
+    the reference side of a test, and put it back."""
+
+    def __enter__(self):
+        self.limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if self.limit is not None:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        if self.limit is not None:
+            sys.set_int_max_str_digits(self.limit)
+
+
+def test_huge_counts_are_exact_in_both_formats(tmp_path):
+    """15,000 tied duplicate pairs give 2^15000 MRIs and key repairs, 4,516
+    digits, past the 4,300 digits int converts by default: resolve and
+    cqa-export print them exactly, in JSON that is json.dumps's bytes."""
+    _, d, _ = dn_instance(15000)
+    write_csv_dir(d, tmp_path / "data")
+    (tmp_path / "schema.txt").write_text("relation R(A:str, B:str)\n")
+    (tmp_path / "mds.txt").write_text("R[A] = R[A] -> R[B] == R[B]\n")
+    inputs = ["--schema", str(tmp_path / "schema.txt"), "--data", str(tmp_path / "data")]
+    commands = {
+        "resolve": ["--mds", str(tmp_path / "mds.txt")],
+        "cqa-export": ["--relation", "R", "--key", "A"],
+    }
+    out = {}
+    for command, extra in commands.items():
+        for fmt in ("json", "text"):
+            res = invoke([command, *inputs, *extra, "--format", fmt])
+            assert res.exit_code == 0, res.output
+            out[command, fmt] = res.stdout
+    with _LiftedDigitLimit():
+        digits = str(2**15000)
+        for command, field in (("resolve", "mri_count"), ("cqa-export", "repair_count")):
+            payload = json.loads(out[command, "json"])
+            assert payload[field] == 2**15000
+            assert out[command, "json"] == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert len(digits) == 4516
+    assert out["resolve", "text"] == f"label NonInteracting\nmri_count {digits}\nmin_change 15000\n"
+    assert out["cqa-export", "text"] == f"R key=A groups=15000 rows=30000 repairs={digits}\n"
+
+
+@pytest.mark.parametrize("n", [0, -7, 10**4299, -(10**4299), 10**4300, -(2**15000)],
+                         ids=["0", "-7", "4300 digits", "-4300 digits", "4301 digits", "-2^15000"])
+def test_int_text_has_no_digit_limit(n):
+    with _LiftedDigitLimit():
+        expected = str(n)
+    assert mdres.cli._int_text(n) == expected
+
+
 def test_json_output_deterministic():
     for cmd, extra in (("classify", ()), ("resolve", ("--materialize", "2"))):
         a = invoke(args_for("two_rule_cycle", cmd, *extra)).output
@@ -589,6 +644,44 @@ def test_json_writer_without_the_c_encoder(monkeypatch):
 def test_json_writer_refuses_non_str_keys(value):
     with pytest.raises(TypeError):
         _dump_json(value)
+
+
+# Cells that JSON escapes or that look like its punctuation, and values
+# that the text form prints as they are.
+MARKED_VALUES = ('u', 'uv', 'v"w', "w'", "[x]", "{x}", "a,b", "a: 1", "\x00", "\\",
+                 "\u00e9", "\u2028", "\U0001f600", " ")
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, print_blob=False)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_block_writer_matches_json_dumps(seed, marked):
+    """closure and resolve write `blocks` straight from the partition; the
+    bytes equal json.dumps of the reference dicts, in both payloads, and the
+    text form equals the reference lines."""
+    inst, mdset = rand_link_case(random.Random(seed), MARKED_VALUES if marked else LINK_VALUES)
+    part = ta_closure(inst, mdset)
+    blocks = ref_partition_json(part)
+    closure = {"changeable": sorted([r, a] for r, a in mdset.changeable), "blocks": part}
+    resolve = {
+        "classification": {"label": "NonInteracting", "evidence": []},
+        "mri_count": prod(map(len, part.pools)),
+        "min_change": 0,
+        "blocks": part,
+        "canonical": instance_as_json(inst),
+    }
+    for payload in (closure, resolve):
+        assert _dump_json(payload) == json.dumps(
+            {**payload, "blocks": blocks}, indent=2, sort_keys=True
+        )
+    assert mdres.cli._render_text("closure", closure).split("\n") == ref_closure_text(blocks)
+
+
+def test_block_writer_on_a_partition_without_blocks():
+    schema = parse_schema("relation R(A:str, B:str)")
+    d = load_instance(schema, {"R": []})
+    part = ta_closure(d, parse_mds("R[A] = R[A] -> R[B] == R[B]", schema))
+    assert _dump_json({"blocks": part}) == '{\n  "blocks": []\n}'
+    assert mdres.cli._render_text("closure", {"blocks": part}) == ""
 
 
 SCALE_MARKS = ["", "]", "[", ",", '"', "],[", '"]', "\u00e9", "\u2028", "\U0001f600", "\\"]

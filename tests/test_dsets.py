@@ -2,7 +2,7 @@
 
 from hypothesis import example, given, settings, strategies as st
 
-from mdres.dsets import DisjointSet
+from mdres.dsets import DisjointSet, SlotClasses
 from mdres.relation import Position
 
 INTS = st.integers(min_value=0, max_value=11)
@@ -69,3 +69,31 @@ def test_disjoint_set_matches_components(ops):
     assert sorted(map(sorted, ds.groups())) == sorted(map(sorted, comps))
     for comp in comps:
         assert len({ds.find(item) for item in comp}) == 1
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, print_blob=False)
+@given(st.integers(min_value=1, max_value=12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=5), max_size=12),
+)))
+def test_slot_classes_match_components(case):
+    """Merging the classes of each star of slots gives the components of the
+    stars' edges; `of` names one class per component, `members` lists every
+    class of two or more, and blocks() lists them all by their first slot."""
+    n, stars = case
+    classes = SlotClasses(n)
+    edges = []
+    for star in stars:
+        ids = {classes.of[s] for s in star}
+        if len(ids) > 1:
+            classes.merge(ids)
+        edges += [(star[0], s) for s in star[1:]]
+    comps = _components(range(n), edges)
+    assert sorted(map(sorted, classes.blocks())) == sorted(map(sorted, comps))
+    assert [b[0] for b in classes.blocks()] == sorted(min(c) for c in comps)
+    for comp in comps:
+        (c,) = {classes.of[s] for s in comp}
+        assert c in comp
+        if len(comp) > 1:
+            assert sorted(classes.members[c]) == sorted(comp)
+    assert len(classes.members) == sum(len(comp) > 1 for comp in comps)

@@ -19,7 +19,7 @@ from mdres import (
     parse_mds,
     ta_closure,
 )
-from mdres.relation import Instance, Position, load_instance
+from mdres.relation import Instance, Position, load_instance, parse_schema
 from mdres.resolver import ChaseSpace
 
 from generators import (
@@ -163,3 +163,46 @@ def test_key_repair_counts(seed):
     assert kr.rows == tuple(sorted(frozenset().union(*repairs)))
     for key_values, rows in kr.groups:
         assert rows and all((row[0],) == key_values for row in rows)
+
+
+def _widened(d, mdset, empty: str | None, rng):
+    """d and mdset over the schema plus X(P, Q), a relation no MD reads, with
+    one tuple, and d's tids shuffled among its rows; with `empty`, that
+    relation of d has no tuples."""
+    decls = [
+        f"relation {r.name}({', '.join(f'{a}:{t}' for a, t in zip(r.attrs, r.tags))})"
+        for r in d.schema.relations
+    ]
+    schema = parse_schema("\n".join([*decls, "relation X(P:str, Q:str)"]))
+    text = "; ".join(str(md).split(": ", 1)[1] for md in mdset.mds)
+    rows = {rel: [list(r) for _, r in d.rows(rel)] for rel in d.schema.names()}
+    tids = {rel: rng.sample(d.tids(rel), len(d.tids(rel))) for rel in d.schema.names()}
+    if empty is not None:
+        rows[empty], tids[empty] = [], []
+    rows["X"] = [["p", "q"]]
+    return load_instance(schema, rows, tids), parse_mds(text, schema, mdset.sims)
+
+
+@settings(max_examples=60, **COMMON)
+@given(SEEDS, st.booleans())
+def test_assignment_matches_with_values(seed, empty):
+    """MRIFamily.assignment rebuilds each relation from block_index; it
+    equals with_values of the same block assignment, also for a relation no
+    MD reads and for a changeable relation without tuples."""
+    d, mdset = ni_or_hsc(seed)
+    rng = random.Random(seed)
+    changed = sorted({rel for rel, _ in mdset.changeable})
+    d, mdset = _widened(d, mdset, rng.choice(changed) if empty else None, rng)
+    family = fast_mri_family(d, mdset)
+    for _ in range(3):
+        # any value per block, not only its candidates
+        combo = tuple(rng.choice([*pool, "z", "x'y"]) for pool in family.candidates)
+        changes = {
+            pos: value
+            for block, value in zip(family.partition.blocks, combo)
+            for pos in block
+        }
+        got, expected = family.assignment(combo), d.with_values(changes)
+        assert got.data == expected.data
+        assert list(got.data) == list(expected.data)
+        assert got == expected

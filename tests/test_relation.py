@@ -305,3 +305,30 @@ def test_fifo_in_place_of_a_data_file_is_missing(tmp_path):
     )
     message = f"missing data file for relation R: {tmp_path / 'R.csv'}\n"
     assert (res.returncode, res.stdout) == (0, message)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_number_slots_ranks_the_sorted_positions(seed):
+    """Slot i is the i-th of the positions at the chosen attributes in
+    sorted order, with tids given in any order and relations left empty."""
+    rng = random.Random(seed)
+    schema = parse_schema(
+        "relation S(Z:str, A:int)\nrelation R(C:str, B:str, D:str)\nrelation T(E:str)"
+    )
+    tids = rng.sample(range(1, 40), 18)
+    sizes = [rng.randint(0, 6) for _ in range(3)]
+    rows, given_tids = {}, {}
+    for rschema, size in zip(schema.relations, sizes):
+        rows[rschema.name] = [
+            [str(rng.randint(0, 3)) for _ in rschema.attrs] for _ in range(size)
+        ]
+        given_tids[rschema.name], tids = tids[:size], tids[size:]
+    d = load_instance(schema, rows, given_tids)
+    every = [(r.name, a) for r in schema.relations for a in r.attrs]
+    for attrs in (None, rng.sample(every, rng.randint(0, len(every)))):
+        positions = d.positions(attrs)
+        slots, values = mdres.relation.number_slots(d, attrs)
+        assert [slots[p.attr][p.tid] for p in positions] == list(range(len(positions)))
+        assert values == [d.value(p) for p in positions]
+        assert set(slots) == {p.attr for p in positions}

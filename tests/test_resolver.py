@@ -224,6 +224,19 @@ def test_cell_bound_scales_with_width():
     }
 
 
+def test_fresh_ladder_refusal_names_the_step():
+    # a step that opens more blocks than the ladder has rungs is refused
+    # before its first successor, and the message says which step it was
+    _, d, mdset = dn_instance(1100)
+    with pytest.raises(BoundsExceededError) as exc:
+        enumerate_mris_oracle(d, mdset)
+    assert str(exc.value) == (
+        "a chase step opening 1100 blocks, the first at (t1, R[B]), needs one "
+        "fresh value per block: fresh value 1025 needs 1030 characters under "
+        "edit-distance bound 0, limit is 1029"
+    )
+
+
 def _oracle_outcome(oracle, d, mdset, bounds):
     try:
         mris, min_change = oracle(d, mdset, bounds)

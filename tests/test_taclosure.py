@@ -14,7 +14,7 @@ from mdres import (
     parse_schema,
     ta_closure,
 )
-from mdres.dsets import DisjointSet
+from mdres.dsets import SlotClasses
 from mdres.mds import MDSet
 from mdres.relation import Position
 from mdres.resolver import ChaseSpace
@@ -23,10 +23,11 @@ from mdres.taclosure import feeders, link_groups, linked_pairs
 
 from conftest import FIXTURES, load_bundle
 from datalog_engine import datalog_partition
-from generators import rand_table_sim
+from generators import rand_link_case
 from reference import (
     _lhs_pairs,
     ref_merge_blocks,
+    ref_partition_json,
     ref_similar,
     ref_ta_blocks,
 )
@@ -140,60 +141,15 @@ def test_emitted_program_quotes_values():
 
 def test_partition_json(two_rule_cycle):
     part = ta_closure(two_rule_cycle.instance, two_rule_cycle.mdset)
-    payload = part.as_json()
+    payload = ref_partition_json(part)
     assert payload[0]["positions"][0] == ["R", 1, "A"]
     assert payload[0]["values"] == {"a1": 1, "a2": 1, "b1": 1, "b2": 1}
-
-
-LINK_SCHEMA = parse_schema(
-    "relation R(A:str, B:str, C:str)\nrelation S(E:str, F:str, G:str)"
-)
-LINK_VALUES = ("u", "v", "w", "x", "uv", "vw", "uvw", "wu")
-
-
-def _rand_link_case(rng):
-    """Instance and MD set mixing `=`, `lev <= k` and table conjuncts.
-
-    Each MD has 1-3 target pairs: two attributes of one relation when it
-    matches R or S with itself, cross-relation pairs when it matches R with
-    S. With up to 20 rows per relation, one tid list sits in many groups
-    and is linked on several target pairs.
-    """
-    sims = {
-        "l": SimilaritySpec(name="l", kind="lev", max_distance=rng.randint(0, 2)),
-        "t": rand_table_sim(rng, "t"),
-    }
-    attrs = {r.name: r.attrs for r in LINK_SCHEMA.relations}
-    lines = []
-    for _ in range(rng.randint(1, 3)):
-        left, right = rng.choice((("R", "R"), ("R", "S"), ("S", "S")))
-        conjuncts = []
-        for _ in range(rng.randint(1, 3)):
-            op = rng.choice(("=", "~l", "~t"))
-            conjuncts.append(
-                f"{left}[{rng.choice(attrs[left])}] {op} "
-                f"{right}[{rng.choice(attrs[right])}]"
-            )
-        targets = [
-            f"{left}[{rng.choice(attrs[left])}] == {right}[{rng.choice(attrs[right])}]"
-            for _ in range(rng.randint(1, 3))
-        ]
-        lines.append(
-            f"{', '.join(dict.fromkeys(conjuncts))} -> {', '.join(dict.fromkeys(targets))}"
-        )
-    mdset = parse_mds(";".join(lines), LINK_SCHEMA, sims)
-    rows = {
-        rel: [[rng.choice(LINK_VALUES) for _ in range(3)]
-              for _ in range(rng.randint(1, 20))]
-        for rel in ("R", "S")
-    }
-    return load_instance(LINK_SCHEMA, rows), mdset
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, print_blob=False)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_link_groups_match_nested_loop(seed):
-    inst, mdset = _rand_link_case(random.Random(seed))
+    inst, mdset = rand_link_case(random.Random(seed))
     for md in mdset.mds:
         expanded = [
             (t1, t2)
@@ -229,7 +185,7 @@ def test_emitted_sim_facts_are_the_linked_pairs_in_order(seed):
     """emit_datalog writes a left tuple's facts with one join; with `lev` and
     table conjuncts a left tid lies in several groups, and its facts must
     still come out once each, in the order of linked_pairs."""
-    inst, mdset = _rand_link_case(random.Random(seed))
+    inst, mdset = rand_link_case(random.Random(seed))
     assume(any(
         len(tids) > len(set(tids))
         for tids in (
@@ -299,8 +255,8 @@ def test_unions_follow_keys_and_groups_not_pairs(monkeypatch):
     """K keys, all similar under a complete table, with T tuples each: K^2
     groups whose sides are the same K tid lists. The kernel stars each list
     once and joins the hubs once per group, so the closure and the chase's
-    link set each make at most K*T + K^2*|rhs| unions; a star per group
-    makes about 2*K^2*T."""
+    link set each merge at most K*T + 2*K^2*|rhs| class ids; a star per
+    group would merge about 2*K^2*T."""
     k, t = 30, 10
     keys = [f"k{i}" for i in range(k)]
     table = SimilaritySpec(
@@ -312,23 +268,23 @@ def test_unions_follow_keys_and_groups_not_pairs(monkeypatch):
         schema, {"R": [[key, f"{key}v{j}"] for key in keys for j in range(t)]}
     )
     mdset = parse_mds("R[A] ~t R[A] -> R[B] == R[B]", schema, {"t": table})
-    calls = 0
-    union = DisjointSet.union
+    merged = 0
+    merge = SlotClasses.merge
 
-    def counted(self, a, b):
-        nonlocal calls
-        calls += 1
-        return union(self, a, b)
+    def counted(self, ids):
+        nonlocal merged
+        merged += len(ids)
+        return merge(self, ids)
 
-    monkeypatch.setattr(DisjointSet, "union", counted)
-    bound = k * t + k * k * len(mdset.mds[0].rhs)
+    monkeypatch.setattr(SlotClasses, "merge", counted)
+    bound = k * t + 2 * k * k * len(mdset.mds[0].rhs)
     (block,) = ta_closure(inst, mdset).blocks
     assert len(block) == k * t
-    assert 0 < calls <= bound
-    calls = 0
+    assert 0 < merged <= bound
+    merged = 0
     space = ChaseSpace(inst, mdset)
     assert [len(b) for b in space.link_set(0, space.start)] == [k * t]
-    assert 0 < calls <= bound
+    assert 0 < merged <= bound
 
 
 def test_feeders_of_a_long_cycle_are_not_cubic():
