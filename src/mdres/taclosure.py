@@ -20,13 +20,20 @@ dsets.SlotClasses, so its work follows the number of link keys and groups,
 not the pairs. Each block's value counts and candidate pool are counted
 once, when the partition is built; MRIFamily, the rewrite's views and the
 CLI's block writer all read them from there.
+
+Only the datalog program lists pairs. `linked_pairs` gives one run per
+left tuple, (left tid, its right tids), and the tuples of one link key
+share one right list; `emit_datalog` renders each distinct right list's
+texts once and writes a left tuple's `sim` facts with one join, so its
+work follows the left tuples and distinct lists, plus the output's length.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import chain
 from operator import itemgetter
 from typing import Mapping
 
@@ -257,22 +264,33 @@ def link_targets(
                 merge({of[a], of[b]})
 
 
-def linked_pairs(md: MD, instance: Instance, sims: Mapping[str, SimilaritySpec]):
-    """Ordered tuple pairs (left tid, right tid) satisfying the conditions of md.
+def linked_pairs(
+    md: MD, instance: Instance, sims: Mapping[str, SimilaritySpec]
+) -> list[tuple[int, list[int]]]:
+    """The tuple pairs satisfying the conditions of md, as one run per left
+    tuple that links: (left tid, its right tids ascending), in tid order.
 
-    The sorted expansion of link_groups. For a self-matched relation the
-    pairs range over all ordered pairs, including a tuple with itself. Each
-    pair lies in exactly one group, so each left tid's right tids are
-    collected from its groups and sorted, with no pair seen twice.
+    The sorted expansion of link_groups, left tuple by left tuple. For a
+    self-matched relation the pairs range over all ordered pairs, including
+    a tuple with itself. match_keys gives every tid of a link key one left
+    list, so the right lists of each distinct left list are gathered once
+    and their concatenation sorted once; each pair lies in exactly one
+    group, so no right tid comes twice. Every tid of that left list gets the
+    same right list, and a right list of one group is handed out as is:
+    callers share these lists and must not change them.
     """
-    rights: dict[int, list[int]] = {}
+    gathered: dict[int, tuple[list[int], list[list[int]]]] = {}  # by id of a left list
     for ltids, rtids in link_groups(md, instance, sims):
-        for t1 in ltids:
-            rights.setdefault(t1, []).extend(rtids)
-    pairs: list[tuple[int, int]] = []
-    for t1 in sorted(rights):
-        pairs += zip(repeat(t1), sorted(rights[t1]))
-    return pairs
+        at = gathered.get(id(ltids))
+        if at is None:
+            gathered[id(ltids)] = (ltids, [rtids])
+        else:
+            at[1].append(rtids)
+    runs: dict[int, list[int]] = {}
+    for ltids, rlists in gathered.values():
+        rights = rlists[0] if len(rlists) == 1 else sorted(chain.from_iterable(rlists))
+        runs.update(dict.fromkeys(ltids, rights))
+    return sorted(runs.items(), key=itemgetter(0))
 
 
 def feeders(mdset: MDSet, mi: MD) -> list[MD]:
@@ -324,6 +342,48 @@ def _attr_const(attr: Attr) -> str:
     return quote(f"{attr[0]}.{attr[1]}")
 
 
+def _relation_facts(lines: list[str], d: Instance, rel: str) -> None:
+    """Append one `rel_<rel>(tid, values...)` fact per tuple of rel, in tid
+    order.
+
+    join.quote writes a value without a quote as that value between quotes,
+    so when no value of the relation holds a quote, a row's values are
+    joined between quotes in one step and no value is quoted on its own.
+    """
+    table = d.data.get(rel, {})
+    head = f"rel_{rel}("
+    if "'" in "".join(chain.from_iterable(table.values())):
+        for tid in sorted(table):
+            lines.append(head + ", ".join([str(tid), *map(quote, table[tid])]) + ").")
+    else:
+        for tid in sorted(table):
+            lines.append(f"{head}{tid}, '" + "', '".join(table[tid]) + "').")
+
+
+def _sim_facts(lines: list[str], md: MD, d: Instance, sims: Mapping[str, SimilaritySpec]) -> None:
+    """Append md's `sim` facts, one string per run of linked_pairs.
+
+    The texts of a right list are rendered once and kept only while a later
+    left tuple still shares that list.
+    """
+    runs = linked_pairs(md, d, sims)
+    uses = Counter(map(id, map(itemgetter(1), runs)))  # left tuples per right list
+    texts: dict[int, list[str]] = {}  # by id of a right list that has uses left
+    head = f"sim({quote(md.mid)}, "
+    for t1, rights in runs:
+        key = id(rights)
+        left = uses[key] - 1
+        if left:
+            uses[key] = left
+            rendered = texts.get(key)
+            if rendered is None:
+                rendered = texts[key] = [f"{t2})." for t2 in rights]
+        else:
+            rendered = texts.pop(key, None) or [f"{t2})." for t2 in rights]
+        start = f"{head}{t1}, "
+        lines.append(start + ("\n" + start).join(rendered))
+
+
 def emit_datalog(d: Instance, mdset: MDSet) -> str:
     """Render the closure computation as a datalog program.
 
@@ -333,20 +393,18 @@ def emit_datalog(d: Instance, mdset: MDSet) -> str:
     rules over `ta`. Evaluating the program reproduces ta_closure: grouping
     the derived `ta` facts yields the same blocks, which the tests check by
     evaluating it with their reference engine, tests/datalog_engine.py.
+
+    A row's `rel_` fact is one join over its values. The `sim` facts of a
+    left tuple are one join over the texts of its right tids, taken from its
+    run of linked_pairs; a right list's texts are rendered once.
     """
     lines = ["% tuple-attribute closure program"]
     lines.append("% relation facts")
     for rschema in d.schema.relations:
-        for tid, row in d.rows(rschema.name):
-            args = ", ".join([str(tid)] + [quote(v) for v in row])
-            lines.append(f"rel_{rschema.name}({args}).")
+        _relation_facts(lines, d, rschema.name)
     lines.append("% per-MD similarity facts over tuple ids")
     for md in mdset.mds:
-        # one join writes the facts of a left tuple, whose pairs are adjacent
-        for t1, run in groupby(linked_pairs(md, d, mdset.sims), itemgetter(0)):
-            head = f"sim({quote(md.mid)}, {t1}, "
-            t2s = map(str, map(itemgetter(1), run))
-            lines.append(head + (").\n" + head).join(t2s) + ").")
+        _sim_facts(lines, md, d, mdset.sims)
     lines.append("% seed rules: conditions of a feeding MD link the targets")
     for mi in mdset.mds:
         left_arity = d.schema.relation(mi.left_rel).arity

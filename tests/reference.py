@@ -24,9 +24,11 @@ from mdres import (
     ParseError,
     diff_changeset,
 )
+from mdres.join import quote
 from mdres.query import Const
 from mdres.relation import Position
 from mdres.resolver import _fresh_params
+from mdres.taclosure import emit_datalog
 
 
 def ref_read_text(path) -> str:
@@ -235,6 +237,38 @@ def _lhs_pairs(md, instance: Instance, sims):
         if ok:
             out.append((t1, t2))
     return out
+
+
+def run_pairs(runs) -> list[tuple[int, int]]:
+    """The (left tid, right tid) pairs of linked_pairs' runs, in order,
+    after checking the runs' shape: left tids strictly ascending, and each
+    right list non-empty and strictly ascending."""
+    lefts = [t1 for t1, _ in runs]
+    assert all(a < b for a, b in zip(lefts, lefts[1:])), lefts
+    pairs = []
+    for t1, rights in runs:
+        assert rights and all(a < b for a, b in zip(rights, rights[1:])), (t1, rights)
+        pairs.extend((t1, t2) for t2 in rights)
+    return pairs
+
+
+def ref_emit_datalog(d: Instance, mdset: MDSet) -> str:
+    """The program emit_datalog prints, its facts written one at a time: a
+    `rel_` fact per row of Instance.rows, quoting every cell, and a `sim`
+    fact per pair of _lhs_pairs. Only the seed-rule and closure lines are
+    the package's own text."""
+    lines = ["% tuple-attribute closure program", "% relation facts"]
+    for rschema in d.schema.relations:
+        for tid, row in d.rows(rschema.name):
+            args = [str(tid)] + [quote(v) for v in row]
+            lines.append(f"rel_{rschema.name}({', '.join(args)}).")
+    lines.append("% per-MD similarity facts over tuple ids")
+    for md in mdset.mds:
+        for t1, t2 in _lhs_pairs(md, d, mdset.sims):
+            lines.append(f"sim({quote(md.mid)}, {t1}, {t2}).")
+    text = emit_datalog(d, mdset)
+    rules = text[text.rindex("\n% seed rules: ") :]
+    return "\n".join(lines) + rules
 
 
 def ref_linked_position_pairs(instance: Instance, mdset: MDSet):

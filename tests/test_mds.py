@@ -20,7 +20,7 @@ from mdres.relation import Position
 from mdres.similarity import SimilaritySpec
 from mdres.taclosure import linked_pairs
 
-from reference import ref_tokens
+from reference import ref_tokens, run_pairs
 
 
 def sims_for(*names, kind="eq"):
@@ -230,8 +230,8 @@ def test_mirror_image_mds_stay_two_and_link_the_same_pairs():
     mdset = parse_mds("R[A] = R[B] -> R[C] == R[C]; R[B] = R[A] -> R[C] == R[C]", schema)
     m1, m2 = mdset.mds
     d = load_instance(schema, {"R": [("1", "2", "c1"), ("2", "1", "c2"), ("2", "3", "c3")]})
-    assert sorted(linked_pairs(m1, d, mdset.sims)) == sorted(
-        (t2, t1) for t1, t2 in linked_pairs(m2, d, mdset.sims)
+    assert sorted(run_pairs(linked_pairs(m1, d, mdset.sims))) == sorted(
+        (t2, t1) for t1, t2 in run_pairs(linked_pairs(m2, d, mdset.sims))
     )
 
 

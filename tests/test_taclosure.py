@@ -26,10 +26,12 @@ from datalog_engine import datalog_partition
 from generators import rand_link_case
 from reference import (
     _lhs_pairs,
+    ref_emit_datalog,
     ref_merge_blocks,
     ref_partition_json,
     ref_similar,
     ref_ta_blocks,
+    run_pairs,
 )
 
 
@@ -159,7 +161,7 @@ def test_link_groups_match_nested_loop(seed):
         ]
         assert len(expanded) == len(set(expanded)), md  # one group per pair
         assert sorted(expanded) == _lhs_pairs(md, inst, mdset.sims), md
-        assert linked_pairs(md, inst, mdset.sims) == _lhs_pairs(md, inst, mdset.sims)
+        assert run_pairs(linked_pairs(md, inst, mdset.sims)) == _lhs_pairs(md, inst, mdset.sims)
     part = ta_closure(inst, mdset)
     ref_blocks = ref_ta_blocks(inst, mdset)
     assert part.blocks == ref_blocks
@@ -197,8 +199,27 @@ def test_emitted_sim_facts_are_the_linked_pairs_in_order(seed):
     for md in mdset.mds:
         head = f"sim('{md.mid}', "
         assert [line for line in lines if line.startswith(head)] == [
-            f"{head}{t1}, {t2})." for t1, t2 in linked_pairs(md, inst, mdset.sims)
+            f"{head}{t1}, {t2})." for t1, t2 in run_pairs(linked_pairs(md, inst, mdset.sims))
         ], md
+
+
+# Cells that quoting must escape or keep as they are: a quote, a comma, a
+# closing parenthesis, a space and non-ASCII letters, next to the pool that
+# the generator's similarity tables range over.
+DATALOG_VALUES = ("u", "v", "w", "x", "it's", "a,b", "x)", "u v", "é", "'ü'", "ßv")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, print_blob=False)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_emitted_program_matches_the_fact_by_fact_reference(seed):
+    """emit_datalog, byte for byte, against facts written one per row and
+    one per pair of the nested loop. A case draws its cells from a few of
+    DATALOG_VALUES, so values repeat across columns, and some cases hold no
+    quote at all."""
+    rng = random.Random(seed)
+    values = tuple(rng.sample(DATALOG_VALUES, rng.randint(2, 6)))
+    inst, mdset = rand_link_case(rng, values)
+    assert emit_datalog(inst, mdset) == ref_emit_datalog(inst, mdset)
 
 
 def test_huge_edit_bound_links_everything_without_looping_over_it():
@@ -220,7 +241,9 @@ def test_huge_edit_bound_links_everything_without_looping_over_it():
         schema, {"l": huge},
     )
     for md in mdset.mds:
-        assert linked_pairs(md, inst, mdset.sims) == _lhs_pairs(md, inst, mdset.sims), md
+        assert run_pairs(linked_pairs(md, inst, mdset.sims)) == _lhs_pairs(
+            md, inst, mdset.sims
+        ), md
 
 
 def test_lev_linking_is_not_quadratic(monkeypatch):
