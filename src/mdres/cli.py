@@ -26,9 +26,11 @@ apply; 3 the oracle exceeded its bounds.
 
 from __future__ import annotations
 
+import os
 import sys
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from pathlib import Path
 from typing import NoReturn
 
 import click
@@ -62,6 +64,18 @@ def _load(schema: str, data: str, mds: str, sims: str | None) -> tuple[Instance,
     # classifier first reads them, which only a two-MD chain does
     mdset = parse_mds(mds_text, instance.schema, sim_defs, domain=instance.active_domain)
     return instance, mdset
+
+
+def _refuse_overwrite(data: str, out: str, name: str) -> None:
+    """Raise InputError when out/name is the file data/name: writing it
+    would replace the input it was computed from."""
+    target = os.path.join(out, name)
+    try:
+        same = os.path.samefile(target, os.path.join(data, name))
+    except OSError:  # either file is missing
+        return
+    if same:
+        raise InputError(f"--out would overwrite the input file {Path(data) / name}")
 
 
 def _classification_json(mdset: MDSet) -> dict:
@@ -115,6 +129,7 @@ def run(
             "repair_count": kr.repair_count,
         }
         if out:
+            _refuse_overwrite(data, out, f"{kr.rel}.csv")
             payload["files"] = [str(p) for p in write_csv_dir(kr.to_instance(), out)]
         return payload
 

@@ -11,14 +11,14 @@ sets, are exactly these repairs.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby, product
+from itertools import chain, product
 from operator import itemgetter
 
 from .errors import InputError
-from .relation import Instance, Schema, load_instance
+from .relation import Instance, Schema
 from .taclosure import majority
 
 
@@ -46,7 +46,10 @@ class KeyedRelation:
         return n
 
     def to_instance(self) -> Instance:
-        return load_instance(self.schema, {self.rel: [list(r) for r in self.rows]})
+        """The candidate rows as an instance, with tids 1, 2, ... in row
+        order, as load_instance assigns them. The rows are not checked
+        again: their values come from an instance that was."""
+        return Instance(self.schema, {self.rel: dict(enumerate(self.rows, start=1))})
 
 
 def build_cqa_instance(d: Instance, rel: str, key: list[str] | tuple[str, ...]) -> KeyedRelation:
@@ -54,7 +57,8 @@ def build_cqa_instance(d: Instance, rel: str, key: list[str] | tuple[str, ...]) 
 
     Per key group and non-key attribute, the candidates are that attribute's
     most frequent values in the group (ties keep all); candidate rows are the
-    per-group cross product.
+    per-group cross product. Groups are in key order, and each group's rows
+    in sorted order.
     """
     rschema = d.schema.relation(rel)
     key = tuple(key)
@@ -74,17 +78,23 @@ def build_cqa_instance(d: Instance, rel: str, key: list[str] | tuple[str, ...]) 
     key_of = itemgetter(*key_idx)  # one key attribute: the value, not a 1-tuple
     columns = [itemgetter(i) for i in nonkey_idx]
 
+    # one tally per non-key column of (key, value) pairs over the whole
+    # relation, regrouped into each key's tally of values
+    table = d.data.get(rel, {}).values()
+    keys = list(map(key_of, table))
+    pools = []
+    for column in columns:
+        tallies = defaultdict(dict)
+        for (k, value), n in Counter(zip(keys, map(column, table))).items():
+            tallies[k][value] = n
+        pools.append({k: majority(tally) for k, tally in tallies.items()})
     groups = []
-    table = sorted(d.data.get(rel, {}).values(), key=key_of)
-    for key_values, members in groupby(table, key_of):
-        members = list(members)
-        if len(key_idx) == 1:
-            key_values = (key_values,)
-        pools = [majority(Counter(map(column, members))) for column in columns]
+    for k in sorted(pools[0]):  # every key has a pool in every column
+        key_values = (k,) if len(key_idx) == 1 else k
         # product order is sorted order: the pools are sorted, and the rows
         # agree on the key and keep the non-key attributes in schema order
-        rows = tuple(map(order, map(key_values.__add__, product(*pools))))
-        groups.append((key_values, rows))
+        combos = product(*[pool[k] for pool in pools])
+        groups.append((key_values, tuple(map(order, map(key_values.__add__, combos)))))
     sub_schema = Schema((rschema,))
     return KeyedRelation(sub_schema, rel, key, nonkey, tuple(groups))
 

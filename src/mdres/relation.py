@@ -336,11 +336,10 @@ def _check_value(tag: str, value: str) -> str | None:
     return None
 
 
-def _rows_pass(rschema: RelationSchema, table: list[tuple[str, ...]]) -> bool:
-    """The row checks of _check_rows, a column at a time."""
-    if not table:
-        return True
-    if {*map(len, table)} != {rschema.arity} or "" in chain.from_iterable(table):
+def _cells_pass(rschema: RelationSchema, table: list[tuple[str, ...]]) -> bool:
+    """The cell checks of _check_rows, a column at a time: no blank cell,
+    and every cell of an `int` column a canonical integer."""
+    if "" in chain.from_iterable(table):
         return False
     return all(
         all(map(_CANONICAL_INT_RE.fullmatch, map(itemgetter(col), table)))
@@ -394,9 +393,19 @@ def load_instance(
 
 
 def _load(
-    schema: Schema, rows: Mapping, tids: Mapping | None, where: Callable[[str, int], str]
+    schema: Schema,
+    rows: Mapping,
+    tids: Mapping | None,
+    where: Callable[[str, int], str],
+    read: bool = False,
 ) -> Instance:
-    """load_instance; a bad row i of relation rel is named where(rel, i)."""
+    """load_instance; a bad row i of relation rel is named where(rel, i).
+
+    With `read`, the rows and tids are as _read_csv returns them: lists of
+    tuples of str, each of its relation's width, and lists of ints as long
+    as their rows. They are then taken as they are, and only their values
+    are checked: blank cells, canonical ints, and tids at least 1 and unique.
+    """
     tids = tids or {}
     for rel in rows:
         schema.relation(rel)  # raises for unknown names
@@ -404,22 +413,25 @@ def _load(
         schema.relation(rel)
     # every given tid an int (not a bool), at least 1, and unique
     given = list(chain.from_iterable(tids.values()))
-    used = set(given) if {*map(type, given)} <= {int} else None
+    used = set(given) if read or {*map(type, given)} <= {int} else None
     if used is None or len(used) != len(given) or (given and min(given) < 1):
         used = _check_tids(tids)
     fresh = filterfalse(used.__contains__, count(1))  # the dense tids, in order
     data: dict[str, dict[int, tuple[str, ...]]] = {}
     for rschema in schema.relations:
-        rel_rows = rows.get(rschema.name, [])
+        table = rows.get(rschema.name, [])
         rel_tids = tids.get(rschema.name)
-        if rel_tids is not None and len(rel_tids) != len(rel_rows):
-            raise InputError(
-                f"relation {rschema.name}: {len(rel_tids)} tids for {len(rel_rows)} rows"
-            )
-        table = list(map(tuple, rel_rows))
-        if not {*map(type, chain.from_iterable(table))} <= {str}:  # CSV cells are str
-            table = [tuple(map(str, row)) for row in table]
-        if not _rows_pass(rschema, table):
+        if not read:
+            if rel_tids is not None and len(rel_tids) != len(table):
+                raise InputError(
+                    f"relation {rschema.name}: {len(rel_tids)} tids for {len(table)} rows"
+                )
+            table = list(map(tuple, table))
+            if not {*map(type, chain.from_iterable(table))} <= {str}:
+                table = [tuple(map(str, row)) for row in table]
+        if not (
+            (read or {*map(len, table)} <= {rschema.arity}) and _cells_pass(rschema, table)
+        ):
             _check_rows(rschema, table, partial(where, rschema.name))
         if rel_tids is None:
             rel_tids = islice(fresh, len(table))
@@ -445,7 +457,7 @@ def _read_records(
     Also reads the tids that _plain_tids does not take but int() does, such
     as ` 7` or `-3` (which load_instance then refuses).
     """
-    rows: list[list[str]] = []
+    rows: list[tuple[str, ...]] = []
     tids: list[int] = []
     for rownum, record in enumerate(records, start=1):
         if not record:
@@ -463,12 +475,13 @@ def _read_records(
                 f"{source}, row {rownum}: expected {rschema.arity} values, "
                 f"got {len(record)}"
             )
-        rows.append(record)
+        rows.append(tuple(record))
     return rows, (tids if with_tid else None)
 
 
 def _read_csv(rschema: RelationSchema, text: str, source: object):
-    """One relation's rows and tids (None without a #tid column).
+    """One relation's rows, as tuples of str of the schema's width, and its
+    tids, as ints (None without a #tid column).
 
     The records are checked in bulk; the record-by-record loop runs only when
     a bulk check fails. Messages name the file as str(source).
@@ -512,7 +525,7 @@ def _read_bulk(rschema: RelationSchema, reader, with_tid: bool, width: int, sour
     if rows and {*map(len, rows)} != {width}:
         return _read_records(rschema, records, with_tid, source)
     if not with_tid:
-        return rows, None
+        return list(map(tuple, rows)), None
     raw = list(map(itemgetter(0), rows))
     if rows and not _plain_tids(raw):
         return _read_records(rschema, records, with_tid, source)
@@ -523,8 +536,11 @@ def _read_bulk(rschema: RelationSchema, reader, with_tid: bool, width: int, sour
 
 
 def load_csv_dir(schema: Schema, directory: str | Path) -> Instance:
-    """Load one `<relation>.csv` per schema relation from a directory."""
-    rows: dict[str, list[Sequence[str]]] = {}
+    """Load one `<relation>.csv` per schema relation from a directory.
+
+    What _read_csv has settled (each row a tuple of str of the right width,
+    each tid an int) is not checked again."""
+    rows: dict[str, list[tuple[str, ...]]] = {}
     tids: dict[str, list[int]] = {}
     for rschema in schema.relations:
         text, path = read_data_file(directory, f"{rschema.name}.csv")
@@ -534,7 +550,7 @@ def load_csv_dir(schema: Schema, directory: str | Path) -> Instance:
         rows[rschema.name] = rel_rows
         if rel_tids is not None:
             tids[rschema.name] = rel_tids
-    return _load(schema, rows, tids, partial(_csv_row, directory))
+    return _load(schema, rows, tids, partial(_csv_row, directory), read=True)
 
 
 def _csv_row(directory: str | Path, rel: str, i: int) -> str:
@@ -546,19 +562,44 @@ def _csv_row(directory: str | Path, rel: str, i: int) -> str:
 
 
 def write_csv_dir(instance: Instance, directory: str | Path) -> list[Path]:
-    """Write one `<relation>.csv` per relation, with a #tid column."""
+    """Write one `<relation>.csv` per relation, with a #tid column, in tid
+    order: the bytes of csv.writer's default dialect, each file in one write."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     for rschema in instance.schema.relations:
         path = directory / f"{rschema.name}.csv"
         with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["#tid", *rschema.attrs])
-            for tid, row in instance.rows(rschema.name):
-                writer.writerow([tid, *row])
+            fh.write(_csv_text(rschema.attrs, instance.data.get(rschema.name, {})))
         written.append(path)
     return written
+
+
+def _csv_text(attrs: tuple[str, ...], table: Mapping[int, tuple[str, ...]]) -> str:
+    """A relation's CSV text, header and `\r\n` line ends included, as
+    csv.writer's default dialect writes it.
+
+    Each line's cells are joined as they are. That is the writer's text
+    unless a cell holds `,`, `"`, `\r` or `\n`, which it quotes, and then
+    the text holds more of those than its separators and line ends; in that
+    case one csv.writer writes every row."""
+    tids = sorted(table)
+    rows = list(map(table.__getitem__, tids))
+    lines = [",".join(("#tid", *attrs))]
+    lines += [f"{tid},{','.join(row)}" for tid, row in zip(tids, rows)]
+    lines.append("")
+    text = "\r\n".join(lines)
+    ends = len(lines) - 1
+    if (
+        text.count(",") == ends * len(attrs) and '"' not in text
+        and text.count("\r") == ends and text.count("\n") == ends
+    ):
+        return text
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(("#tid", *attrs))
+    writer.writerows(map(tuple.__add__, zip(tids), rows))
+    return out.getvalue()
 
 
 def diff_changeset(d: Instance, d2: Instance) -> frozenset[Position]:

@@ -118,9 +118,12 @@ def ref_read_csv(rschema, text: str, source: str):
     return rows, (tids if with_tid else None)
 
 
-def ref_load_instance(schema, rows, tids=None) -> Instance:
+def ref_load_instance(schema, rows, tids=None, where=None) -> Instance:
     """An instance built row by row and checked cell by cell; a bool is not
-    a tid."""
+    a tid. Messages name row i of relation rel where(rel, i), by default
+    `relation rel, row i + 1`."""
+    if where is None:
+        where = lambda rel, i: f"relation {rel}, row {i + 1}"  # noqa: E731
     tids = tids or {}
     for rel in rows:
         schema.relation(rel)  # raises for unknown names
@@ -145,17 +148,17 @@ def ref_load_instance(schema, rows, tids=None) -> Instance:
             )
         for i, raw in enumerate(rel_rows):
             values = tuple(str(v) for v in raw)
+            row = where(rschema.name, i)
             if len(values) != rschema.arity:
                 raise InputError(
-                    f"relation {rschema.name}, row {i + 1}: "
-                    f"expected {rschema.arity} values, got {len(values)}"
+                    f"{row}: expected {rschema.arity} values, got {len(values)}"
                 )
             for attr, tag, value in zip(rschema.attrs, rschema.tags, values):
-                where = f"relation {rschema.name}, row {i + 1}, attribute {attr}"
+                cell = f"{row}, attribute {attr}"
                 if value == "":
-                    raise InputError(f"{where}: blank value")
+                    raise InputError(f"{cell}: blank value")
                 if tag == "int" and not re.fullmatch(r"0|-?[1-9][0-9]*", value):
-                    raise InputError(f"{where}: {value!r} is not a canonical integer")
+                    raise InputError(f"{cell}: {value!r} is not a canonical integer")
             if rel_tids is not None:
                 tid = rel_tids[i]
             else:
@@ -475,6 +478,41 @@ def ref_certain_answers(query, instances) -> frozenset[tuple[str, ...]]:
         if not result:
             break
     return result if result is not None else frozenset()
+
+
+def ref_write_csv(instance: Instance, rel: str) -> str:
+    """The text of rel's exported CSV: a #tid header, then one
+    csv.writer.writerow per tuple, in tid order."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["#tid", *instance.schema.relation(rel).attrs])
+    for tid, row in instance.rows(rel):
+        writer.writerow([tid, *row])
+    return out.getvalue()
+
+
+def ref_cqa_groups(instance: Instance, rel: str, key: tuple[str, ...]):
+    """The candidate groups of a keyed relation, group by group: the rows
+    sorted on the key and grouped, one Counter per group and non-key
+    column, and each group's rows the cross product of its columns'
+    most frequent values, in schema order. Groups come in key order."""
+    attrs = instance.schema.relation(rel).attrs
+    key_idx = [attrs.index(a) for a in key]
+    key_of = lambda row: tuple(row[i] for i in key_idx)  # noqa: E731
+    table = sorted(instance.data.get(rel, {}).values(), key=key_of)
+    groups = []
+    for key_values, members in itertools.groupby(table, key_of):
+        members = list(members)
+        pools = []
+        for idx, attr in enumerate(attrs):
+            if attr in key:
+                pools.append([members[0][idx]])
+                continue
+            counts = Counter(row[idx] for row in members)
+            best = max(counts.values())
+            pools.append(sorted(v for v, n in counts.items() if n == best))
+        groups.append((key_values, tuple(itertools.product(*pools))))
+    return tuple(groups)
 
 
 def ref_key_repairs(instance: Instance, rel: str, key: tuple[str, ...]):

@@ -493,6 +493,30 @@ def test_cqa_export(tmp_path):
     assert exported.splitlines()[0] == "#tid,Name,Dept,Salary"
 
 
+def test_cqa_export_refuses_to_overwrite_its_input(tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(FIXTURES / "keyed_majority" / "data", data)
+    before = (data / "Emp.csv").read_bytes()
+    (tmp_path / "link").symlink_to(data, target_is_directory=True)
+    for out in (data, tmp_path / "link", f"{data}/./"):
+        res = invoke([
+            "cqa-export", "--schema", str(FIXTURES / "keyed_majority" / "schema.txt"),
+            "--data", str(data), "--relation", "Emp", "--key", "Name", "--out", str(out),
+        ])
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert res.stderr == f"error: --out would overwrite the input file {data / 'Emp.csv'}\n"
+        assert (data / "Emp.csv").read_bytes() == before
+    # another directory is written as before
+    res = invoke([
+        "cqa-export", "--schema", str(FIXTURES / "keyed_majority" / "schema.txt"),
+        "--data", str(data), "--relation", "Emp", "--key", "Name", "--out", str(tmp_path),
+    ])
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "Emp.csv").read_bytes() == (
+        b"#tid,Name,Dept,Salary\r\n1,ann,sales,50\r\n2,bob,hr,30\r\n"
+    )
+
+
 class _LiftedDigitLimit:
     """Lift int's str conversion limit (Python 3.11, 3.10.7 and later) for
     the reference side of a test, and put it back."""

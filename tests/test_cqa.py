@@ -11,7 +11,7 @@ from mdres.errors import InputError
 from mdres.relation import load_instance, parse_schema
 
 from conftest import load_bundle
-from reference import ref_certain_answers, ref_key_repairs
+from reference import ref_certain_answers, ref_cqa_groups, ref_key_repairs
 
 
 @pytest.fixture(scope="module")
@@ -92,16 +92,18 @@ def test_bad_keys_rejected(keyed):
 
 
 @st.composite
-def keyed_anywhere(draw):
+def keyed_anywhere(draw, min_rows=1, singletons=False):
     """A relation T of 3 to 5 attributes keyed on 1 or 2 of them, never the
     first, with each column's values drawn from its own few names so that
-    groups collide, ties occur, and a row out of schema order differs."""
+    groups collide, ties occur, and a row out of schema order differs.
+    With `singletons`, no two rows share a key value."""
     arity = draw(st.integers(3, 5))
     attrs = [f"A{j}" for j in range(arity)]
     key = draw(st.lists(st.sampled_from(attrs[1:]), min_size=1, max_size=2, unique=True))
     schema = parse_schema(f"relation T({', '.join(a + ':str' for a in attrs)})")
     cell = [st.sampled_from([f"{a.lower()}{k}" for k in range(3)]) for a in attrs]
-    rows = draw(st.lists(st.tuples(*cell), min_size=1, max_size=12))
+    key_of = (lambda row: tuple(row[attrs.index(a)] for a in key)) if singletons else None
+    rows = draw(st.lists(st.tuples(*cell), min_size=min_rows, max_size=12, unique_by=key_of))
     return load_instance(schema, {"T": rows}), tuple(key)
 
 
@@ -115,3 +117,24 @@ def test_candidates_with_keys_anywhere_match_reference(case):
     assert kr.rows == tuple(sorted(frozenset().union(*repairs)))
     assert kr.repair_count == len(repairs)
     assert all(len(key_values) == len(key) for key_values, _ in kr.groups)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, print_blob=False)
+@given(st.one_of(keyed_anywhere(), keyed_anywhere(min_rows=0, singletons=True)))
+def test_groups_match_the_group_by_group_reference(case):
+    d, key = case
+    assert build_cqa_instance(d, "T", key).groups == ref_cqa_groups(d, "T", key)
+
+
+def test_groups_of_an_empty_relation_and_of_single_rows():
+    schema = parse_schema("relation T(A:str, B:str, C:str)")
+    empty = load_instance(schema, {})
+    assert build_cqa_instance(empty, "T", ("B",)).groups == ()
+    assert ref_cqa_groups(empty, "T", ("B",)) == ()
+    d = load_instance(schema, {"T": [("x", "k2", "y"), ("z", "k1", "w")]})
+    kr = build_cqa_instance(d, "T", ("B",))
+    assert kr.groups == (
+        (("k1",), (("z", "k1", "w"),)),
+        (("k2",), (("x", "k2", "y"),)),
+    ) == ref_cqa_groups(d, "T", ("B",))
+    assert kr.repair_count == 1

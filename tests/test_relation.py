@@ -1,8 +1,12 @@
 import codecs
+import csv
+import io
 import os
 import random
 import subprocess
 import sys
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -20,7 +24,7 @@ from mdres import (
 )
 from mdres.relation import Position, _read_csv, instance_as_json, read_text
 
-from reference import ref_load_instance, ref_read_csv, ref_read_text
+from reference import ref_load_instance, ref_read_csv, ref_read_text, ref_write_csv
 
 
 def test_parse_schema_two_relations():
@@ -210,13 +214,35 @@ def _from_csv(read, load, texts):
     return load(INGEST_SCHEMA, rows, tids or None)
 
 
+def _csv_where(directory, texts):
+    """Row i of a relation named as load_csv_dir names it: by its file and
+    its record's number after the header, blank records counted."""
+    def where(rel, i):
+        records = list(csv.reader(io.StringIO(texts[rel])))[1:]
+        rownums = [n for n, record in enumerate(records, start=1) if record]
+        return f"{directory / f'{rel}.csv'}, row {rownums[i]}"
+    return where
+
+
 @settings(max_examples=1000, derandomize=True, deadline=None, print_blob=False)
 @given(st.integers(0, 2**32 - 1))
-def test_bulk_ingest_matches_row_loop(seed):
+def test_bulk_ingest_matches_row_loop(tmp_path_factory, seed):
     rng = random.Random(seed)
     texts = rand_csv_texts(rng)
     fast = _outcome(lambda: _from_csv(_read_csv, load_instance, texts))
     slow = _outcome(lambda: _from_csv(ref_read_csv, ref_load_instance, texts))
+    assert fast == slow
+    # the same texts as files, read the way the CLI reads them
+    directory = tmp_path_factory.getbasetemp() / "ingest"
+    directory.mkdir(exist_ok=True)
+    for rel, text in texts.items():
+        (directory / f"{rel}.csv").write_text(text, encoding="utf-8", newline="")
+    fast = _outcome(lambda: load_csv_dir(INGEST_SCHEMA, directory))
+    slow = _outcome(lambda: _from_csv(
+        lambda rschema, text, source: ref_read_csv(rschema, text, directory / source),
+        partial(ref_load_instance, where=_csv_where(directory, texts)),
+        texts,
+    ))
     assert fast == slow
     rows, tids = rand_api_input(rng)
     fast = _outcome(lambda: load_instance(INGEST_SCHEMA, rows, tids))
@@ -255,6 +281,36 @@ def test_csv_parse_error_comes_after_earlier_bad_rows(tmp_path):
     (tmp_path / "R.csv").write_text("#tid,A,B\n\n1,u,7\n" + long_row, encoding="utf-8")
     with pytest.raises(InputError, match="R.csv, row 3: field larger than field limit"):
         load_csv_dir(INGEST_SCHEMA, tmp_path)
+
+
+# Cell alphabets for the CSV writer: one that csv.writer never quotes, and
+# one with every character it quotes for.
+PLAIN_CELL_CHARS = "ab x\u00e9\u20ac\U0001f600"
+QUOTED_CELL_CHARS = 'ab ,"\r\n\u00e9'
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, print_blob=False)
+@given(st.data())
+def test_written_csv_matches_the_row_by_row_writer(tmp_path_factory, data):
+    chars = data.draw(st.sampled_from([PLAIN_CELL_CHARS, QUOTED_CELL_CHARS]))
+    cell = st.text(st.sampled_from(chars), min_size=1, max_size=4)
+    schema = parse_schema("relation R(A:str, B:str)\nrelation S(E:str)")
+    rows = {
+        "R": data.draw(st.lists(st.tuples(cell, cell), max_size=6)),
+        "S": data.draw(st.lists(st.tuples(cell), max_size=3)),
+    }
+    n = len(rows["R"])
+    tids = data.draw(st.lists(st.integers(1, 10**20), min_size=n + len(rows["S"]),
+                              max_size=n + len(rows["S"]), unique=True))
+    d = load_instance(schema, rows, {"R": tids[:n], "S": tids[n:]})
+    directory = tmp_path_factory.getbasetemp() / "written"
+    paths = write_csv_dir(d, directory)
+    assert paths == [directory / "R.csv", directory / "S.csv"]
+    for path, rel in zip(paths, ("R", "S")):
+        assert path.read_bytes() == ref_write_csv(d, rel).encode("utf-8")
+    # text mode reads a lone \r as \n, so only values without one come back
+    if "\r" not in "".join(chain.from_iterable(chain.from_iterable(rows.values()))):
+        assert load_csv_dir(schema, directory) == d  # tids included
 
 
 # Byte pieces of a text file: line breaks of each kind, UTF-8 of one to four
