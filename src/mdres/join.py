@@ -33,8 +33,9 @@ class Const:
         return quote(self.value)
 
 
-def _tuple_getter(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
-    """A function from a row to the tuple of its values at positions."""
+def tuple_getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A function from a row, or a chase state, to the tuple of its values at
+    positions."""
     if len(positions) > 1:
         return itemgetter(*positions)
     if positions:
@@ -87,7 +88,7 @@ def join(
                 if all(row[j] == v for j, v in consts)
                 and all(row[j] == row[i] for j, i in repeats)
             ]
-        take = _tuple_getter(tuple(first.values()))
+        take = tuple_getter(tuple(first.values()))
         for name in first:
             slots[name] = len(slots)
         if keyed:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 from .dsets import DisjointSet
@@ -435,21 +436,23 @@ def previous_set(graph: MDGraph, mid: str) -> frozenset[str]:
     return frozenset(seen)
 
 
-def _components(pairs: Iterable[tuple]) -> list[tuple]:
-    """The connected components of the items the pairs mention."""
-    ds: DisjointSet = DisjointSet()
+def _classes(items: Iterable, pairs: Iterable[tuple]) -> list[tuple]:
+    """The connected components of the items and of the items the pairs
+    mention, under the pairs: every component, singletons included, as a
+    sorted tuple, in sorted order. The items are numbered for a
+    dsets.DisjointSet."""
+    pairs = list(pairs)
+    names = list(dict.fromkeys(chain(items, chain.from_iterable(pairs))))
+    number = {item: i for i, item in enumerate(names)}
+    classes = DisjointSet(len(names))
     for a, b in pairs:
-        ds.union(a, b)
-    return ds.groups()
+        classes.union(number[a], number[b])
+    return sorted([tuple(sorted(map(names.__getitem__, c))) for c in classes.blocks()])
 
 
 def eqr_classes(mdset: MDSet) -> tuple[tuple[Attr, ...], ...]:
     """Classes of changeable attributes under the closure of the match relation."""
-    ds: DisjointSet[Attr] = DisjointSet(mdset.changeable)
-    for md in mdset.mds:
-        for left, right in md.rhs:
-            ds.union(left, right)
-    return tuple(ds.groups())
+    return tuple(_classes(mdset.changeable, chain.from_iterable(md.rhs for md in mdset.mds)))
 
 
 def eqr_class(mdset: MDSet, attr: Attr) -> tuple[Attr, ...]:
@@ -506,13 +509,12 @@ class _SideView:
         """TC classes of the relating-relation restricted to one side: the
         side's attributes in one component of m1's matches or of m2's
         conditions share a class. Only classes that touch LHS(m2) are kept."""
-        ds = DisjointSet(a for a in self.rhs1_attrs | self.lhs2_attrs if a[0] == side)
-        for pairs in (self.rhs1, self.lhs2):
-            for comp in _components(pairs):
-                on_side = [a for a in comp if a[0] == side]
-                for a in on_side[1:]:
-                    ds.union(on_side[0], a)
-        return [c for c in ds.groups() if any(a in self.lhs2_attrs for a in c)]
+        links = []
+        for comp in _classes((), self.rhs1) + _classes((), self.lhs2):
+            on_side = [a for a in comp if a[0] == side]
+            links += [(on_side[0], a) for a in on_side[1:]]
+        items = [a for a in self.rhs1_attrs | self.lhs2_attrs if a[0] == side]
+        return [c for c in _classes(items, links) if any(a in self.lhs2_attrs for a in c)]
 
 
 def _sides(left: Attr, right: Attr):
@@ -560,7 +562,7 @@ def _classify_chain(mdset: MDSet) -> Classification:
         return Classification("Unknown", (*evidence, str(exc)))
 
     overlap = view.rhs1_attrs & view.lhs2_attrs
-    l_comps_m1 = _components(view.lhs1)
+    l_comps_m1 = _classes((), view.lhs1)
 
     side_ok: dict[str, bool] = {}
     for side in (_SIDE_L, _SIDE_R):

@@ -21,7 +21,7 @@ from functools import partial
 from itertools import accumulate, chain, count, filterfalse, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, ParseError
 
@@ -255,12 +255,6 @@ class Instance:
     schema: Schema
     data: dict[str, dict[int, tuple[str, ...]]]
 
-    def tids(self, rel: str) -> tuple[int, ...]:
-        return tuple(sorted(self.data.get(rel, {})))
-
-    def row(self, rel: str, tid: int) -> tuple[str, ...]:
-        return self.data[rel][tid]
-
     def rows(self, rel: str) -> Iterator[tuple[int, tuple[str, ...]]]:
         table = self.data.get(rel, {})
         for tid in sorted(table):
@@ -269,24 +263,6 @@ class Instance:
     def value(self, pos: Position) -> str:
         rel, attr = pos.attr
         return self.data[rel][pos.tid][self.schema.relation(rel).index(attr)]
-
-    def positions(self, attrs: Iterable[Attr] | None = None) -> list[Position]:
-        """All positions, or those at the given attributes, in sorted order."""
-        wanted = None if attrs is None else set(attrs)
-        out = []
-        for rschema in self.schema.relations:
-            cols = [(rschema.name, attr) for attr in rschema.attrs]
-            if wanted is not None:
-                cols = [a for a in cols if a in wanted]
-            if cols:
-                tids = sorted(self.data.get(rschema.name, {}))
-                out += [Position(tid, a) for tid in tids for a in cols]
-        out.sort()
-        return out
-
-    def column(self, rel: str, attr: str) -> list[str]:
-        idx = self.schema.relation(rel).index(attr)
-        return [row[idx] for _, row in self.rows(rel)]
 
     def active_domain(self) -> set[str]:
         dom: set[str] = set()
@@ -659,6 +635,41 @@ def number_slots(
             for slot, row in zip(at.values(), table.values()):
                 values[slot] = row[col]
     return slots, values
+
+
+def slot_positions(slots: Mapping[Attr, Mapping[int, int]], n: int) -> list[Position]:
+    """positions[s] is the position at slot s, for the n slots that
+    number_slots numbered as `slots`."""
+    positions: list = [None] * n
+    for attr, at in slots.items():
+        for tid, slot in at.items():
+            positions[slot] = Position(tid, attr)
+    return positions
+
+
+def with_slot_values(
+    d: Instance, slots: Mapping[Attr, Mapping[int, int]], values: Sequence[str]
+) -> Instance:
+    """d with every position that `slots` numbers holding values[slot].
+
+    Each relation with a numbered attribute is rebuilt in one pass: its rows
+    are read as columns, each numbered column is read off `values`, and the
+    rows are zipped back.
+    """
+    value_of = values.__getitem__
+    changed: dict[str, list[tuple[int, Mapping[int, int]]]] = {}
+    for (rel, name), at in slots.items():
+        changed.setdefault(rel, []).append((d.schema.relation(rel).index(name), at))
+    data = {}
+    for rel, table in d.data.items():
+        if rel not in changed:
+            data[rel] = dict(table)
+            continue
+        columns = list(zip(*table.values()))
+        for col, at in changed[rel]:
+            columns[col] = map(value_of, map(at.__getitem__, table))
+        data[rel] = dict(zip(table, zip(*columns)))
+    return Instance(d.schema, data)
 
 
 def instance_as_json(instance: Instance) -> dict[str, list[list]]:

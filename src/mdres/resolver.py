@@ -10,12 +10,17 @@ resolved instances (MRIs).
 The oracle enumerates chase runs breadth-first and is the ground truth the
 fast path is checked against. It is bounded by the cells of the states it
 visits (OracleBounds.max_cells), not by the instance's size. It runs on
-ChaseSpace, where a state is a flat tuple of values. The merge partition is
-rebuilt from memos: each MD's links are kept as an interned link set per
+ChaseSpace, where a state is a flat tuple of values at the slots that
+relation.number_slots numbers, the closure's numbering. The merge partition
+is rebuilt from memos: each MD's links are kept as an interned link set per
 value of the MD's condition columns, read off the state on a miss, and the
 merged blocks per tuple of link sets, which merge_partition computes on a
 miss. That is the package's one block computation on a state; is_stable
-reads the open blocks of an instance's start state through it.
+reads the open blocks of an instance's start state through it. A miss
+groups tuples by link key, links and merges with the closure's own pieces:
+taclosure.group_tids and link_targets, and one dsets.DisjointSet, whose
+`linked` classes are both a link set and the merged blocks. States go back
+to instances through relation.with_slot_values, as the fast path's MRIs do.
 Fresh values are the rungs of one ladder per space, renamed in each
 successor by first occurrence. What a step reads off its layout of open
 blocks is built once per layout. For one oracle call, the combinations
@@ -39,13 +44,15 @@ from math import prod
 from operator import itemgetter, ne
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
-from .dsets import DisjointSet, SlotClasses
+from .dsets import DisjointSet
 from .errors import BoundsExceededError, InputError, NotEligibleError
+from .join import tuple_getter
 from .mds import MD, Classification, MDSet, classify
-from .relation import Instance, Position, number_slots
+from .relation import Instance, Position, number_slots, slot_positions, with_slot_values
 from .similarity import SimilaritySpec
 from .taclosure import (
     TAPartition,
+    group_tids,
     link_conditions,
     link_targets,
     match_keys,
@@ -60,17 +67,20 @@ FRESH_LADDER_LIMIT = 1024
 
 
 def merge_partition(
-    link_sets: Iterable[tuple[tuple[int, ...], ...]],
+    link_sets: Iterable[tuple[tuple[int, ...], ...]], n: int
 ) -> list[tuple[int, ...]]:
-    """The merged blocks of some link sets: the classes, in sorted order, of
-    the union of their blocks. Each link set holds sorted slot blocks of two
-    slots or more, so every class has two or more."""
-    ds: DisjointSet[int] = DisjointSet()
+    """The merged blocks of some link sets over the slots 0..n-1: the
+    classes, in sorted order, of the union of their blocks. Each link set
+    holds sorted slot blocks of two slots or more, so every class has two or
+    more. Each block's classes are merged in one step."""
+    classes = DisjointSet(n)
+    of, merge = classes.of, classes.merge
     for link_set in link_sets:
-        for first, *rest in link_set:
-            for i in rest:
-                ds.union(first, i)
-    return ds.groups()
+        for block in link_set:
+            ids = set(map(of.__getitem__, block))
+            if len(ids) > 1:
+                merge(ids)
+    return classes.linked()
 
 
 def _fresh_params(
@@ -113,22 +123,7 @@ def _key_groups(
 ) -> dict[tuple[str, ...], list[int]]:
     """{link key: tids in order} for one side of an MD, read off a state."""
     tids, width, project = side
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for tid, key in zip(tids, zip(*[iter(project(values))] * width)):
-        at = groups.get(key)
-        if at is None:
-            groups[key] = [tid]
-        else:
-            at.append(tid)
-    return groups
-
-
-def _projection(slots: list[int]):
-    """Function from a state to the tuple of its values at the given slots."""
-    if len(slots) == 1:
-        (slot,) = slots
-        return lambda values: (values[slot],)
-    return itemgetter(*slots) if slots else lambda values: ()
+    return group_tids(tids, zip(*[iter(project(values))] * width))
 
 
 class _Layout:
@@ -158,7 +153,7 @@ class _Layout:
         self.order = [j for _, j in sorted(self.heads)]
         self.take = itemgetter(*source)
         self.outside_slots = [s for s in range(n) if source[s] == s]
-        self.outside = _projection(self.outside_slots)
+        self.outside = tuple_getter(self.outside_slots)
         self.settles = all(conditions.isdisjoint(block) for block in blocks)
 
 
@@ -182,8 +177,7 @@ class ChaseSpace:
     that links the same way merges nothing.
 
     What only some callers read is built on first use: `positions` (the
-    position at each slot, for messages and tests), each tuple's slots (for
-    `instance`, which builds the instances returned), and the fresh-value
+    position at each slot, for messages and tests) and the fresh-value
     parameters of _fresh_params (`_ladder_params`, first needed when a step
     builds a fresh value).
     """
@@ -196,7 +190,6 @@ class ChaseSpace:
         self.slots, start = number_slots(d)
         self.start = tuple(start)  # the state of d
         self._positions: list[Position] | None = None
-        self._rows: list[tuple[str, int, tuple[int, ...]]] | None = None
         self._params: tuple[str, int, int] | None = None
         self._ladder: list[str] = []
         self._rungs: dict[str, int] = {}
@@ -221,9 +214,9 @@ class ChaseSpace:
             }
             conditions |= slots
             self._links.append((md, conds, left, right))
-            self._memos.append((_projection(sorted(slots)), {}))
+            self._memos.append((tuple_getter(sorted(slots)), {}))
         self._condition_slots = frozenset(conditions)
-        self._conditions = _projection(sorted(conditions))
+        self._conditions = tuple_getter(sorted(conditions))
         self._link_ids: dict[tuple[tuple[int, ...], ...], int] = {}
         self._link_sets: list[tuple[tuple[int, ...], ...]] = []
         self._blocks: dict[tuple, list[tuple[int, ...]]] = {}
@@ -240,11 +233,7 @@ class ChaseSpace:
     def positions(self) -> list[Position]:
         """positions[i] is the position at slot i."""
         if self._positions is None:
-            positions: list = [None] * len(self.start)
-            for attr, at in self.slots.items():
-                for tid, i in at.items():
-                    positions[i] = Position(tid, attr)
-            self._positions = positions
+            self._positions = slot_positions(self.slots, len(self.start))
         return self._positions
 
     def _ladder_params(self) -> tuple[str, int, int]:
@@ -258,18 +247,11 @@ class ChaseSpace:
         attrs = self.schema.relation(rel).attrs
         maps = [self.slots.get((rel, attrs[c]), {}) for c in columns]
         tids = sorted(maps[0])
-        return tids, len(columns), _projection([m[tid] for tid in tids for m in maps])
+        return tids, len(columns), tuple_getter([m[tid] for tid in tids for m in maps])
 
     def instance(self, values: tuple[str, ...]) -> Instance:
-        if self._rows is None:  # (relation, tid, the tuple's slots in schema order)
-            self._rows = []
-            for rel, table in self._d.data.items():
-                columns = [self.slots.get((rel, a), {}) for a in self.schema.relation(rel).attrs]
-                self._rows += [(rel, tid, tuple([c[tid] for c in columns])) for tid in table]
-        data: dict[str, dict[int, tuple[str, ...]]] = {rel: {} for rel in self._d.data}
-        for rel, tid, slots in self._rows:
-            data[rel][tid] = tuple(values[i] for i in slots)
-        return Instance(self.schema, data)
+        """The instance of a state."""
+        return with_slot_values(self._d, self.slots, values)
 
     def fresh(self, i: int) -> str:
         """Rung i of the ladder of fresh values; the same object on every call.
@@ -304,9 +286,9 @@ class ChaseSpace:
         md, conds, left, right = self._links[i]
         left_keys = _key_groups(left, values)
         right_keys = left_keys if right is None else _key_groups(right, values)
-        classes = SlotClasses(len(values))
+        classes = DisjointSet(len(values))
         link_targets(classes, match_keys(conds, left_keys, right_keys), md.rhs, self.slots)
-        return tuple(sorted([tuple(sorted(m)) for m in classes.members.values()]))
+        return tuple(classes.linked())
 
     def _link_id(self, content: tuple[tuple[int, ...], ...]) -> int:
         """Id of a link set, interned by content."""
@@ -332,7 +314,7 @@ class ChaseSpace:
             blocks = self._merged.get(ids)
             if blocks is None:
                 blocks = self._merged[ids] = merge_partition(
-                    [self._link_sets[lid] for lid in ids]
+                    [self._link_sets[lid] for lid in ids], len(values)
                 )
             self._blocks[key] = blocks
         return blocks
@@ -567,27 +549,10 @@ class MRIFamily:
     classification: Classification
 
     def assignment(self, combo: tuple[str, ...]) -> Instance:
-        """The instance in which every position of block i holds combo[i].
-
-        Each relation with a changeable attribute is rebuilt in one pass:
-        its rows are read as columns, each changeable column is read off
-        `block_index`, and the rows are zipped back.
-        """
-        base, index = self.base, self.partition.block_index
-        value_of = combo.__getitem__
-        changed: dict[str, list[tuple[int, dict[int, int]]]] = {}
-        for (rel, name), at in index.items():
-            changed.setdefault(rel, []).append((base.schema.relation(rel).index(name), at))
-        data = {}
-        for rel, table in base.data.items():
-            if rel not in changed:
-                data[rel] = dict(table)
-                continue
-            columns = list(zip(*table.values()))
-            for col, at in changed[rel]:
-                columns[col] = map(value_of, map(at.__getitem__, table))
-            data[rel] = dict(zip(table, zip(*columns)))
-        return Instance(base.schema, data)
+        """The instance in which every position of block i holds combo[i]."""
+        partition = self.partition
+        values = list(map(combo.__getitem__, partition.block_of))
+        return with_slot_values(self.base, partition.slots, values)
 
     def canonical(self) -> Instance:
         """The MRI taking the lexicographically smallest candidate per block."""

@@ -12,14 +12,16 @@ what makes the fast resolution path a one-shot computation.
 The closure numbers the changeable positions once, in sorted order,
 straight off the instance's rows (relation.number_slots, which the chase's
 ChaseSpace shares), and merges classes of those slot numbers; no Position
-is built unless a caller reads TAPartition.blocks. Linking is one kernel,
+is built unless a caller reads TAPartition.blocks. The chase shares more
+than the numbering. Rows are grouped by link key in one loop, `group_tids`,
+which the chase runs on a state's values. Linking is one kernel,
 `link_targets`, shared with the chase's `resolver.ChaseSpace.link_set`: it
 merges the classes of each distinct tid list of the link groups in one
-step per target attribute and joins the lists hub to hub, over a
-dsets.SlotClasses, so its work follows the number of link keys and groups,
-not the pairs. Each block's value counts and candidate pool are counted
-once, when the partition is built; MRIFamily, the rewrite's views and the
-CLI's block writer all read them from there.
+step per target attribute and joins the lists hub to hub, over the
+package's one union-find, dsets.DisjointSet, so its work follows the number
+of link keys and groups, not the pairs. Each block's value counts and
+candidate pool are counted once, when the partition is built; MRIFamily,
+the rewrite's views and the CLI's block writer all read them from there.
 
 Only the datalog program lists pairs. `linked_pairs` gives one run per
 left tuple, (left tid, its right tids), and the tuples of one link key
@@ -35,13 +37,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .dsets import SlotClasses
+from .dsets import DisjointSet
 from .errors import InputError
-from .join import quote
+from .join import quote, tuple_getter
 from .mds import MD, MDSet, previous_set
-from .relation import Attr, Instance, Position, Schema, number_slots
+from .relation import Attr, Instance, Position, Schema, number_slots, slot_positions
 from .similarity import SimilaritySpec, neighbours, similar
 
 
@@ -65,8 +67,9 @@ class TAPartition:
     value, and `pools[i]` its candidates: the most frequent values, all of
     them on a tie, sorted; both are counted once, by ta_closure.
 
-    `blocks` (the blocks as Position tuples) and `block_index` are built on
-    first use: resolve, closure and answers never read the first.
+    `blocks` (the blocks as Position tuples), `block_of` and `block_index`
+    are built on first use: resolve, closure and answers never read the
+    first.
     """
 
     slots: Mapping[Attr, Mapping[int, int]]
@@ -77,19 +80,22 @@ class TAPartition:
     @cached_property
     def blocks(self) -> tuple[tuple[Position, ...], ...]:
         """The blocks as tuples of positions."""
-        position: list = [None] * sum(map(len, self.block_slots))
-        for attr, at in self.slots.items():
-            for tid, slot in at.items():
-                position[slot] = Position(tid, attr)
-        return tuple([tuple(map(position.__getitem__, b)) for b in self.block_slots])
+        position = slot_positions(self.slots, sum(map(len, self.block_slots))).__getitem__
+        return tuple([tuple(map(position, b)) for b in self.block_slots])
 
     @cached_property
-    def block_index(self) -> dict[Attr, dict[int, int]]:
-        """Per attribute, {tid: number of the block holding that position}."""
+    def block_of(self) -> list[int]:
+        """block_of[s] is the number of the block holding slot s."""
         block_of = [0] * sum(map(len, self.block_slots))
         for i, block in enumerate(self.block_slots):
             for slot in block:
                 block_of[slot] = i
+        return block_of
+
+    @cached_property
+    def block_index(self) -> dict[Attr, dict[int, int]]:
+        """Per attribute, {tid: number of the block holding that position}."""
+        block_of = self.block_of
         return {
             attr: dict(zip(at, map(block_of.__getitem__, at.values())))
             for attr, at in self.slots.items()
@@ -102,10 +108,6 @@ class TAPartition:
     def winners(self) -> tuple[str | None, ...]:
         """Each block's unique most frequent value, or None on a tie."""
         return tuple([pool[0] if len(pool) == 1 else None for pool in self.pools])
-
-    def candidates(self, i: int) -> tuple[str, ...]:
-        """Most frequent values of block i, sorted."""
-        return self.pools[i]
 
     def min_changes(self, i: int) -> int:
         """The changes block i needs: its positions that hold another value
@@ -165,10 +167,15 @@ def _key_tids(
     `columns`."""
     table = instance.data.get(rel, {})
     tids = sorted(table)
-    if len(columns) == 1:
-        keys = zip(map(itemgetter(columns[0]), map(table.__getitem__, tids)))
-    else:
-        keys = map(itemgetter(*columns), map(table.__getitem__, tids))
+    return group_tids(tids, map(tuple_getter(columns), map(table.__getitem__, tids)))
+
+
+def group_tids(
+    tids: Iterable[int], keys: Iterable[tuple[str, ...]]
+) -> dict[tuple[str, ...], list[int]]:
+    """{link key: its tids in the given order}, the i-th tid having the i-th
+    key: the one grouping of tuples by link key, over an instance's rows
+    (link_groups) or a chase state's values (resolver.ChaseSpace)."""
     groups: dict[tuple[str, ...], list[int]] = {}
     for tid, key in zip(tids, keys):
         at = groups.get(key)
@@ -219,7 +226,7 @@ def match_keys(
 
 
 def link_targets(
-    classes: SlotClasses,
+    classes: DisjointSet,
     groups: list[tuple[list[int], list[int]]],
     rhs: tuple[tuple[Attr, Attr], ...],
     slots: Mapping[Attr, Mapping[int, int]],
@@ -317,7 +324,7 @@ def ta_closure(d: Instance, mdset: MDSet) -> TAPartition:
     off its slots once, here.
     """
     slots, values = number_slots(d, mdset.changeable)
-    classes = SlotClasses(len(values))
+    classes = DisjointSet(len(values))
     targets: dict[str, dict[tuple[Attr, Attr], None]] = {}  # per feeding MD
     for mi in mdset.mds:
         for mj in feeders(mdset, mi):

@@ -20,6 +20,8 @@ from mdres.mds import MDSet
 from mdres.relation import Instance, Position
 from mdres.taclosure import emit_datalog
 
+from reference import ref_positions
+
 _VAR_RE = re.compile(r"^[A-Z]\w*$")
 
 _TOKEN_RE = re.compile(
@@ -184,9 +186,13 @@ def evaluate(program: Program) -> dict[str, set[tuple]]:
 def datalog_partition(d: Instance, mdset: MDSet) -> tuple[tuple[Position, ...], ...]:
     """The partition read off the emitted program's ta facts; must equal ta_closure's."""
     derived = evaluate(parse_program(emit_datalog(d, mdset)))
-    ds: DisjointSet[Position] = DisjointSet(d.positions(mdset.changeable))
+    positions = ref_positions(d, mdset.changeable)
+    number = {pos: i for i, pos in enumerate(positions)}
+    classes = DisjointSet(len(positions))
     for t1, a1, t2, a2 in derived.get("ta", set()):
         rel1, attr1 = str(a1).split(".", 1)
         rel2, attr2 = str(a2).split(".", 1)
-        ds.union(Position(int(t1), (rel1, attr1)), Position(int(t2), (rel2, attr2)))
-    return tuple(ds.groups())
+        classes.union(
+            number[Position(int(t1), (rel1, attr1))], number[Position(int(t2), (rel2, attr2))]
+        )
+    return tuple([tuple(map(positions.__getitem__, block)) for block in classes.blocks()])

@@ -31,6 +31,38 @@ from mdres.resolver import _fresh_params
 from mdres.taclosure import emit_datalog
 
 
+# ---------------------------------------------------------------------------
+# Instance helpers that only the tests read
+
+def ref_tids(instance: Instance, rel: str) -> tuple[int, ...]:
+    """The tids of rel, ascending."""
+    return tuple(sorted(instance.data.get(rel, {})))
+
+
+def ref_row(instance: Instance, rel: str, tid: int) -> tuple[str, ...]:
+    return instance.data[rel][tid]
+
+
+def ref_column(instance: Instance, rel: str, attr: str) -> list[str]:
+    """The values of rel at attr, in tid order."""
+    idx = instance.schema.relation(rel).index(attr)
+    return [row[idx] for _, row in instance.rows(rel)]
+
+
+def ref_positions(instance: Instance, attrs=None) -> list[Position]:
+    """All positions, or those at the given attributes, in sorted order."""
+    wanted = None if attrs is None else set(attrs)
+    out = []
+    for rschema in instance.schema.relations:
+        cols = [(rschema.name, attr) for attr in rschema.attrs]
+        if wanted is not None:
+            cols = [a for a in cols if a in wanted]
+        tids = ref_tids(instance, rschema.name)
+        out += [Position(tid, a) for tid in tids for a in cols]
+    out.sort()
+    return out
+
+
 def ref_read_text(path) -> str:
     """A file read in text mode by pathlib, encoding utf-8-sig; a bad byte
     raises InputError with its offset in the file, BOM included."""
@@ -225,8 +257,8 @@ def ref_verify_transitivity(spec, domain) -> list[tuple[str, str, str]]:
 
 def _lhs_pairs(md, instance: Instance, sims):
     """Ordered tuple-id pairs satisfying the similarity condition of one MD."""
-    left = instance.tids(md.left_rel)
-    right = instance.tids(md.right_rel)
+    left = ref_tids(instance, md.left_rel)
+    right = ref_tids(instance, md.right_rel)
     out = []
     for t1, t2 in itertools.product(left, right):
         ok = True
@@ -361,7 +393,7 @@ def ref_ta_blocks(instance: Instance, mdset: MDSet):
     universe = [
         Position(tid, attr)
         for attr in sorted(mdset.changeable)
-        for tid in instance.tids(attr[0])
+        for tid in ref_tids(instance, attr[0])
     ]
     for p in universe:
         adj[p] = set()
@@ -521,8 +553,8 @@ def ref_key_repairs(instance: Instance, rel: str, key: tuple[str, ...]):
     key_idx = [attrs.index(a) for a in key]
     nonkey = [a for a in attrs if a not in key]
     groups: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for tid in instance.tids(rel):
-        row = instance.row(rel, tid)
+    for tid in ref_tids(instance, rel):
+        row = ref_row(instance, rel, tid)
         groups.setdefault(tuple(row[i] for i in key_idx), []).append(row)
     per_group: list[list[tuple[str, ...]]] = []
     for key_vals in sorted(groups):
@@ -554,7 +586,7 @@ class _RefCells:
 
     def __init__(self, d: Instance):
         self.schema = d.schema
-        self.positions = d.positions()
+        self.positions = ref_positions(d)
         self.slot = {pos: i for i, pos in enumerate(self.positions)}
         self.rows = [
             (rel, tid, tuple(

@@ -33,6 +33,7 @@ from reference import (
     ref_linked_position_pairs,
     ref_modifiable,
     ref_stable,
+    ref_tids,
 )
 from generators import (
     dn_instance,
@@ -239,7 +240,7 @@ def test_criterion_8_definitional_properties_hold():
 
         part = ta_closure(d, mdset)
         rng = random.Random(i)
-        tids = [tid for rel in d.schema.names() for tid in d.tids(rel)]
+        tids = [tid for rel in d.schema.names() for tid in ref_tids(d, rel)]
         shuffled = tids[:]
         rng.shuffle(shuffled)
         mapping = dict(zip(tids, shuffled))

@@ -517,6 +517,29 @@ def test_cqa_export_refuses_to_overwrite_its_input(tmp_path):
     )
 
 
+@pytest.mark.parametrize("broken", ["missing", "bad row"])
+def test_cqa_export_checks_every_relation(tmp_path, broken):
+    """cqa-export loads and checks every relation of the schema, not only
+    --relation: a missing or bad S.csv exits 1 with one error line, and
+    nothing is written."""
+    data = tmp_path / "data"
+    shutil.copytree(FIXTURES / "hard_chain" / "data", data)
+    if broken == "missing":
+        (data / "S.csv").unlink()
+        message = f"error: missing data file for relation S: {data / 'S.csv'}\n"
+    else:
+        with (data / "S.csv").open("a", encoding="utf-8") as fh:
+            fh.write("6,c,g\n")
+        message = f"error: {data / 'S.csv'}, row 3: expected 3 values, got 2\n"
+    out = tmp_path / "out"
+    res = invoke([
+        "cqa-export", "--schema", str(FIXTURES / "hard_chain" / "schema.txt"),
+        "--data", str(data), "--relation", "R", "--key", "A", "--out", str(out),
+    ])
+    assert (res.exit_code, res.stdout, res.stderr) == (1, "", message)
+    assert not out.exists()
+
+
 class _LiftedDigitLimit:
     """Lift int's str conversion limit (Python 3.11, 3.10.7 and later) for
     the reference side of a test, and put it back."""

@@ -19,6 +19,7 @@ from mdres import (
 from mdres.similarity import SimilaritySpec
 
 from datalog_engine import parse_program
+from reference import ref_column
 
 SCHEMA = parse_schema("relation R(A:str, B:int)\nrelation S(E:str, F:str)")
 SIMS = {"s": SimilaritySpec(name="s", kind="table", pairs=frozenset({("u", "v"), ("v", "u")}))}
@@ -98,4 +99,4 @@ def test_csv_huge_integers(tmp_path):
         load_csv_dir(SCHEMA, tmp_path)
     # a canonical integer value is accepted however long
     (tmp_path / "R.csv").write_text("A,B\nu,1" + "0" * 5000 + "\n", encoding="utf-8")
-    assert load_csv_dir(SCHEMA, tmp_path).column("R", "B") == ["1" + "0" * 5000]
+    assert ref_column(load_csv_dir(SCHEMA, tmp_path), "R", "B") == ["1" + "0" * 5000]

@@ -35,6 +35,7 @@ from reference import (
     ref_modifiable,
     ref_stable,
     ref_ta_blocks,
+    ref_tids,
 )
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -130,7 +131,7 @@ def test_fast_family_agrees_with_oracle(seed):
 def test_closure_invariant_under_tid_relabeling(seed):
     d, mdset = ni_or_hsc(seed)
     part = ta_closure(d, mdset)
-    tids = [tid for rel in d.schema.names() for tid in d.tids(rel)]
+    tids = [tid for rel in d.schema.names() for tid in ref_tids(d, rel)]
     rng = random.Random(seed ^ 0x5A5A)
     shuffled = tids[:]
     rng.shuffle(shuffled)
@@ -176,7 +177,7 @@ def _widened(d, mdset, empty: str | None, rng):
     schema = parse_schema("\n".join([*decls, "relation X(P:str, Q:str)"]))
     text = "; ".join(str(md).split(": ", 1)[1] for md in mdset.mds)
     rows = {rel: [list(r) for _, r in d.rows(rel)] for rel in d.schema.names()}
-    tids = {rel: rng.sample(d.tids(rel), len(d.tids(rel))) for rel in d.schema.names()}
+    tids = {rel: rng.sample(ref_tids(d, rel), len(ref_tids(d, rel))) for rel in d.schema.names()}
     if empty is not None:
         rows[empty], tids[empty] = [], []
     rows["X"] = [["p", "q"]]
@@ -186,8 +187,8 @@ def _widened(d, mdset, empty: str | None, rng):
 @settings(max_examples=60, **COMMON)
 @given(SEEDS, st.booleans())
 def test_assignment_matches_with_values(seed, empty):
-    """MRIFamily.assignment rebuilds each relation from block_index; it
-    equals with_values of the same block assignment, also for a relation no
+    """MRIFamily.assignment reads each slot's block off block_of and
+    rebuilds each relation with relation.with_slot_values; it equals with_values of the same block assignment, also for a relation no
     MD reads and for a changeable relation without tuples."""
     d, mdset = ni_or_hsc(seed)
     rng = random.Random(seed)

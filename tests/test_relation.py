@@ -24,7 +24,15 @@ from mdres import (
 )
 from mdres.relation import Position, _read_csv, instance_as_json, read_text
 
-from reference import ref_load_instance, ref_read_csv, ref_read_text, ref_write_csv
+from reference import (
+    ref_load_instance,
+    ref_positions,
+    ref_read_csv,
+    ref_read_text,
+    ref_row,
+    ref_tids,
+    ref_write_csv,
+)
 
 
 def test_parse_schema_two_relations():
@@ -51,8 +59,8 @@ def test_load_instance_assigns_dense_tids():
     schema = parse_schema("relation R(A:str)\nrelation S(B:str)")
     inst = load_instance(schema, {"R": [["x"], ["y"]], "S": [["z"]]})
     # ids are global: S continues after R
-    assert inst.tids("R") == (1, 2)
-    assert inst.tids("S") == (3,)
+    assert ref_tids(inst, "R") == (1, 2)
+    assert ref_tids(inst, "S") == (3,)
 
 
 def test_load_instance_explicit_tids_must_be_unique():
@@ -60,7 +68,7 @@ def test_load_instance_explicit_tids_must_be_unique():
     inst = load_instance(
         schema, {"R": [["x"]], "S": [["z"]]}, tids={"R": [7], "S": [2]}
     )
-    assert inst.tids("R") == (7,)
+    assert ref_tids(inst, "R") == (7,)
     with pytest.raises(InputError):
         load_instance(schema, {"R": [["x"]], "S": [["z"]]},
                       tids={"R": [7], "S": [7]})
@@ -108,13 +116,13 @@ def test_csv_round_trip(tmp_path, dup_groups):
     assert [p.name for p in paths] == ["R.csv"]
     back = load_csv_dir(dup_groups.schema, tmp_path)
     assert back == dup_groups.instance
-    assert back.tids("R") == dup_groups.instance.tids("R")
+    assert ref_tids(back, "R") == ref_tids(dup_groups.instance, "R")
 
 
 def test_csv_utf8_bom_accepted(tmp_path, dup_groups):
     (tmp_path / "R.csv").write_text("\ufeffA,B\na,b\n", encoding="utf-8")
     inst = load_csv_dir(dup_groups.schema, tmp_path)
-    assert inst.row("R", 1) == ("a", "b")
+    assert ref_row(inst, "R", 1) == ("a", "b")
 
 
 def test_csv_header_mismatch_rejected(tmp_path, dup_groups):
@@ -263,7 +271,7 @@ def test_clean_csv_checks_no_cell_one_by_one(tmp_path, monkeypatch):
     (tmp_path / "R.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (tmp_path / "S.csv").write_text("E\ne1\n\ne2\n", encoding="utf-8")
     inst = load_csv_dir(INGEST_SCHEMA, tmp_path)
-    assert len(inst.data["R"]) == 10_000 and inst.tids("S") == (10_001, 10_002)
+    assert len(inst.data["R"]) == 10_000 and ref_tids(inst, "S") == (10_001, 10_002)
     assert calls == []
     # the count is live: a bad cell does go through the per-row check
     (tmp_path / "S.csv").write_text('E\ne1\n\n""\n', encoding="utf-8")
@@ -383,7 +391,7 @@ def test_number_slots_ranks_the_sorted_positions(seed):
     d = load_instance(schema, rows, given_tids)
     every = [(r.name, a) for r in schema.relations for a in r.attrs]
     for attrs in (None, rng.sample(every, rng.randint(0, len(every)))):
-        positions = d.positions(attrs)
+        positions = ref_positions(d, attrs)
         slots, values = mdres.relation.number_slots(d, attrs)
         assert [slots[p.attr][p.tid] for p in positions] == list(range(len(positions)))
         assert values == [d.value(p) for p in positions]

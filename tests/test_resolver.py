@@ -36,9 +36,11 @@ from generators import (
     rand_overlap_chain_case,
 )
 from reference import (
+    ref_column,
     ref_enumerate_mris_oracle,
     ref_merge_blocks,
     ref_modifiable,
+    ref_positions,
     ref_stable,
     ref_successors,
 )
@@ -150,8 +152,8 @@ def test_oracle_two_rule_cycle(two_rule_cycle):
     assert len(mris) == 16
     assert min_change == 6
     for mri in mris:
-        a_col = set(mri.column("R", "A"))
-        b_col = set(mri.column("R", "B"))
+        a_col = set(ref_column(mri, "R", "A"))
+        b_col = set(ref_column(mri, "R", "B"))
         assert len(a_col) == 1 and len(b_col) == 1
 
 
@@ -291,10 +293,35 @@ def test_memoised_blocks_match_reference(kind, seed):
         pending.extend(space.successors(values, space.open_blocks(values), max_values=99))
 
 
+@settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
+@given(st.sampled_from(sorted(CASES)), st.integers(min_value=0, max_value=2**32 - 1))
+def test_state_instances_match_with_values(kind, seed):
+    """ChaseSpace.instance rebuilds a state column by column
+    (relation.with_slot_values); on every state the chase reaches, fresh
+    values included, that equals with_values of the state's value at each
+    position."""
+    _, d, mdset = CASES[kind](random.Random(seed))
+    space = ChaseSpace(d, mdset)
+    positions = space.positions
+    pending, seen = [space.start], set()
+    while pending and len(seen) < 60:
+        values = pending.pop()
+        if values in seen:
+            continue
+        seen.add(values)
+        got, expected = space.instance(values), d.with_values(dict(zip(positions, values)))
+        assert got == expected and got.data == expected.data
+        assert list(map(list, got.data.values())) == list(map(list, d.data.values()))
+        pending.extend(space.successors(values, space.open_blocks(values), max_values=99))
+    # the chase offers a fresh value to every open block, and the last
+    # successor pushed, popped next, takes one in each
+    assert len(seen) == 1 or any(v in space._rungs for state in seen for v in state)
+
+
 def _check_slots(space, d, mdset):
     """The slots number d's positions in sorted order; the lazy attributes
     equal what they are built from."""
-    positions = d.positions()
+    positions = ref_positions(d)
     assert set(space.slots) == {p.attr for p in positions}
     assert _slots(space, positions) == tuple(range(len(positions)))
     assert space.start == tuple(map(d.value, positions))
@@ -482,10 +509,10 @@ def test_resolved_values_are_in_every_oracle_mri(kind, seed):
                 with pytest.raises(NotEligibleError):
                     resolved_values(d, mdset, rel, attr)
                 continue
-            common = set.intersection(*(set(m.column(rel, attr)) for m in mris))
+            common = set.intersection(*(set(ref_column(m, rel, attr)) for m in mris))
             assert resolved_values(d, mdset, rel, attr) == tuple(sorted(common))
             if (rel, attr) not in mdset.changeable:
-                assert common == set(d.column(rel, attr))
+                assert common == set(ref_column(d, rel, attr))
 
 
 class _RecordingSpace(ChaseSpace):

@@ -14,7 +14,7 @@ from mdres import (
     parse_schema,
     ta_closure,
 )
-from mdres.dsets import SlotClasses
+from mdres.dsets import DisjointSet
 from mdres.mds import MDSet
 from mdres.relation import Position
 from mdres.resolver import ChaseSpace
@@ -29,6 +29,7 @@ from reference import (
     ref_emit_datalog,
     ref_merge_blocks,
     ref_partition_json,
+    ref_positions,
     ref_similar,
     ref_ta_blocks,
     run_pairs,
@@ -52,7 +53,7 @@ def test_blocks_cover_singletons(majority_column):
     part = ta_closure(majority_column.instance, majority_column.mdset)
     # every changeable position appears even if nothing links it
     assert sum(len(b) for b in part.blocks) == 3
-    assert part.candidates(0) == ("b2",)
+    assert part.pools[0] == ("b2",)
 
 
 def test_feeding_md_seeds_target_blocks(two_rule_cycle):
@@ -75,7 +76,7 @@ def test_cross_relation_block(three_rel_join):
         Position(3, ("S", "F")),
         Position(4, ("U", "I")),
     }
-    assert part.candidates(0) == ("b1",)
+    assert part.pools[0] == ("b1",)
 
 
 def test_block_index(two_rule_cycle):
@@ -93,11 +94,12 @@ def test_indexes_match_a_scan_of_blocks():
     for name, sims in cases:
         bundle = load_bundle(name, sims=sims)
         part = ta_closure(bundle.instance, bundle.mdset)
-        for pos in bundle.instance.positions():
+        for pos in ref_positions(bundle.instance):
             owners = [i for i, block in enumerate(part.blocks) if pos in block]
             at = part.block_index.get(pos.attr, {})
             if owners:
                 assert [at[pos.tid]] == owners, (name, sims, pos)
+                assert part.block_of[part.slots[pos.attr][pos.tid]] == owners[0]
             else:
                 assert pos.tid not in at, (name, sims, pos)
 
@@ -292,14 +294,14 @@ def test_unions_follow_keys_and_groups_not_pairs(monkeypatch):
     )
     mdset = parse_mds("R[A] ~t R[A] -> R[B] == R[B]", schema, {"t": table})
     merged = 0
-    merge = SlotClasses.merge
+    merge = DisjointSet.merge
 
     def counted(self, ids):
         nonlocal merged
         merged += len(ids)
         return merge(self, ids)
 
-    monkeypatch.setattr(SlotClasses, "merge", counted)
+    monkeypatch.setattr(DisjointSet, "merge", counted)
     bound = k * t + 2 * k * k * len(mdset.mds[0].rhs)
     (block,) = ta_closure(inst, mdset).blocks
     assert len(block) == k * t
