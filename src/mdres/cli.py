@@ -362,13 +362,15 @@ def _dump_blocks(partition: TAPartition, nl: str) -> str:
 
 
 def _emit(command: str, fmt: str, payload) -> None:
+    # color=True: stdout is written as computed, ANSI escapes in values too,
+    # which click.echo would strip whenever stdout is not a terminal
     if isinstance(payload, str):
-        click.echo(payload, nl=False)
+        click.echo(payload, nl=False, color=True)
         return
     if fmt == "json":
-        click.echo(_dump_json(payload))
+        click.echo(_dump_json(payload), color=True)
     else:
-        click.echo(_render_text(command, payload))
+        click.echo(_render_text(command, payload), color=True)
 
 
 def _exit(code: int, prefix: str, message: object) -> NoReturn:

@@ -17,14 +17,19 @@ also transitive matters to the classifier, so every spec carries a
 
 A `transitive=` that contradicts a derived verdict is an input error.
 
-`similar` answers an edit-distance question with `within_distance`, which
-fills only the diagonal band of the DP that can stay within the bound.
+`similar` answers an edit-distance question with `within_distance`. Two
+strings of one length that differ in at most k positions are accepted by a
+mismatch count that stops at the (k + 1)-th mismatch; any other pair fills
+only the diagonal band of the DP that can stay within the bound.
 
 `neighbours` answers the same question for a whole set of values at once,
 without testing every pair: a table spec reads its adjacency (built once per
 spec from its pairs), and an edit-distance spec probes a PASS-JOIN segment
 index (Li, Deng, Wang & Feng, PVLDB 2011) and confirms each candidate with
-`similar`. The pair linker and the transitivity verdict both read it.
+`similar`. Values are indexed shortest first, so a probe reads only the
+lengths within k below its own, and on each of those only the substrings
+that the paper's multi-match-aware selection (its Section 4) keeps. The
+pair linker and the transitivity verdict both read it.
 """
 
 from __future__ import annotations
@@ -33,8 +38,10 @@ import csv
 import io
 import os
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from itertools import islice
+from operator import ne
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -90,8 +97,15 @@ EQUALITY = SimilaritySpec(name="=", kind="eq")
 
 
 def within_distance(a: str, b: str, k: int) -> bool:
-    """Whether the edit distance of a and b is at most k, filling at most
-    k + 1 cells per row of the Levenshtein DP.
+    """Whether the edit distance of a and b is at most k.
+
+    Strings of one length that differ in at most k positions are within k
+    substitutions, since Hamming distance bounds edit distance; a C-level
+    count of mismatches that stops at the (k + 1)-th accepts them. For
+    k < 2 it refuses the others too: an insertion must be paid back by a
+    deletion, so the band below is the main diagonal alone, and the count
+    is the DP. Any other pair fills at most k + 1 cells per row of the
+    Levenshtein DP.
 
     Every step of an edit path away from the diagonals through the DP's two
     corner cells must be paid back, so a path within k strays at most
@@ -109,6 +123,11 @@ def within_distance(a: str, b: str, k: int) -> bool:
         return False
     if k >= n:
         return True  # no two strings this short are further apart
+    if n == m:
+        if next(islice(filter(None, map(ne, a, b)), k, None), None) is None:
+            return True  # at most k mismatches
+        if k < 2:
+            return False  # the band is the main diagonal alone
     slack = (k - (n - m)) // 2  # how far the band reaches above the diagonal
     reach = n - m + slack  # and below it
     over = k + 1
@@ -182,48 +201,77 @@ def _segments(length: int, k: int) -> list[tuple[int, int]]:
     return out
 
 
+def _windows(length: int, k: int, delta: int) -> list[tuple[int, int, int]]:
+    """(size, first, last) per segment of an indexed length > k, for a probe
+    delta characters longer (0 <= delta <= k): the probe looks for segment i
+    (0-based), which starts at p, among its substrings that start at first
+    to last.
+
+    This is PASS-JOIN's multi-match-aware selection. Count the edits of an
+    alignment within k per segment. Segment by segment, the edits before
+    segment j less j start at 0 and end below 0 (k + 1 segments, k edits),
+    and fall only at a segment without edits, by one. Where they first fall,
+    segment i is intact, with i edits before it and at most k - i after it.
+    Those before shift it by at most i characters, and those after make up
+    delta to within k - i. Hence first = max(p - i, p + delta - (k - i))
+    and last = min(p + i, p + delta + (k - i)): at most
+    (k*k - delta*delta) // 2 + k + 1 substrings in all. Each window lies
+    inside the probe, because p >= i and k - i non-empty segments follow
+    segment i.
+    """
+    return [
+        (size, max(p - i, p + delta - (k - i)), min(p + i, p + delta + (k - i)))
+        for i, (p, size) in enumerate(_segments(length, k))
+    ]
+
+
 def _lev_neighbours(spec: SimilaritySpec, values: list[str]) -> dict[str, list[str]]:
     """Neighbour lists under lev <= k, from a PASS-JOIN segment index.
 
-    Values are indexed one at a time, and each probes those indexed before
-    it, so every pair is confirmed at most once. An indexed value r of
-    length > k is cut into k + 1 segments; k edits can touch at most k of
-    them, and a segment that survives sits in s at most k characters from
-    where it starts in r. So a probe s looks up, for each segment of each
-    length within k of its own, its substrings starting within k of the
-    segment's start. An indexed value of length <= k has an empty segment,
-    so every value of its length is a candidate. Only lengths present in
-    the data are visited, which keeps a huge bound cheap.
+    Values are indexed one at a time, shortest first (a stable sort), and
+    each probes those indexed before it, so every pair is confirmed at most
+    once and a probe s of length n meets only indexed lengths n - k to n.
+    An indexed value r of length > k is cut into k + 1 segments. k edits
+    leave one of them intact, so it is a substring of s, and the probe
+    looks it up at the starts that `_windows` selects. An indexed value of
+    length <= k has an empty segment, so every value of its length is a
+    candidate. Only lengths present in the data are visited, which keeps a
+    huge bound cheap.
     """
     k = spec.max_distance
     near = {v: [v] for v in values}
-    lengths = sorted({len(v) for v in values})
-    by_length: dict[int, list[str]] = {}
-    index: dict[tuple[int, int, str], list[str]] = {}
-    cuts: dict[int, list[tuple[int, int]]] = {}
-    for s in values:
+    lengths: list[int] = []  # the lengths indexed so far, ascending
+    short: dict[int, list[str]] = {}  # length <= k: its values
+    segments: dict[int, list[tuple[int, int, dict[str, list[str]]]]] = {}  # else
+    windows: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for s in sorted(values, key=len):
         n = len(s)
         found: set[str] = set()
-        for length in lengths[bisect_left(lengths, n - k) : bisect_right(lengths, n + k)]:
-            bucket = by_length.get(length)
-            if not bucket:
-                continue
+        for length in lengths[bisect_left(lengths, n - k) :]:
             if length <= k:
-                found.update(bucket)
+                found.update(short[length])
                 continue
-            for start, size in cuts[length]:
-                for at in range(max(0, start - k), min(n - size, start + k) + 1):
-                    found.update(index.get((length, start, s[at : at + size]), ()))
+            window = windows.get((n, length))
+            if window is None:
+                window = windows[n, length] = _windows(length, k, n - length)
+            for (size, first, last), (_, _, table) in zip(window, segments[length]):
+                for at in range(first, last + 1):
+                    hit = table.get(s[at : at + size])
+                    if hit:
+                        found.update(hit)
         for r in found:
             if similar(spec, s, r):
                 near[s].append(r)
                 near[r].append(s)
-        by_length.setdefault(n, []).append(s)
-        if n > k:
-            if n not in cuts:
-                cuts[n] = _segments(n, k)
-            for start, size in cuts[n]:
-                index.setdefault((n, start, s[start : start + size]), []).append(s)
+        if not lengths or lengths[-1] != n:
+            lengths.append(n)
+        if n <= k:
+            short.setdefault(n, []).append(s)
+            continue
+        if n not in segments:
+            segments[n] = [(p, size, {}) for p, size in _segments(n, k)]
+        for p, size, table in segments[n]:
+            table.setdefault(s[p : p + size], []).append(s)
     return near
 
 

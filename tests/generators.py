@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import string
 
 from mdres import Instance, MDSet, Schema, load_instance, parse_mds, parse_schema
 from mdres.query import ConjunctiveQuery, parse_query
@@ -275,6 +276,33 @@ def dn_instance(n: int):
     instance = load_instance(schema, {"R": rows})
     mdset = parse_mds("R[A] = R[A] -> R[B] == R[B]", schema)
     return schema, instance, mdset
+
+
+LEV_CLUSTER_SIMS = "sim s = lev <= 1\n"
+
+
+def lev_cluster_instance(n: int, size: int = 4, seed: int = 0):
+    """n isolated clusters of `size` spelling variants under lev <= 1.
+
+    A value is a five-letter cluster code and one variant letter. The code's
+    last letter is a check letter, so two codes differ in at least two
+    positions: values of one cluster are one substitution apart, and values
+    of two clusters at least two, since all have one length. One tuple per
+    value, shuffled, under `R[A] ~s R[A] -> R[B] == R[B]`.
+    """
+    rng = random.Random(seed)
+    letters = string.ascii_lowercase
+    rows = []
+    for number in rng.sample(range(26**4), n):
+        digits = [number // 26**e % 26 for e in range(4)]
+        code = "".join(letters[d] for d in digits) + letters[sum(digits) % 26]
+        for variant in letters[:size]:
+            rows.append([code + variant, f"b{len(rows)}"])
+    rng.shuffle(rows)
+    schema = parse_schema("relation R(A:str, B:str)")
+    sims = {"s": SimilaritySpec(name="s", kind="lev", max_distance=1)}
+    mdset = parse_mds("R[A] ~s R[A] -> R[B] == R[B]", schema, sims)
+    return schema, load_instance(schema, {"R": rows}), mdset
 
 
 LINK_SCHEMA = parse_schema(

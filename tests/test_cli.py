@@ -16,6 +16,7 @@ import mdres.cli
 from mdres import load_instance, parse_mds, parse_schema, ta_closure
 from mdres.cli import _dump_json, _is_rows, main
 from mdres.relation import instance_as_json, write_csv_dir
+from mdres.taclosure import emit_datalog
 
 from conftest import FIXTURES
 from generators import LINK_VALUES, dn_instance, rand_link_case
@@ -475,6 +476,35 @@ def test_emit_datalog_raw_text():
     assert res.output.startswith("%")
     assert "ta(X, A, Y, B) :- eqp(X, A, Y, B)." in res.output
     assert not res.output.rstrip("\n").endswith("}")  # raw program, not JSON
+
+
+def test_text_output_keeps_ansi_escapes(tmp_path):
+    """stdout is written as computed: click.echo would strip the escape
+    sequences in these values whenever stdout is not a terminal."""
+    red = "x\x1b[31my"
+    schema = parse_schema("relation R(A:str, B:str)")
+    mdset = parse_mds("R[A] = R[A] -> R[B] == R[B]", schema)
+    d = load_instance(schema, {"R": [[red, red], [red, "b"]]})
+    write_csv_dir(d, tmp_path / "data")
+    (tmp_path / "schema.txt").write_text("relation R(A:str, B:str)\n", encoding="utf-8")
+    (tmp_path / "mds.txt").write_text("R[A] = R[A] -> R[B] == R[B]\n", encoding="utf-8")
+    (tmp_path / "query.txt").write_text("Q(x) :- R(x, y)\n", encoding="utf-8")
+    base = ["--schema", str(tmp_path / "schema.txt"), "--data", str(tmp_path / "data"),
+            "--mds", str(tmp_path / "mds.txt")]
+    program = emit_datalog(d, mdset)
+    assert red in program
+    res = invoke(["emit-datalog", *base])
+    assert (res.exit_code, res.stdout) == (0, program)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdres.cli", "emit-datalog", *base],
+        capture_output=True, encoding="utf-8",
+    )
+    assert (proc.returncode, proc.stdout) == (0, program)
+    res = invoke(["answers", *base, "--query", str(tmp_path / "query.txt"),
+                  "--format", "text"])
+    assert res.exit_code == 0 and red in res.stdout.splitlines(), res.output
+    res = invoke(["closure", *base, "--format", "text"])
+    assert res.exit_code == 0 and f" | b:1, {red}:1" in res.stdout, res.output
 
 
 def test_cqa_export(tmp_path):

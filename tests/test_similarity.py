@@ -18,10 +18,10 @@ from mdres import (
     similar,
     verify_transitivity,
 )
-from mdres.similarity import EQUALITY, SimilaritySpec, load_table, within_distance
+from mdres.similarity import EQUALITY, SimilaritySpec, _windows, load_table, within_distance
 from mdres.taclosure import link_groups
 
-from generators import VALUE_POOL, rand_table_sim
+from generators import VALUE_POOL, lev_cluster_instance, rand_table_sim
 from reference import _lhs_pairs, ref_levenshtein, ref_similar, ref_verify_transitivity
 
 
@@ -90,6 +90,56 @@ def test_banded_check_matches_full_levenshtein(pair, k):
     assert _Reads.count <= _rows_until_cut(a, b, k) * (k + 2)
 
 
+class _Iterated(_Reads):
+    """A _Reads that also counts the characters read by iteration."""
+
+    iterated = 0
+
+    def __iter__(self):
+        for char in str.__iter__(self):
+            _Iterated.iterated += 1
+            yield char
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, print_blob=False)
+@given(st.text(alphabet="abc", min_size=1, max_size=12), st.integers(0, 5), st.data())
+def test_mismatch_count_accepts_substitutions_without_the_dp(a, k, data):
+    """Equal lengths within k substitutions: accepted before any DP cell."""
+    at = data.draw(st.sets(st.integers(0, len(a) - 1), max_size=k))
+    b = "".join("z" if i in at else c for i, c in enumerate(a))
+    _Reads.count = 0
+    assert within_distance(_Reads(a), _Reads(b), k)
+    assert _Reads.count == 0
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_far_pair_of_long_strings_refused_early(k):
+    """Two 10^5-character strings that differ in their first k + 1
+    positions: the mismatch count stops at the (k + 1)-th mismatch, and the
+    DP (k >= 2) stops at row k + 1, where every band cell exceeds k."""
+    tail = "ab" * 50_000
+    a, b = "x" * (k + 1) + tail[k + 1 :], "y" * (k + 1) + tail[k + 1 :]
+    _Reads.count = _Iterated.iterated = 0
+    assert not within_distance(_Iterated(a), _Iterated(b), k)
+    assert _Iterated.iterated <= 2 * (k + 1)
+    assert _Reads.count <= ((k + 1) * (k + 2) if k >= 2 else 0)
+    assert within_distance(a, b, k + 1)
+
+
+def test_windows_select_at_most_the_multi_match_bound():
+    """PASS-JOIN's bound on the substrings a probe selects per indexed
+    length, with every window inside the probe."""
+    for k in range(9):
+        for length in range(k + 1, 40):
+            for delta in range(k + 1):
+                windows = _windows(length, k, delta)
+                assert len(windows) == k + 1
+                assert all(0 <= first <= last <= length + delta - size
+                           for size, first, last in windows), (k, length, delta)
+                selected = sum(last - first + 1 for _, first, last in windows)
+                assert selected <= (k * k - delta * delta) // 2 + k + 1, (k, length, delta)
+
+
 def test_banded_check_with_a_huge_bound():
     huge = SimilaritySpec(name="l", kind="lev", max_distance=999_999_999)
     assert similar(huge, "a" * 5000, "b" * 4000)
@@ -110,12 +160,25 @@ def _table_case(seed: int):
     return spec, rng.sample(VALUE_POOL + ("y", "z"), rng.randint(0, 6))
 
 
-_LEV_CASES = st.tuples(
-    st.integers(min_value=0, max_value=3).map(_lev),
-    st.sampled_from(("ab", "abc", "abcd")).flatmap(
-        lambda letters: st.lists(st.text(alphabet=letters, max_size=10), max_size=14)
-    ),
-)
+@st.composite
+def _lev_values(draw):
+    """Up to 14 texts of up to 14 letters, then a few variants of them at a
+    few random edits each, so that values within k of each other are common
+    and a match may hinge on one window of one segment."""
+    letters = draw(st.sampled_from(("ab", "abc", "abcd")))
+    values = draw(st.lists(st.text(alphabet=letters, max_size=14), max_size=14))
+    for _ in range(draw(st.integers(0, 6)) if values else 0):
+        v = draw(st.sampled_from(values))
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.integers(0, len(v)))
+            new = draw(st.sampled_from(letters + "x"))
+            v = draw(st.sampled_from((v[:at] + new + v[at:], v[:at] + v[at + 1 :],
+                                      v[:at] + new + v[at + 1 :])))
+        values.append(v)
+    return values
+
+
+_LEV_CASES = st.tuples(st.integers(min_value=0, max_value=5).map(_lev), _lev_values())
 _TABLE_CASES = st.integers(min_value=0, max_value=2**32 - 1).map(_table_case)
 
 
@@ -126,13 +189,31 @@ _TABLE_CASES = st.integers(min_value=0, max_value=2**32 - 1).map(_table_case)
 @example((_lev(2), ["abc", "a", "", "ab", "ba"]))  # values shorter than k + 1
 @example((_lev(3), ["abcabc", "cab", "abab", "b", "abcabc"]))  # a repeated value
 @example((_lev(0), ["a", "ab", "a"]))
+@example((_lev(3), ["abcdefgh", "axbcxdexfgh"]))  # only the last segment, at delta = k
+@example((_lev(3), ["abcdefgh", "abcxdexfgxh"]))  # only the first segment
+@example((_lev(4), ["abcdefghij", "acefgxhixj"]))  # a middle one, i characters left
 def test_neighbours_match_all_pairs(case):
     spec, values = case
     near = neighbours(spec, values)
     assert set(near) == set(values)
+    expected = {v: {v} for v in near}
+    for v, u in itertools.combinations(expected, 2):  # ref_similar is symmetric
+        if ref_similar(spec, v, u):
+            expected[v].add(u)
+            expected[u].add(v)
     for v, ns in near.items():
         assert ns[0] == v and len(ns) == len(set(ns)), (v, ns)
-        assert set(ns) == {u for u in values if ref_similar(spec, v, u)}, v
+        assert set(ns) == expected[v], v
+
+
+def test_planted_lev_clusters_are_isolated():
+    """The scale generator's clusters: four values one substitution apart,
+    every other value at least two edits away."""
+    _, d, mdset = lev_cluster_instance(300, seed=1)
+    values = [row[0] for row in d.data["R"].values()]
+    near = neighbours(mdset.sims["s"], values)
+    assert len(near) == 1200
+    assert all(len(ns) == 4 and {u[:5] for u in ns} == {v[:5]} for v, ns in near.items())
 
 
 def test_similar_kinds():
