@@ -11,7 +11,7 @@ sets, are exactly these repairs.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
@@ -19,7 +19,6 @@ from operator import itemgetter
 
 from .errors import InputError
 from .relation import Instance, Schema
-from .taclosure import majority
 
 
 @dataclass(frozen=True)
@@ -79,15 +78,29 @@ def build_cqa_instance(d: Instance, rel: str, key: list[str] | tuple[str, ...]) 
     columns = [itemgetter(i) for i in nonkey_idx]
 
     # one tally per non-key column of (key, value) pairs over the whole
-    # relation, regrouped into each key's tally of values
+    # relation; a key's candidates are the values that reach its best count,
+    # sorted when there are several
     table = d.data.get(rel, {}).values()
     keys = list(map(key_of, table))
     pools = []
     for column in columns:
-        tallies = defaultdict(dict)
-        for (k, value), n in Counter(zip(keys, map(column, table))).items():
-            tallies[k][value] = n
-        pools.append({k: majority(tally) for k, tally in tallies.items()})
+        tally = Counter(zip(keys, map(column, table)))
+        best: dict = {}
+        for (k, _), n in tally.items():
+            if n > best.get(k, 0):
+                best[k] = n
+        pool: dict = {}
+        for (k, value), n in tally.items():
+            if n == best[k]:
+                at = pool.get(k)
+                if at is None:
+                    pool[k] = [value]
+                else:
+                    at.append(value)
+        for at in pool.values():
+            if len(at) > 1:
+                at.sort()
+        pools.append(pool)
     groups = []
     for k in sorted(pools[0]):  # every key has a pool in every column
         key_values = (k,) if len(key_idx) == 1 else k

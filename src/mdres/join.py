@@ -7,6 +7,7 @@ and the oracle's per-MRI answers all run through `join`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -63,7 +64,8 @@ def join(
     no index. A binding is the tuple of variable values in the order the
     variables are first bound, so a lookup reads fixed slots. The bindings
     are one list, extended atom by atom, and the head tuples are read off
-    the last list, in the nested-loop order of the atoms' rows. Every head
+    the last list, in the nested-loop order of the atoms' rows, by one
+    `itemgetter` over each binding plus the head's constants. Every head
     variable must occur in the body. A head tuple comes once per binding;
     callers that want a set build one.
     """
@@ -104,5 +106,14 @@ def join(
         else:
             matches = list(map(take, rows))
             bindings = [binding + values for binding in bindings for values in matches]
-    out = [(slots[t.name], None) if isinstance(t, Var) else (None, t.value) for t in head]
-    return [tuple(c if s is None else binding[s] for s, c in out) for binding in bindings]
+    # head constants are added past the end of each binding and read there
+    consts: tuple = ()
+    picks = []
+    for t in head:
+        if isinstance(t, Var):
+            picks.append(slots[t.name])
+        else:
+            picks.append(len(slots) + len(consts))
+            consts += (t.value,)
+    project = tuple_getter(picks)
+    return list(map(project, map(tuple.__add__, bindings, repeat(consts))))

@@ -345,24 +345,25 @@ def eval_rewritten(rq: RewrittenQuery, d: Instance) -> AnswerSet:
     position holds its block's unique winner, and a row drops out when one
     of those blocks has no unique winner.
 
-    A view is a set of rows, kept in first-seen order: the duplicates that
-    the MDs resolve become identical rows, and since the answer is a set,
-    the join reads each distinct row once.
+    The winners are the partition's `slot_winners`, one count of (class,
+    value) pairs over the closure's classes: no block is listed, sorted or
+    tallied. A view is a set of rows, kept in first-seen order: the
+    duplicates that the MDs resolve become identical rows, and since the
+    answer is a set, the join reads each distinct row once.
     """
     partition = ta_closure(d, rq.mdset)
-    winners, index = partition.winners, partition.block_index
+    winner = partition.slot_winners.__getitem__
 
     def view(ra: RewrittenAtom) -> dict[tuple[str, ...], None]:
         table = d.data.get(ra.original.rel, {})
-        tids = sorted(table)
-        rows = map(table.__getitem__, tids)
-        if not ra.conditions or not tids:
+        rows = table.values()
+        if not ra.conditions or not table:
             return dict.fromkeys(rows)
-        # each condition column is replaced by its blocks' winners, read
+        # each condition column is replaced by its slots' winners, read
         # column-wise, and a row with a block that has none drops out
         columns: list = list(zip(*rows))
         for c in ra.conditions:
-            columns[c.pos] = map(winners.__getitem__, map(index[c.attr].__getitem__, tids))
+            columns[c.pos] = map(winner, map(partition.slots[c.attr].__getitem__, table))
         return dict.fromkeys([row for row in zip(*columns) if None not in row])
 
     body = [ra.original.terms for ra in rq.atoms]

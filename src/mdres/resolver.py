@@ -578,5 +578,4 @@ def fast_mri_family(d: Instance, mdset: MDSet) -> MRIFamily:
         )
     partition = ta_closure(d, mdset)
     count = prod(map(len, partition.pools))
-    min_change = sum(map(partition.min_changes, range(len(partition))))
-    return MRIFamily(d, partition, partition.pools, count, min_change, cls)
+    return MRIFamily(d, partition, partition.pools, count, partition.min_change, cls)

@@ -19,9 +19,13 @@ which the chase runs on a state's values. Linking is one kernel,
 merges the classes of each distinct tid list of the link groups in one
 step per target attribute and joins the lists hub to hub, over the
 package's one union-find, dsets.DisjointSet, so its work follows the number
-of link keys and groups, not the pairs. Each block's value counts and
-candidate pool are counted once, when the partition is built; MRIFamily,
-the rewrite's views and the CLI's block writer all read them from there.
+of link keys and groups, not the pairs. ta_closure stops at that
+union-find: TAPartition holds the slot map, the classes and the slot values,
+and builds each further read the first time it is asked for. The rewrite's
+views read `slot_winners`, one count of (class, value) pairs; resolve,
+closure and MRIFamily read `block_slots`, each block's `counts` and `pools`
+(one tally per block), `block_of` and `min_change`, so answers never sorts
+a block or tallies one.
 
 Only the datalog program lists pairs. `linked_pairs` gives one run per
 left tuple, (left tid, its right tids), and the tuples of one link key
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .dsets import DisjointSet
 from .errors import InputError
@@ -48,71 +52,111 @@ from .similarity import SimilaritySpec, neighbours, similar
 
 
 def majority(tally: Mapping[str, int]) -> tuple[str, ...]:
-    """The candidates of a closure block or a CQA key group, from its value
-    counts: the most frequent values, all of them on a tie, sorted."""
+    """The candidates of a closure block, from its value counts: the most
+    frequent values, all of them on a tie, sorted."""
     best = max(tally.values())
     return tuple(sorted([v for v, n in tally.items() if n == best]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TAPartition:
     """Partition of the changeable positions, with value frequencies from D.
 
-    The positions are numbered as relation.number_slots numbers them, and
-    `slots` holds that numbering: per changeable attribute of a relation
-    with tuples, {tid: slot}. Block i is `block_slots[i]`, its slots in
-    ascending order, so its positions are in sorted order, and the blocks
-    are sorted by their first position. Unlinked positions appear as
-    singletons. `counts[i]` are block i's (value, count) pairs, sorted by
-    value, and `pools[i]` its candidates: the most frequent values, all of
-    them on a tie, sorted; both are counted once, by ta_closure.
+    ta_closure stops at the union-find, so a partition holds three things:
+    `slots`, the numbering of relation.number_slots (per changeable
+    attribute of a relation with tuples, {tid: slot}); `classes`, the
+    closure's DisjointSet over those slots; and `values`, each slot's value
+    in D. Everything else is built on its first read, from those three:
 
-    `blocks` (the blocks as Position tuples), `block_of` and `block_index`
-    are built on first use: resolve, closure and answers never read the
-    first.
+    - `slot_winners[s]` is the unique most frequent value of slot s's
+      block, or None on a tie: one count of (class, value) pairs, which is
+      all the rewrite reads.
+    - `block_slots[i]` is block i, its slots in ascending order, so its
+      positions are in sorted order; the blocks are sorted by their first
+      position, and unlinked positions are singletons.
+    - `counts[i]` are block i's (value, count) pairs, sorted by value, and
+      `pools[i]` its candidates (`majority`); both come from one tally per
+      block, over `block_slots`.
+    - `block_of[s]` is the number of the block holding slot s, read off the
+      class array; `min_change` is the changes every MRI makes, off
+      `counts`.
+    - `blocks` are the blocks as Position tuples, which resolve, closure
+      and answers never read.
     """
 
     slots: Mapping[Attr, Mapping[int, int]]
-    block_slots: tuple[tuple[int, ...], ...]
-    counts: tuple[tuple[tuple[str, int], ...], ...]
-    pools: tuple[tuple[str, ...], ...]
+    classes: DisjointSet
+    values: Sequence[str]
+
+    def __len__(self) -> int:
+        """The number of blocks: every slot, less the slots each class of two
+        or more adds beyond its first."""
+        members = self.classes.members
+        return len(self.values) - sum(map(len, members.values())) + len(members)
 
     @cached_property
-    def blocks(self) -> tuple[tuple[Position, ...], ...]:
-        """The blocks as tuples of positions."""
-        position = slot_positions(self.slots, sum(map(len, self.block_slots))).__getitem__
-        return tuple([tuple(map(position, b)) for b in self.block_slots])
+    def slot_winners(self) -> list[str | None]:
+        """slot_winners[s] is the unique most frequent value of the block
+        holding slot s, or None when several values tie for it."""
+        of = self.classes.of
+        best: dict[int, int] = {}  # by class: the highest count so far
+        winner: dict[int, str | None] = {}  # by class: its value, None on a tie
+        for (c, value), n in Counter(zip(of, self.values)).items():
+            top = best.get(c, 0)
+            if n > top:
+                best[c], winner[c] = n, value
+            elif n == top:
+                winner[c] = None
+        return list(map(winner.__getitem__, of))
+
+    @cached_property
+    def block_slots(self) -> tuple[tuple[int, ...], ...]:
+        """Each block's slots in ascending order, blocks by their first slot."""
+        return tuple(self.classes.blocks())
+
+    @cached_property
+    def _tallies(self) -> tuple[tuple, tuple]:
+        """(counts, pools), from one tally of each block's values."""
+        value_of = self.values.__getitem__
+        counts, pools = [], []
+        for block in self.block_slots:
+            tally: dict[str, int] = {}
+            for value in map(value_of, block):
+                tally[value] = tally.get(value, 0) + 1
+            counts.append(tuple(sorted(tally.items())))
+            pools.append(majority(tally))
+        return tuple(counts), tuple(pools)
+
+    @property
+    def counts(self) -> tuple[tuple[tuple[str, int], ...], ...]:
+        """Each block's (value, count) pairs, sorted by value."""
+        return self._tallies[0]
+
+    @property
+    def pools(self) -> tuple[tuple[str, ...], ...]:
+        """Each block's candidates: its most frequent values, all of them on
+        a tie, sorted."""
+        return self._tallies[1]
 
     @cached_property
     def block_of(self) -> list[int]:
         """block_of[s] is the number of the block holding slot s."""
-        block_of = [0] * sum(map(len, self.block_slots))
-        for i, block in enumerate(self.block_slots):
-            for slot in block:
-                block_of[slot] = i
-        return block_of
+        of = self.classes.of
+        # classes in order of their first slot, which is block order
+        rank = {c: i for i, c in enumerate(dict.fromkeys(of))}
+        return list(map(rank.__getitem__, of))
 
     @cached_property
-    def block_index(self) -> dict[Attr, dict[int, int]]:
-        """Per attribute, {tid: number of the block holding that position}."""
-        block_of = self.block_of
-        return {
-            attr: dict(zip(at, map(block_of.__getitem__, at.values())))
-            for attr, at in self.slots.items()
-        }
-
-    def __len__(self) -> int:
-        return len(self.block_slots)
+    def min_change(self) -> int:
+        """The changes every MRI makes: the positions of each block that hold
+        another value than one of its candidates."""
+        return len(self.values) - sum([max([n for _, n in c]) for c in self.counts])
 
     @cached_property
-    def winners(self) -> tuple[str | None, ...]:
-        """Each block's unique most frequent value, or None on a tie."""
-        return tuple([pool[0] if len(pool) == 1 else None for pool in self.pools])
-
-    def min_changes(self, i: int) -> int:
-        """The changes block i needs: its positions that hold another value
-        than a candidate."""
-        return len(self.block_slots[i]) - dict(self.counts[i])[self.pools[i][0]]
+    def blocks(self) -> tuple[tuple[Position, ...], ...]:
+        """The blocks as tuples of positions."""
+        position = slot_positions(self.slots, len(self.values)).__getitem__
+        return tuple([tuple(map(position, b)) for b in self.block_slots])
 
 
 def link_conditions(
@@ -318,10 +362,9 @@ def ta_closure(d: Instance, mdset: MDSet) -> TAPartition:
 
     The changeable positions are numbered by relation.number_slots. The link
     groups of each feeding MD are built once and merged over the slots by
-    one link_targets call, on the target pairs of every MD it feeds. A block
-    is the ascending list of its slots, so the blocks come out sorted by
-    their first position; each block's value counts and candidates are read
-    off its slots once, here.
+    one link_targets call, on the target pairs of every MD it feeds. It
+    stops there: the partition reads blocks, counts and winners off the
+    classes when a caller first asks for them.
     """
     slots, values = number_slots(d, mdset.changeable)
     classes = DisjointSet(len(values))
@@ -331,15 +374,7 @@ def ta_closure(d: Instance, mdset: MDSet) -> TAPartition:
             targets.setdefault(mj.mid, {}).update(dict.fromkeys(mi.rhs))
     for mid, rhs in targets.items():
         link_targets(classes, link_groups(mdset.by_id(mid), d, mdset.sims), tuple(rhs), slots)
-    blocks = classes.blocks()
-    counts, pools = [], []
-    for block in blocks:
-        tally: dict[str, int] = {}
-        for value in map(values.__getitem__, block):
-            tally[value] = tally.get(value, 0) + 1
-        counts.append(tuple(sorted(tally.items())))
-        pools.append(majority(tally))
-    return TAPartition(slots, tuple(blocks), tuple(counts), tuple(pools))
+    return TAPartition(slots, classes, values)
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,36 @@ def lev_cluster_instance(n: int, size: int = 4, seed: int = 0):
     return schema, load_instance(schema, {"R": rows}), mdset
 
 
+PLANTED_SCHEMA = "relation R(K:str, N:str, C:str)\nrelation S(C:str, P:str)\n"
+PLANTED_MDS = "R[K] = R[K] -> R[N] == R[N];\nS[C] = S[C] -> S[P] == S[P];\n"
+PLANTED_QUERY = "Q(k, x, p) :- R(k, x, c), S(c, p)\n"
+
+
+def planted_majority_instance(n: int, keys: int = 1000, seed: int = 0):
+    """n key groups of three R tuples with a planted 2-1 majority on N,
+    joined on C to an S with one tuple per key.
+
+    Group i is three copies of one row (k<i>, _, c<j>) whose N values are
+    n<i>a and n<i>b, one of them twice; either may be the smaller. S holds
+    (c<j>, p<j>) for j < keys. Rows are shuffled. Returns the schema, the
+    instance, the MD set and the sorted answers of PLANTED_QUERY on every
+    MRI: one (k<i>, majority value, p<j>) per group.
+    """
+    rng = random.Random(seed)
+    schema = parse_schema(PLANTED_SCHEMA)
+    r_rows, answers = [], []
+    for i in range(n):
+        j = rng.randrange(keys)
+        major, minor = rng.sample((f"n{i}a", f"n{i}b"), 2)
+        r_rows += [[f"k{i}", value, f"c{j}"] for value in (major, major, minor)]
+        answers.append((f"k{i}", major, f"p{j}"))
+    s_rows = [[f"c{j}", f"p{j}"] for j in range(keys)]
+    rng.shuffle(r_rows)
+    rng.shuffle(s_rows)
+    instance = load_instance(schema, {"R": r_rows, "S": s_rows})
+    return schema, instance, parse_mds(PLANTED_MDS, schema), sorted(answers)
+
+
 LINK_SCHEMA = parse_schema(
     "relation R(A:str, B:str, C:str)\nrelation S(E:str, F:str, G:str)"
 )

@@ -24,10 +24,13 @@ from mdres import (
 from mdres.errors import BoundsExceededError, InputError, ParseError
 from mdres.join import Const, Var, join
 from mdres.query import Atom, ConjunctiveQuery
+from mdres.taclosure import TAPartition
 
 from conftest import load_bundle
 from datalog_engine import evaluate, parse_program
-from generators import dn_instance, rand_dup_case, rand_ujcq
+from generators import (
+    PLANTED_QUERY, dn_instance, planted_majority_instance, rand_dup_case, rand_ujcq,
+)
 from reference import ref_certain_answers, ref_eval_cq
 
 
@@ -440,3 +443,56 @@ def test_join_order_and_atom_shuffle(r_rows, s_rows, query, data):
     order = data.draw(st.permutations(range(len(atoms))))
     shuffled = join(head, [body[i] for i in order], [sources[i] for i in order])
     assert Counter(shuffled) == Counter(got)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, print_blob=False)
+@given(_rows(2), _rows(3), _queries(), st.data())
+@example([("u", "v")], [], ((), (("R", ("x", "y")),)), None)
+def test_join_with_constant_head_terms(r_rows, s_rows, query, data):
+    """Head constants, at any head position, between variables or alone, give
+    the nested-loop tuples in the nested-loop order; parse_query heads are
+    variables only, so the datalog engine is their one other caller."""
+    head_names, atoms = query
+    head = [Var(name) for name in head_names]
+    if data is None:  # a head of constants only, over a one-row source
+        head = [Const("c"), Const("u")]
+    else:
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(head)))
+            head.insert(at, Const(data.draw(st.sampled_from((*JOIN_VALUES, "c", "it's")))))
+    body = [tuple(Const(t[1:-1]) if "'" in t else Var(t) for t in terms) for _, terms in atoms]
+    sources = [{"R": r_rows, "S": s_rows}[rel] for rel, _ in atoms]
+    assert join(head, body, sources) == _nested_join(head, body, sources)
+
+
+def test_rewrite_answers_build_no_blocks(majority_column, monkeypatch):
+    """The rewrite reads each slot's winner off the closure's classes: it
+    never lists, tallies or numbers the blocks."""
+    q = majority_column.query("query.txt")
+    d, mdset = majority_column.instance, majority_column.mdset
+    expected = resolved_answers(q, d, mdset, "rewrite")
+
+    def refuse(self):
+        raise AssertionError("the rewrite built a block read")
+
+    for name in ("block_slots", "counts", "pools", "blocks", "block_of", "min_change"):
+        monkeypatch.setattr(TAPartition, name, property(refuse))
+    got = resolved_answers(q, d, mdset, "rewrite")
+    assert got == expected
+    assert got.tuples == (("a1", "b2", "c1"), ("a1", "b2", "c2"), ("a1", "b2", "c3"))
+
+
+def test_rewrite_gives_the_planted_majorities():
+    """The small case of CI's "Rewrite at scale" step: each key group of
+    three answers with its 2-1 majority value, which the oracle agrees on."""
+    schema, d, mdset, planted = planted_majority_instance(40, keys=7)
+    q = parse_query(PLANTED_QUERY, schema)
+    got = resolved_answers(q, d, mdset, "rewrite")
+    assert list(got.tuples) == planted
+    kept = {"k0", "k1", "k2"}
+    small = load_instance(schema, {
+        "R": [row for row in d.data["R"].values() if row[0] in kept],
+        "S": list(d.data["S"].values()),
+    })
+    oracle = resolved_answers(q, small, mdset, "oracle")
+    assert list(oracle.tuples) == [a for a in planted if a[0] in kept]

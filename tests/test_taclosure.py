@@ -3,6 +3,7 @@ import string
 import time
 from collections import Counter
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mdres.similarity
@@ -23,7 +24,7 @@ from mdres.taclosure import feeders, link_groups, linked_pairs
 
 from conftest import FIXTURES, load_bundle
 from datalog_engine import datalog_partition
-from generators import rand_link_case
+from generators import rand_dup_case, rand_hsc_case, rand_link_case, rand_ni_case
 from reference import (
     _lhs_pairs,
     ref_emit_datalog,
@@ -46,7 +47,7 @@ def test_two_rule_cycle_blocks(two_rule_cycle):
         (("a1", 1), ("a2", 1), ("b1", 1), ("b2", 1)),
         (("d1", 1), ("d2", 1), ("e1", 1), ("e2", 1)),
     )
-    assert part.min_changes(0) + part.min_changes(1) == 6
+    assert part.min_change == 6
 
 
 def test_blocks_cover_singletons(majority_column):
@@ -79,10 +80,17 @@ def test_cross_relation_block(three_rel_join):
     assert part.pools[0] == ("b1",)
 
 
-def test_block_index(two_rule_cycle):
+def test_block_index(two_rule_cycle, majority_column):
     part = ta_closure(two_rule_cycle.instance, two_rule_cycle.mdset)
     pos = Position(3, ("R", "A"))
-    assert pos in part.blocks[part.block_index[pos.attr][pos.tid]]
+    slot = part.slots[pos.attr][pos.tid]
+    assert pos in part.blocks[part.block_of[slot]]
+    # both blocks hold four values once each: no slot has a winner
+    assert part.slot_winners == [None] * 8
+    part = ta_closure(majority_column.instance, majority_column.mdset)
+    # R[B] of the three tuples is one block holding b1, b2, b2
+    at = part.slots[("R", "B")]
+    assert [part.slot_winners[at[tid]] for tid in (1, 2, 3)] == ["b2"] * 3
 
 
 def test_indexes_match_a_scan_of_blocks():
@@ -94,14 +102,68 @@ def test_indexes_match_a_scan_of_blocks():
     for name, sims in cases:
         bundle = load_bundle(name, sims=sims)
         part = ta_closure(bundle.instance, bundle.mdset)
+        assert len(part) == len(part.blocks), (name, sims)
         for pos in ref_positions(bundle.instance):
             owners = [i for i, block in enumerate(part.blocks) if pos in block]
-            at = part.block_index.get(pos.attr, {})
+            at = part.slots.get(pos.attr, {})
             if owners:
-                assert [at[pos.tid]] == owners, (name, sims, pos)
-                assert part.block_of[part.slots[pos.attr][pos.tid]] == owners[0]
+                assert [part.block_of[at[pos.tid]]] == owners, (name, sims, pos)
+                pool = part.pools[owners[0]]
+                winner = pool[0] if len(pool) == 1 else None
+                assert part.slot_winners[at[pos.tid]] == winner, (name, sims, pos)
             else:
                 assert pos.tid not in at, (name, sims, pos)
+
+
+def _check_slot_winners(inst, mdset) -> tuple[int, int]:
+    """Assert that each slot's winner is the single most frequent value of
+    its reference block, or None when several share the top count; return
+    the tied and the singleton blocks."""
+    part = ta_closure(inst, mdset)
+    blocks = ref_ta_blocks(inst, mdset)
+    assert len(part.slot_winners) == sum(map(len, blocks))
+    ties = singletons = 0
+    for block in blocks:
+        tally = Counter(inst.value(p) for p in block)
+        top = [v for v, n in tally.items() if n == max(tally.values())]
+        ties += len(top) > 1
+        singletons += len(block) == 1
+        for pos in block:
+            got = part.slot_winners[part.slots[pos.attr][pos.tid]]
+            assert got == (top[0] if len(top) == 1 else None), pos
+    return ties, singletons
+
+
+def _winner_case(name, seed):
+    rng = random.Random(seed)
+    if name == "link":
+        return rand_link_case(rng)
+    case = {"ni": rand_ni_case, "hsc": rand_hsc_case, "dup": rand_dup_case}[name](rng)
+    return case[1], case[2]
+
+
+WINNER_CASES = ("ni", "hsc", "dup", "link")
+
+
+@pytest.mark.parametrize("name", WINNER_CASES)
+@settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_slot_winners_match_the_reference_pools(name, seed):
+    _check_slot_winners(*_winner_case(name, seed))
+
+
+def test_slot_winner_cases_hold_ties_and_singletons():
+    """The generators behind the hypothesis test above give tied blocks and
+    singleton blocks (rand_dup_case plants groups of two or more, so no
+    singletons there), so both of its branches are reached."""
+    seen = Counter()
+    for name in WINNER_CASES:
+        for seed in range(30):
+            ties, singletons = _check_slot_winners(*_winner_case(name, seed))
+            seen[name, "tie"] += ties
+            seen[name, "singleton"] += singletons
+    assert all(seen[name, "tie"] for name in WINNER_CASES), seen
+    assert all(seen[name, "singleton"] for name in ("ni", "hsc", "link")), seen
 
 
 def test_matches_reachability_reference():
