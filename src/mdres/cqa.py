@@ -15,10 +15,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
+from math import prod
 from operator import itemgetter
 
 from .errors import InputError
 from .relation import Instance, Schema
+from .taclosure import majorities
 
 
 @dataclass(frozen=True)
@@ -39,10 +41,7 @@ class KeyedRelation:
 
     @property
     def repair_count(self) -> int:
-        n = 1
-        for _, rows in self.groups:
-            n *= len(rows)
-        return n
+        return prod(map(len, map(itemgetter(1), self.groups)))
 
     def to_instance(self) -> Instance:
         """The candidate rows as an instance, with tids 1, 2, ... in row
@@ -55,9 +54,9 @@ def build_cqa_instance(d: Instance, rel: str, key: list[str] | tuple[str, ...]) 
     """Compute the candidate rows of rel under the given key.
 
     Per key group and non-key attribute, the candidates are that attribute's
-    most frequent values in the group (ties keep all); candidate rows are the
-    per-group cross product. Groups are in key order, and each group's rows
-    in sorted order.
+    most frequent values in the group (taclosure.majorities: ties keep all,
+    sorted); candidate rows are the per-group cross product. Groups are in
+    key order, and each group's rows in sorted order.
     """
     rschema = d.schema.relation(rel)
     key = tuple(key)
@@ -78,29 +77,10 @@ def build_cqa_instance(d: Instance, rel: str, key: list[str] | tuple[str, ...]) 
     columns = [itemgetter(i) for i in nonkey_idx]
 
     # one tally per non-key column of (key, value) pairs over the whole
-    # relation; a key's candidates are the values that reach its best count,
-    # sorted when there are several
+    # relation; a key's candidates are its majorities in that tally
     table = d.data.get(rel, {}).values()
     keys = list(map(key_of, table))
-    pools = []
-    for column in columns:
-        tally = Counter(zip(keys, map(column, table)))
-        best: dict = {}
-        for (k, _), n in tally.items():
-            if n > best.get(k, 0):
-                best[k] = n
-        pool: dict = {}
-        for (k, value), n in tally.items():
-            if n == best[k]:
-                at = pool.get(k)
-                if at is None:
-                    pool[k] = [value]
-                else:
-                    at.append(value)
-        for at in pool.values():
-            if len(at) > 1:
-                at.sort()
-        pools.append(pool)
+    pools = [majorities(Counter(zip(keys, map(column, table)))) for column in columns]
     groups = []
     for k in sorted(pools[0]):  # every key has a pool in every column
         key_values = (k,) if len(key_idx) == 1 else k

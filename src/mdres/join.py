@@ -34,15 +34,17 @@ class Const:
         return quote(self.value)
 
 
-def tuple_getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """A function from a row, or a chase state, to the tuple of its values at
-    positions."""
+def tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A C-level function from a tuple (a row, a rewrite view's row or a
+    chase state) to the tuple of its values at positions, which are not
+    negative: one position is read as a one-item slice, and none as the
+    empty slice."""
     if len(positions) > 1:
         return itemgetter(*positions)
     if positions:
         (j,) = positions
-        return lambda row: (row[j],)
-    return lambda row: ()
+        return itemgetter(slice(j, j + 1))
+    return itemgetter(slice(0, 0))
 
 
 def join(

@@ -355,8 +355,8 @@ class ChaseSpace:
         self,
         values: tuple[str, ...],
         open_blocks: list[tuple[tuple[int, ...], tuple[str, ...]]],
+        expanded: dict[tuple, set[tuple[str, ...]]],
         max_values: int = OracleBounds.max_values,
-        expanded: dict[tuple, set[tuple[str, ...]]] | None = None,
     ) -> Iterator[tuple[str, ...]]:
         """The chase step: the successors of a state, with fresh values canonized.
 
@@ -372,8 +372,7 @@ class ChaseSpace:
         each key: at most one entry per successor built. A combination
         found there is skipped before it is renamed or built, which is
         exact: an equal layout, equal outside values and an equal raw
-        combination give the successor already built. Without the memo,
-        every combination is expanded, duplicates included.
+        combination give the successor already built.
 
         When no open block holds a condition slot (`settles`), every
         successor is stable. A successor is linked by `blocks`, whose memo
@@ -429,15 +428,12 @@ class ChaseSpace:
             order = [j for _, j in sorted(heads)]
             take = itemgetter(*source)
             kept = tuple(firsts)
-        seen = None
-        if expanded is not None:
-            seen = expanded.setdefault((layout.number, outside), set())
+        seen = expanded.setdefault((layout.number, outside), set())
         ladder = self._ladder
         for combo in product(*pools):
-            if seen is not None:
-                if combo in seen:
-                    continue
-                seen.add(combo)
+            if combo in seen:
+                continue
+            seen.add(combo)
             assignment = combo + kept
             renamed: dict[str, str] = {}
             for j in order:
@@ -479,7 +475,7 @@ def stable_states(space: ChaseSpace, bounds: OracleBounds) -> list[tuple[str, ..
                 stable.append(values)
                 continue
             reached = stable if space.settles(open_blocks) else next_frontier
-            for succ in space.successors(values, open_blocks, bounds.max_values, expanded):
+            for succ in space.successors(values, open_blocks, expanded, bounds.max_values):
                 if succ in visited:
                     continue
                 visited.add(succ)

@@ -21,11 +21,12 @@ step per target attribute and joins the lists hub to hub, over the
 package's one union-find, dsets.DisjointSet, so its work follows the number
 of link keys and groups, not the pairs. ta_closure stops at that
 union-find: TAPartition holds the slot map, the classes and the slot values,
-and builds each further read the first time it is asked for. The rewrite's
-views read `slot_winners`, one count of (class, value) pairs; resolve,
-closure and MRIFamily read `block_slots`, each block's `counts` and `pools`
-(one tally per block), `block_of` and `min_change`, so answers never sorts
-a block or tallies one.
+and builds each further read the first time it is asked for. Every value
+read (the rewrite's `slot_winners`; the `pools`, `counts` and `min_change`
+that resolve, closure and MRIFamily read) comes from one count of (class,
+value) pairs and the package's one majority rule, `majorities`, which
+cqa applies to key groups; so answers never lists, sorts or numbers a
+block.
 
 Only the datalog program lists pairs. `linked_pairs` gives one run per
 left tuple, (left tid, its right tids), and the tuples of one link key
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .dsets import DisjointSet
 from .errors import InputError
@@ -51,11 +52,25 @@ from .relation import Attr, Instance, Position, Schema, number_slots, slot_posit
 from .similarity import SimilaritySpec, neighbours, similar
 
 
-def majority(tally: Mapping[str, int]) -> tuple[str, ...]:
-    """The candidates of a closure block, from its value counts: the most
-    frequent values, all of them on a tie, sorted."""
-    best = max(tally.values())
-    return tuple(sorted([v for v, n in tally.items() if n == best]))
+def majorities(tally: Mapping[tuple[Hashable, str], int]) -> dict[Hashable, list[str]]:
+    """The package's one majority rule. From the counts of (group, value)
+    pairs, each group's most frequent values: all of them on a tie, sorted.
+
+    A closure block's candidates (TAPartition, whose groups are classes)
+    and a key group's candidate values in a column (cqa) both come from it.
+    """
+    best: dict = {}  # by group: the highest count so far
+    tops: dict = {}  # by group: the values that reach it
+    for (group, value), n in tally.items():
+        top = best.get(group, 0)
+        if n > top:
+            best[group], tops[group] = n, [value]
+        elif n == top:
+            tops[group].append(value)
+    for at in tops.values():
+        if len(at) > 1:
+            at.sort()
+    return tops
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,18 +83,17 @@ class TAPartition:
     closure's DisjointSet over those slots; and `values`, each slot's value
     in D. Everything else is built on its first read, from those three:
 
-    - `slot_winners[s]` is the unique most frequent value of slot s's
-      block, or None on a tie: one count of (class, value) pairs, which is
-      all the rewrite reads.
     - `block_slots[i]` is block i, its slots in ascending order, so its
       positions are in sorted order; the blocks are sorted by their first
       position, and unlinked positions are singletons.
-    - `counts[i]` are block i's (value, count) pairs, sorted by value, and
-      `pools[i]` its candidates (`majority`); both come from one tally per
-      block, over `block_slots`.
-    - `block_of[s]` is the number of the block holding slot s, read off the
-      class array; `min_change` is the changes every MRI makes, off
-      `counts`.
+    - Every value read comes from one count of (class, value) pairs and
+      `majorities` of it: `slot_winners[s]`, the unique most frequent value
+      of slot s's block or None on a tie, which is all the rewrite reads;
+      `pools[i]`, block i's candidates; `counts[i]`, its (value, count)
+      pairs by value; and `min_change`, the changes every MRI makes.
+    - `block_of[s]` is the number of the block holding slot s. It, `pools`
+      and `counts` number the blocks by one rank map of the classes in
+      the order of their first slots, the order of `block_slots`.
     - `blocks` are the blocks as Position tuples, which resolve, closure
       and answers never read.
     """
@@ -95,19 +109,26 @@ class TAPartition:
         return len(self.values) - sum(map(len, members.values())) + len(members)
 
     @cached_property
+    def _tally(self) -> Counter:
+        """The count of each (class, value) pair."""
+        return Counter(zip(self.classes.of, self.values))
+
+    @cached_property
+    def _tops(self) -> dict[int, list[str]]:
+        """Each class's candidates, by class id."""
+        return majorities(self._tally)
+
+    @cached_property
+    def _rank(self) -> dict[int, int]:
+        """{class id: its block number}, in block order."""
+        return {c: i for i, c in enumerate(dict.fromkeys(self.classes.of))}
+
+    @cached_property
     def slot_winners(self) -> list[str | None]:
         """slot_winners[s] is the unique most frequent value of the block
         holding slot s, or None when several values tie for it."""
-        of = self.classes.of
-        best: dict[int, int] = {}  # by class: the highest count so far
-        winner: dict[int, str | None] = {}  # by class: its value, None on a tie
-        for (c, value), n in Counter(zip(of, self.values)).items():
-            top = best.get(c, 0)
-            if n > top:
-                best[c], winner[c] = n, value
-            elif n == top:
-                winner[c] = None
-        return list(map(winner.__getitem__, of))
+        winner = {c: top[0] if len(top) == 1 else None for c, top in self._tops.items()}
+        return list(map(winner.__getitem__, self.classes.of))
 
     @cached_property
     def block_slots(self) -> tuple[tuple[int, ...], ...]:
@@ -115,42 +136,31 @@ class TAPartition:
         return tuple(self.classes.blocks())
 
     @cached_property
-    def _tallies(self) -> tuple[tuple, tuple]:
-        """(counts, pools), from one tally of each block's values."""
-        value_of = self.values.__getitem__
-        counts, pools = [], []
-        for block in self.block_slots:
-            tally: dict[str, int] = {}
-            for value in map(value_of, block):
-                tally[value] = tally.get(value, 0) + 1
-            counts.append(tuple(sorted(tally.items())))
-            pools.append(majority(tally))
-        return tuple(counts), tuple(pools)
-
-    @property
     def counts(self) -> tuple[tuple[tuple[str, int], ...], ...]:
         """Each block's (value, count) pairs, sorted by value."""
-        return self._tallies[0]
+        pairs: dict[int, list[tuple[str, int]]] = {}
+        for (c, value), n in self._tally.items():
+            pairs.setdefault(c, []).append((value, n))
+        return tuple([tuple(sorted(pairs[c])) for c in self._rank])
 
-    @property
+    @cached_property
     def pools(self) -> tuple[tuple[str, ...], ...]:
         """Each block's candidates: its most frequent values, all of them on
         a tie, sorted."""
-        return self._tallies[1]
+        tops = self._tops
+        return tuple([tuple(tops[c]) for c in self._rank])
 
     @cached_property
     def block_of(self) -> list[int]:
         """block_of[s] is the number of the block holding slot s."""
-        of = self.classes.of
-        # classes in order of their first slot, which is block order
-        rank = {c: i for i, c in enumerate(dict.fromkeys(of))}
-        return list(map(rank.__getitem__, of))
+        return list(map(self._rank.__getitem__, self.classes.of))
 
     @cached_property
     def min_change(self) -> int:
         """The changes every MRI makes: the positions of each block that hold
         another value than one of its candidates."""
-        return len(self.values) - sum([max([n for _, n in c]) for c in self.counts])
+        tally = self._tally
+        return len(self.values) - sum([tally[c, top[0]] for c, top in self._tops.items()])
 
     @cached_property
     def blocks(self) -> tuple[tuple[Position, ...], ...]:

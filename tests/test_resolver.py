@@ -86,7 +86,7 @@ def test_stability(dup_groups):
 
 
 def _expand(space, values):
-    return list(space.successors(values, space.open_blocks(values)))
+    return list(space.successors(values, space.open_blocks(values), {}))
 
 
 def test_chase_step_counts_values_only(dup_groups):
@@ -290,7 +290,7 @@ def test_memoised_blocks_match_reference(kind, seed):
             for positions, _ in ref_merge_blocks(space.instance(values), mdset)
         ]
         assert space.blocks(values) == expected
-        pending.extend(space.successors(values, space.open_blocks(values), max_values=99))
+        pending.extend(space.successors(values, space.open_blocks(values), {}, max_values=99))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, print_blob=False)
@@ -312,7 +312,7 @@ def test_state_instances_match_with_values(kind, seed):
         got, expected = space.instance(values), d.with_values(dict(zip(positions, values)))
         assert got == expected and got.data == expected.data
         assert list(map(list, got.data.values())) == list(map(list, d.data.values()))
-        pending.extend(space.successors(values, space.open_blocks(values), max_values=99))
+        pending.extend(space.successors(values, space.open_blocks(values), {}, max_values=99))
     # the chase offers a fresh value to every open block, and the last
     # successor pushed, popped next, takes one in each
     assert len(seen) == 1 or any(v in space._rungs for state in seen for v in state)
@@ -352,7 +352,7 @@ def test_slots_with_unsorted_tids_and_an_empty_relation():
 def _checked_successors(space, mdset, values):
     """The chase step on a state, checked against ref_successors over the
     open blocks of ref_merge_blocks; every fresh value must be a ladder rung."""
-    got = list(space.successors(values, space.open_blocks(values), max_values=99))
+    got = list(space.successors(values, space.open_blocks(values), {}, max_values=99))
     blocks = [
         (_slots(space, positions), pool)
         for positions, pool in ref_merge_blocks(space.instance(values), mdset)
@@ -412,7 +412,7 @@ def test_successors_rename_kept_and_shared_rungs():
         got = _checked_successors(space, mdset, values)
         assert len(got) == 9
     # choosing x for the first block drops rung 1, so the kept rung 2 moves down
-    renamed = list(space.successors(states[0], space.open_blocks(states[0])))
+    renamed = list(space.successors(states[0], space.open_blocks(states[0]), {}))
     assert renamed[3][8] is space.fresh(1)
 
 
@@ -523,16 +523,17 @@ class _RecordingSpace(ChaseSpace):
         super().__init__(d, mdset)
         self.expanded, self.built = [], []
 
-    def successors(self, values, open_blocks, max_values=OracleBounds.max_values, expanded=None):
+    def successors(self, values, open_blocks, expanded, max_values=OracleBounds.max_values):
         self.expanded.append(values)
-        for succ in super().successors(values, open_blocks, max_values, expanded):
+        for succ in super().successors(values, open_blocks, expanded, max_values):
             self.built.append(succ)
             yield succ
 
 
 def _plain_search(space, bounds, expanded):
     """Breadth-first search that relinks every state and builds every
-    combination: (stable set, number of states visited)."""
+    combination, with a fresh memo per step: (stable set, number of states
+    visited)."""
     width = len(space.start)
     visited = {space.start}
     frontier, stable = [space.start], set()
@@ -544,7 +545,7 @@ def _plain_search(space, bounds, expanded):
                 stable.add(values)
                 continue
             expanded.append(values)
-            for succ in space.successors(values, open_blocks, bounds.max_values):
+            for succ in space.successors(values, open_blocks, {}, bounds.max_values):
                 if succ not in visited:
                     visited.add(succ)
                     if len(visited) * width > bounds.max_cells:
@@ -619,7 +620,7 @@ def test_settling_steps_and_state_keyed_links(kind, seed):
             continue
         seen.add(values)
         open_blocks = space.open_blocks(values)
-        succ = list(space.successors(values, open_blocks, max_values=99))
+        succ = list(space.successors(values, open_blocks, {}, max_values=99))
         if open_blocks:
             settles = all(conditions.isdisjoint(block) for block, _ in open_blocks)
             assert space.settles(open_blocks) == settles
@@ -643,7 +644,7 @@ def test_settling_step_on_duplicate_pairs(hard_chain):
     space = ChaseSpace(d, mdset)
     open_blocks = space.open_blocks(space.start)
     assert space.settles(open_blocks)
-    succ = list(space.successors(space.start, open_blocks))
+    succ = list(space.successors(space.start, open_blocks, {}))
     assert len(succ) == 27
     assert all(space.open_blocks(s) == [] for s in succ)
     # m1 of the hard chain targets R[B], a condition of m2

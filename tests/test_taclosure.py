@@ -24,7 +24,9 @@ from mdres.taclosure import feeders, link_groups, linked_pairs
 
 from conftest import FIXTURES, load_bundle
 from datalog_engine import datalog_partition
-from generators import rand_dup_case, rand_hsc_case, rand_link_case, rand_ni_case
+from generators import (
+    rand_dup_case, rand_hsc_case, rand_keyed_case, rand_link_case, rand_ni_case,
+)
 from reference import (
     _lhs_pairs,
     ref_emit_datalog,
@@ -117,20 +119,27 @@ def test_indexes_match_a_scan_of_blocks():
 
 def _check_slot_winners(inst, mdset) -> tuple[int, int]:
     """Assert that each slot's winner is the single most frequent value of
-    its reference block, or None when several share the top count; return
-    the tied and the singleton blocks."""
+    its reference block, or None when several share the top count, and that
+    each block's pool, counts and the min_change equal a brute-force tally
+    of the reference blocks; return the tied and the singleton blocks."""
     part = ta_closure(inst, mdset)
     blocks = ref_ta_blocks(inst, mdset)
     assert len(part.slot_winners) == sum(map(len, blocks))
-    ties = singletons = 0
-    for block in blocks:
+    assert len(part.pools) == len(part.counts) == len(blocks)
+    ties = singletons = change = 0
+    for i, block in enumerate(blocks):
         tally = Counter(inst.value(p) for p in block)
-        top = [v for v, n in tally.items() if n == max(tally.values())]
+        best = max(tally.values())
+        top = sorted(v for v, n in tally.items() if n == best)
         ties += len(top) > 1
         singletons += len(block) == 1
+        change += len(block) - best
+        assert part.pools[i] == tuple(top), block
+        assert part.counts[i] == tuple(sorted(tally.items())), block
         for pos in block:
             got = part.slot_winners[part.slots[pos.attr][pos.tid]]
             assert got == (top[0] if len(top) == 1 else None), pos
+    assert part.min_change == change
     return ties, singletons
 
 
@@ -138,11 +147,13 @@ def _winner_case(name, seed):
     rng = random.Random(seed)
     if name == "link":
         return rand_link_case(rng)
-    case = {"ni": rand_ni_case, "hsc": rand_hsc_case, "dup": rand_dup_case}[name](rng)
+    case = {
+        "ni": rand_ni_case, "hsc": rand_hsc_case, "dup": rand_dup_case, "keyed": rand_keyed_case,
+    }[name](rng)
     return case[1], case[2]
 
 
-WINNER_CASES = ("ni", "hsc", "dup", "link")
+WINNER_CASES = ("ni", "hsc", "dup", "link", "keyed")
 
 
 @pytest.mark.parametrize("name", WINNER_CASES)
@@ -163,7 +174,7 @@ def test_slot_winner_cases_hold_ties_and_singletons():
             seen[name, "tie"] += ties
             seen[name, "singleton"] += singletons
     assert all(seen[name, "tie"] for name in WINNER_CASES), seen
-    assert all(seen[name, "singleton"] for name in ("ni", "hsc", "link")), seen
+    assert all(seen[name, "singleton"] for name in ("ni", "hsc", "link", "keyed")), seen
 
 
 def test_matches_reachability_reference():
