@@ -33,7 +33,6 @@ from .query import (
     AnswerSet,
     ConjunctiveQuery,
     RewrittenQuery,
-    eval_cq,
     eval_rewritten,
     is_ujcq,
     parse_query,
@@ -105,7 +104,6 @@ __all__ = [
     "eqr_class",
     "eqr_classes",
     "equivalent_sets",
-    "eval_cq",
     "eval_rewritten",
     "fast_mri_family",
     "is_stable",

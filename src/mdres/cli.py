@@ -43,7 +43,7 @@ from .errors import (
     NotEligibleError,
 )
 from .mds import MDSet, classify, parse_mds
-from .query import parse_query, resolved_answers
+from .query import MODES, parse_query, resolved_answers
 from .relation import (
     Instance,
     instance_as_json,
@@ -475,7 +475,7 @@ def cmd_oracle(**kw):
 @_common_options
 @_max_values
 @click.option("--query", required=True, help="Query file.")
-@click.option("--mode", type=click.Choice(("auto", "rewrite", "oracle")), default="auto",
+@click.option("--mode", type=click.Choice(MODES), default="auto",
               show_default=True, help="How the answers are computed.")
 def cmd_answers(**kw):
     """Resolved answers of a conjunctive query."""

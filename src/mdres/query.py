@@ -1,7 +1,8 @@
 """Conjunctive queries and resolved-answer evaluation.
 
 A resolved answer is a tuple returned by the query on every minimal resolved
-instance. Two evaluation paths produce them:
+instance. The answer paths are the entries of `PATHS`, in the order `auto`
+tries them; `auto` takes the first that does not refuse:
 
 - rewrite: for join-safe queries over fast-path MD sets, each atom touching
   changeable attributes is replaced by a copy that existentially ignores the
@@ -62,7 +63,7 @@ class ConjunctiveQuery:
 @dataclass(frozen=True)
 class AnswerSet:
     tuples: tuple[tuple[str, ...], ...]
-    provenance: str  # "direct" | "rewrite" | "oracle"
+    provenance: str  # the name in PATHS of the path that computed it
     # the rewritten query behind a "rewrite" answer set
     rewritten: RewrittenQuery | None = field(default=None, compare=False, repr=False)
     # the is_ujcq verdict behind a resolved_answers answer set
@@ -73,10 +74,6 @@ class AnswerSet:
 
     def __contains__(self, item) -> bool:
         return tuple(item) in self.tuples
-
-    @property
-    def boolean_true(self) -> bool:
-        return () in self.tuples
 
     def as_json(self) -> list[list[str]]:
         return [list(t) for t in self.tuples]
@@ -159,11 +156,6 @@ def parse_query(text: str, schema: Schema) -> ConjunctiveQuery:
 def _eval_tuples(q: ConjunctiveQuery, d: Instance) -> set[tuple[str, ...]]:
     sources = [[row for _, row in d.rows(atom.rel)] for atom in q.atoms]
     return set(join(q.head, [atom.terms for atom in q.atoms], sources))
-
-
-def eval_cq(q: ConjunctiveQuery, d: Instance) -> AnswerSet:
-    """Evaluate the query directly on the instance."""
-    return AnswerSet(tuple(sorted(_eval_tuples(q, d))), "direct")
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +366,33 @@ def eval_rewritten(rq: RewrittenQuery, d: Instance) -> AnswerSet:
 # ---------------------------------------------------------------------------
 # Entry point
 
+def _rewrite_answers(
+    q: ConjunctiveQuery, d: Instance, mdset: MDSet, bounds: OracleBounds
+) -> AnswerSet:
+    return eval_rewritten(rewrite(q, mdset), d)
+
+
+def _oracle_answers(
+    q: ConjunctiveQuery, d: Instance, mdset: MDSet, bounds: OracleBounds
+) -> AnswerSet:
+    space, winners, _ = minimal_states(d, mdset, bounds)
+    common: set[tuple[str, ...]] | None = None
+    for state in winners:
+        tuples = _eval_tuples(q, space.instance(state))
+        common = tuples if common is None else common & tuples
+        if not common:
+            break
+    return AnswerSet(tuple(sorted(common or set())), "oracle", ujcq=is_ujcq(q, mdset))
+
+
+# The answer paths, in the order `auto` tries them. Each takes (query,
+# instance, MD set, oracle bounds) and refuses by raising NotEligibleError
+# before it does any work. The entries reach rewrite, eval_rewritten and
+# minimal_states through the module, so a wrapper set there sees every call.
+PATHS = {"rewrite": _rewrite_answers, "oracle": _oracle_answers}
+MODES = ("auto", *PATHS)
+
+
 def resolved_answers(
     q: ConjunctiveQuery,
     d: Instance,
@@ -383,39 +402,28 @@ def resolved_answers(
 ) -> AnswerSet:
     """Answers true on every minimal resolved instance.
 
-    mode "rewrite" insists on the fast path and raises rewrite's
+    A mode named in PATHS runs only that path and raises what it raises:
+    "rewrite" insists on the fast path and raises rewrite's
     NotEligibleError when the query or the MD set disqualifies it; "oracle"
     intersects over the MRIs, built one at a time (so max_materialized does
-    not apply); "auto" tries the rewrite and falls back to the oracle when
-    rewrite refuses. The answer set keeps the
-    query's is_ujcq verdict as `ujcq`: (True, None) on the rewrite path,
-    which only a join-safe query reaches.
+    not apply). "auto" takes the first path that does not refuse; when that
+    path exceeds a bound, the error also names every refusal before it. The
+    answer set keeps the query's is_ujcq verdict as `ujcq`: (True, None) on
+    the rewrite path, which only a join-safe query reaches.
     """
-    if mode not in ("auto", "rewrite", "oracle"):
+    bounds = bounds or OracleBounds()
+    if mode in PATHS:
+        return PATHS[mode](q, d, mdset, bounds)
+    if mode != "auto":
         raise InputError(f"unknown answer mode {mode!r}")
-    refusal = None
-    if mode != "oracle":
+    refusals: list[str] = []
+    for name, path in PATHS.items():
         try:
-            rq = rewrite(q, mdset)
+            return path(q, d, mdset, bounds)
         except NotEligibleError as exc:
-            if mode == "rewrite":
-                raise
-            refusal = exc
-        else:
-            return eval_rewritten(rq, d)
-    try:
-        space, winners, _ = minimal_states(d, mdset, bounds or OracleBounds())
-    except BoundsExceededError as exc:
-        if refusal is not None:
-            raise BoundsExceededError(
-                f"{exc} (and the rewrite path was not available: {refusal})"
-            ) from exc
-        raise
-    common: set[tuple[str, ...]] | None = None
-    for state in winners:
-        tuples = _eval_tuples(q, space.instance(state))
-        common = tuples if common is None else common & tuples
-        if not common:
-            break
-    return AnswerSet(tuple(sorted(common or set())), "oracle", ujcq=is_ujcq(q, mdset))
-
+            refusals.append(f"the {name} path was not available: {exc}")
+        except BoundsExceededError as exc:
+            if refusals:
+                raise BoundsExceededError(f"{exc} (and {'; '.join(refusals)})") from exc
+            raise
+    raise NotEligibleError("; ".join(refusals))

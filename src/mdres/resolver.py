@@ -12,9 +12,9 @@ fast path is checked against. It is bounded by the cells of the states it
 visits (OracleBounds.max_cells), not by the instance's size. It runs on
 ChaseSpace, where a state is a flat tuple of values at the slots that
 relation.number_slots numbers, the closure's numbering. The merge partition
-is rebuilt from memos: each MD's links are kept as an interned link set per
-value of the MD's condition columns, read off the state on a miss, and the
-merged blocks per tuple of link sets, which merge_partition computes on a
+is rebuilt from memos: each MD's links are kept as a link set per value of
+the MD's condition columns, read off the state on a miss, and the merged
+blocks per tuple of link sets, which merge_partition computes on a
 miss. That is the package's one block computation on a state; is_stable
 reads the open blocks of an instance's start state through it. A miss
 groups tuples by link key, links and merges with the closure's own pieces:
@@ -171,10 +171,10 @@ class ChaseSpace:
     off the state, matches the keys with taclosure.match_keys, merges the
     groups' classes over the slots with taclosure.link_targets (the
     closure's kernel), and keeps the MD's blocks of two slots or more as
-    its link set, interned by content; no Instance is built. The merged blocks are
-    memoised on the projection onto every MD's condition slots and, behind
-    that, on the tuple of the MDs' link sets, so a new condition projection
-    that links the same way merges nothing.
+    its link set; no Instance is built. The merged blocks are memoised on
+    the projection onto every MD's condition slots and, behind that, on the
+    tuple of the MDs' link sets, so a new condition projection that links
+    the same way merges nothing.
 
     What only some callers read is built on first use: `positions` (the
     position at each slot, for messages and tests) and the fresh-value
@@ -196,9 +196,9 @@ class ChaseSpace:
         # per MD: the MD, its conditions (link_conditions), and its left and
         # right sides as _key_slots gives them (the right side is None when
         # both sides read the same columns); and the projection onto its
-        # condition slots with its memo of link set ids
+        # condition slots with its memo of link sets
         self._links: list[tuple[MD, list, tuple, tuple | None]] = []
-        self._memos: list[tuple[Callable, dict[tuple, int]]] = []
+        self._memos: list[tuple[Callable, dict[tuple, tuple]]] = []
         conditions: set[int] = set()
         for md in mdset.mds:
             conds = link_conditions(md, d.schema, mdset.sims)
@@ -217,10 +217,8 @@ class ChaseSpace:
             self._memos.append((tuple_getter(sorted(slots)), {}))
         self._condition_slots = frozenset(conditions)
         self._conditions = tuple_getter(sorted(conditions))
-        self._link_ids: dict[tuple[tuple[int, ...], ...], int] = {}
-        self._link_sets: list[tuple[tuple[int, ...], ...]] = []
         self._blocks: dict[tuple, list[tuple[int, ...]]] = {}
-        self._merged: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        self._merged: dict[tuple, list[tuple[int, ...]]] = {}
         self._layouts: dict[tuple[tuple[int, ...], ...], _Layout] = {}
 
     # What is built on first use is kept in attributes that __init__ sets to
@@ -290,32 +288,22 @@ class ChaseSpace:
         link_targets(classes, match_keys(conds, left_keys, right_keys), md.rhs, self.slots)
         return tuple(classes.linked())
 
-    def _link_id(self, content: tuple[tuple[int, ...], ...]) -> int:
-        """Id of a link set, interned by content."""
-        lid = self._link_ids.get(content)
-        if lid is None:
-            lid = self._link_ids[content] = len(self._link_sets)
-            self._link_sets.append(content)
-        return lid
-
     def blocks(self, values: tuple[str, ...]) -> list[tuple[int, ...]]:
         """Sorted slot blocks, of two slots or more, that the MDs link on a state."""
         key = self._conditions(values)
         blocks = self._blocks.get(key)
         if blocks is None:
-            ids = []
+            sets = []
             for i, (project, memo) in enumerate(self._memos):
                 md_key = project(values)
-                lid = memo.get(md_key)
-                if lid is None:
-                    lid = memo[md_key] = self._link_id(self.link_set(i, values))
-                ids.append(lid)
-            ids = tuple(ids)
-            blocks = self._merged.get(ids)
+                link_set = memo.get(md_key)
+                if link_set is None:
+                    link_set = memo[md_key] = self.link_set(i, values)
+                sets.append(link_set)
+            sets = tuple(sets)
+            blocks = self._merged.get(sets)
             if blocks is None:
-                blocks = self._merged[ids] = merge_partition(
-                    [self._link_sets[lid] for lid in ids], len(values)
-                )
+                blocks = self._merged[sets] = merge_partition(sets, len(values))
             self._blocks[key] = blocks
         return blocks
 

@@ -13,12 +13,16 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import mdres.cli
-from mdres import load_instance, parse_mds, parse_schema, ta_closure
+from mdres import (
+    NotEligibleError, load_instance, parse_mds, parse_query, parse_schema, rewrite,
+    ta_closure,
+)
 from mdres.cli import _dump_json, _is_rows, main
+from mdres.query import PATHS
 from mdres.relation import instance_as_json, write_csv_dir
 from mdres.taclosure import emit_datalog
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_bundle
 from generators import LINK_VALUES, dn_instance, rand_link_case
 from reference import ref_closure_text, ref_partition_json
 
@@ -145,8 +149,24 @@ def test_answers_rewrite_refusal_exits_2(tmp_path):
     res = invoke(
         args_for("hard_chain", "answers", "--mode", "rewrite", "--query", str(qfile))
     )
-    assert res.exit_code == 2
-    assert res.stderr.startswith("not eligible:")
+    bundle = load_bundle("hard_chain")
+    with pytest.raises(NotEligibleError) as refusal:
+        rewrite(parse_query(qfile.read_text(), bundle.schema), bundle.mdset)
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == f"not eligible: {refusal.value}\n"
+
+
+@pytest.mark.parametrize("mode", list(PATHS))
+def test_answers_accepts_every_path_as_a_mode(mode):
+    res = invoke(args_for("majority_column", "answers", "--mode", mode, query="query.txt"))
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["mode"] == mode
+
+
+def test_answers_help_lists_auto_then_the_paths():
+    res = invoke(["answers", "--help"])
+    assert res.exit_code == 0
+    assert f"[{'|'.join(('auto', *PATHS))}]" in "".join(res.output.split())
 
 
 def test_truncated_query_exits_1(tmp_path):

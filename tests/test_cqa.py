@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings, strategies as st
 from mdres import (
     build_cqa_instance,
     enumerate_mris_oracle,
-    eval_cq,
     parse_query,
 )
 from mdres.errors import InputError

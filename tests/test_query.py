@@ -10,7 +10,6 @@ from mdres import (
     OracleBounds,
     classify,
     enumerate_mris_oracle,
-    eval_cq,
     eval_rewritten,
     fast_mri_family,
     is_ujcq,
@@ -23,7 +22,7 @@ from mdres import (
 )
 from mdres.errors import BoundsExceededError, InputError, ParseError
 from mdres.join import Const, Var, join
-from mdres.query import Atom, ConjunctiveQuery
+from mdres.query import Atom, ConjunctiveQuery, _eval_tuples
 from mdres.taclosure import TAPartition
 
 from conftest import load_bundle
@@ -46,7 +45,7 @@ def test_parse_constants(majority_column):
     # unquoted lower-case identifiers are variables, quoted text is a constant
     q = parse_query("Q(x) :- R(x, 'b2', c1)", majority_column.schema)
     assert str(q) == "Q(x) :- R(x, 'b2', c1)"
-    assert eval_cq(q, majority_column.instance).tuples == (("a1",),)
+    assert _eval_tuples(q, majority_column.instance) == {("a1",)}
 
 
 def test_parse_numeric_constant():
@@ -114,21 +113,19 @@ def test_query_text_round_trip(q):
 def test_eval_direct(majority_column):
     d = majority_column.instance
     q = parse_query("Q(x, y, z) :- R(x, y, z)", majority_column.schema)
-    ans = eval_cq(q, d)
-    assert ans.provenance == "direct"
-    assert ans.tuples == (
+    assert _eval_tuples(q, d) == {
         ("a1", "b1", "c1"), ("a1", "b2", "c2"), ("a1", "b2", "c3"),
-    )
+    }
     filt = parse_query("Q(z) :- R(x, 'b2', z)", majority_column.schema)
-    assert eval_cq(filt, d).tuples == (("c2",), ("c3",))
+    assert _eval_tuples(filt, d) == {("c2",), ("c3",)}
 
 
 def test_eval_boolean(majority_column):
     d = majority_column.instance
     yes = parse_query("Q() :- R(x, 'b1', y)", majority_column.schema)
     no = parse_query("Q() :- R(x, 'b9', y)", majority_column.schema)
-    assert eval_cq(yes, d).boolean_true
-    assert not eval_cq(no, d).boolean_true
+    assert _eval_tuples(yes, d) == {()}
+    assert _eval_tuples(no, d) == set()
 
 
 def test_join_safety_verdicts(conp_regression):
@@ -313,9 +310,55 @@ def test_auto_reports_both_failures(hard_chain):
     tight = OracleBounds(max_cells=1)
     with pytest.raises(BoundsExceededError) as exc:
         resolved_answers(q, d, mdset, bounds=tight)
-    assert str(exc.value).startswith("chase state space exceeds 0 states of ")
-    assert "rewrite path was not available" in str(exc.value)
-    assert "LinearPairHard" in str(exc.value)
+    assert str(exc.value) == (
+        "chase state space exceeds 0 states of 12 cells each, bound is 1 cells "
+        "(and the rewrite path was not available: rewriting applies to "
+        "NonInteracting, SimpleCycle and HitSimpleCycle sets; this set "
+        "classifies as LinearPairHard)"
+    )
+
+
+def test_auto_walks_the_paths_in_order(monkeypatch, majority_column):
+    """auto takes the first path that does not refuse and names every
+    refusal before it in a bound error, or every refusal when all refuse;
+    a named mode runs only its path."""
+    import mdres.query
+
+    def refuse(reason):
+        def path(*args):
+            calls.append(reason)
+            raise NotEligibleError(reason)
+        return path
+
+    def exceed(*args):
+        calls.append("exceed")
+        raise BoundsExceededError("too big")
+
+    calls = []
+    monkeypatch.setattr(mdres.query, "PATHS", {
+        "a": refuse("no a"), "b": refuse("no b"), "c": exceed, "d": refuse("no d"),
+    })
+    q = majority_column.query("query.txt")
+    d, mdset = majority_column.instance, majority_column.mdset
+    with pytest.raises(BoundsExceededError) as exc:
+        resolved_answers(q, d, mdset)
+    assert str(exc.value) == (
+        "too big (and the a path was not available: no a; "
+        "the b path was not available: no b)"
+    )
+    assert calls == ["no a", "no b", "exceed"]
+    calls.clear()
+    with pytest.raises(BoundsExceededError, match="^too big$"):
+        resolved_answers(q, d, mdset, mode="c")
+    with pytest.raises(NotEligibleError, match="^no b$"):
+        resolved_answers(q, d, mdset, mode="b")
+    assert calls == ["exceed", "no b"]
+    monkeypatch.setattr(mdres.query, "PATHS", {"a": refuse("no a"), "d": refuse("no d")})
+    with pytest.raises(NotEligibleError) as exc:
+        resolved_answers(q, d, mdset)
+    assert str(exc.value) == (
+        "the a path was not available: no a; the d path was not available: no d"
+    )
 
 
 @pytest.mark.parametrize("n", [7, 11])
@@ -342,14 +385,15 @@ def test_oracle_answers_hold_on_every_mri():
     mdset = parse_mds("R[A] = R[A] -> R[B] == R[B]", schema)
     q = parse_query("Q(x, y) :- R(x, y)", schema)
     mris, _ = enumerate_mris_oracle(d, mdset)
-    assert len(mris) == 4 and all(len(eval_cq(q, m)) == 3 for m in mris)
+    assert len(mris) == 4 and all(len(_eval_tuples(q, m)) == 3 for m in mris)
     answers = resolved_answers(q, d, mdset, "oracle")
     assert set(answers.tuples) == ref_certain_answers(q, mris) == {("a3", "c5")}
 
 
 def test_answerset_helpers(majority_column):
     q = parse_query("Q(z) :- R(x, y, z)", majority_column.schema)
-    ans = eval_cq(q, majority_column.instance)
+    ans = resolved_answers(q, majority_column.instance, majority_column.mdset)
+    assert ans.provenance == "rewrite"
     assert ("c2",) in ans
     assert len(ans) == 3
     assert ans.as_json() == [["c1"], ["c2"], ["c3"]]
@@ -397,14 +441,15 @@ def _datalog_var(term):
     (("x", "z"), (("R", ("x", "y")), ("R", ("y", "z")), ("S", ("y", "z", "w")), ("R", ("w", "x")))),
 )
 def test_eval_cq_matches_nested_loop(r_rows, s_rows, query):
-    """eval_cq and datalog.evaluate, both on the indexed join, give the
-    nested-loop answers: 1-4 atoms, constants, repeated variables, cross
-    products, empty relations and boolean queries."""
+    """_eval_tuples (the oracle path's evaluator) and datalog.evaluate,
+    both on the indexed join, give the nested-loop answers: 1-4 atoms,
+    constants, repeated variables, cross products, empty relations and
+    boolean queries."""
     head, atoms = query
     q = parse_query(f"Q({', '.join(head)}) :- {_body(atoms, str)}", JOIN_SCHEMA)
     d = load_instance(JOIN_SCHEMA, {"R": r_rows, "S": s_rows})
     expected = ref_eval_cq(q, d)
-    assert eval_cq(q, d).tuples == tuple(sorted(expected))
+    assert _eval_tuples(q, d) == expected
     # the same rule in datalog; a leading head constant gives boolean queries a head term
     facts = [f"r({a!r}, {b!r})." for a, b in r_rows]
     facts += [f"s({a!r}, {b!r}, {c!r})." for a, b, c in s_rows]
