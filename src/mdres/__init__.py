@@ -25,7 +25,6 @@ from .mds import (
     classify,
     eqr_class,
     eqr_classes,
-    equivalent_sets,
     parse_mds,
     previous_set,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "enumerate_mris_oracle",
     "eqr_class",
     "eqr_classes",
-    "equivalent_sets",
     "eval_rewritten",
     "fast_mri_family",
     "is_stable",

@@ -31,7 +31,13 @@ class NotEligibleError(MDResError):
 
     Raised when an MD set falls outside the tractable classes a fast
     operation needs, or when a query is not join-safe for rewriting.
+    `ujcq` is the query's join-safety verdict (ok, witness) when the
+    refusal is `query.rewrite`'s, which computes it; None otherwise.
     """
+
+    def __init__(self, message: str, ujcq: tuple[bool, str | None] | None = None):
+        self.ujcq = ujcq
+        super().__init__(message)
 
 
 class BoundsExceededError(MDResError):

@@ -28,6 +28,11 @@ downstream. Three of them admit the fast resolution path:
 
 Two-MD chains (exactly one edge) get the easy/hard analysis based on
 equivalent sets and component structure; everything else is Unknown.
+
+Every graph question is one backward walk, `MDGraph._walk_back`:
+`previous_set` walks from one MD, `on_cycle(v)` from all of v's
+predecessors at once, `is_single_cycle` from any one MD. Equivalent sets
+are computed only by the chain analysis (`_SideView.equivalent_sets`).
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 from .dsets import DisjointSet
-from .errors import InputError, NotEligibleError, ParseError
+from .errors import InputError, ParseError
 from .relation import Attr, Schema, format_attr
 from . import similarity
 from .similarity import EQUALITY, SimilaritySpec
@@ -164,31 +169,28 @@ class MDGraph:
     def predecessors(self, mid: str) -> tuple[str, ...]:
         return self._predecessors.get(mid, ())
 
+    def _walk_back(self, starts: Iterable[str]) -> set[str]:
+        """The starts and every MD with a directed path into one of them."""
+        seen = set(starts)
+        frontier = list(seen)
+        while frontier:
+            for p in self.predecessors(frontier.pop()):
+                if p not in seen:
+                    seen.add(p)
+                    frontier.append(p)
+        return seen
+
     def on_cycle(self, mid: str) -> bool:
         """True when some path of length >= 1 leads from mid back to itself."""
-        seen: set[str] = set()
-        frontier = list(self.successors(mid))
-        while frontier:
-            v = frontier.pop()
-            if v == mid:
-                return True
-            if v in seen:
-                continue
-            seen.add(v)
-            frontier.extend(self.successors(v))
-        return False
+        return mid in self._walk_back(self.predecessors(mid))
 
     def is_single_cycle(self) -> bool:
-        if any(
-            len(self.successors(v)) != 1 or len(self.predecessors(v)) != 1
+        """True when every MD has one successor and one predecessor and one
+        walk from any MD reaches them all."""
+        return all(
+            len(self.successors(v)) == 1 and len(self.predecessors(v)) == 1
             for v in self.vertices
-        ):
-            return False
-        start = self.vertices[0]
-        v, length = self.successors(start)[0], 1
-        while v != start:
-            v, length = self.successors(v)[0], length + 1
-        return length == len(self.vertices)
+        ) and len(self._walk_back(self.vertices[:1])) == len(self.vertices)
 
 
 def _adjacency(edges: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
@@ -197,19 +199,6 @@ def _adjacency(edges: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
     for a, b in sorted(edges):
         adj.setdefault(a, []).append(b)
     return {a: tuple(bs) for a, bs in adj.items()}
-
-
-@dataclass(frozen=True)
-class ESInfo:
-    """An equivalent set of a two-MD chain, with its boundedness verdict."""
-
-    attrs: tuple[Attr, ...]
-    bound: bool
-    side: str  # relation name the set belongs to
-
-    def __str__(self) -> str:
-        members = ", ".join(format_attr(a) for a in self.attrs)
-        return f"{{{members}}} ({'bound' if self.bound else 'unbound'}, side {self.side})"
 
 
 @dataclass(frozen=True)
@@ -425,15 +414,7 @@ def previous_set(graph: MDGraph, mid: str) -> frozenset[str]:
     """All MDs with a directed path into mid, plus mid itself."""
     if mid not in graph.vertices:
         raise InputError(f"no MD named {mid!r} in the graph")
-    seen = {mid}
-    frontier = [mid]
-    while frontier:
-        v = frontier.pop()
-        for p in graph.predecessors(v):
-            if p not in seen:
-                seen.add(p)
-                frontier.append(p)
-    return frozenset(seen)
+    return frozenset(graph._walk_back((mid,)))
 
 
 def _classes(items: Iterable, pairs: Iterable[tuple]) -> list[tuple]:
@@ -477,11 +458,10 @@ _SIDE_R = "R"
 
 
 class _SideView:
+    """A chain m1 -> m2 over side attributes. Both MDs must span the same
+    relations; `_classify_chain` checks that first."""
+
     def __init__(self, m1: MD, m2: MD):
-        if (m1.left_rel, m1.right_rel) != (m2.left_rel, m2.right_rel):
-            raise NotEligibleError(
-                "the two MDs of a chain must span the same relations"
-            )
         self.rel_l, self.rel_r = m1.left_rel, m1.right_rel
         self.same_rel = self.rel_l == self.rel_r
         self.lhs1 = [_sides(c.left, c.right) for c in m1.lhs]
@@ -532,34 +512,12 @@ def _chain_edge(mdset: MDSet) -> tuple[MD, MD] | None:
     return mdset.by_id(a), mdset.by_id(b)
 
 
-def equivalent_sets(mdset: MDSet) -> list[ESInfo]:
-    """Equivalent sets of a two-MD chain over distinct relations."""
-    edge = _chain_edge(mdset)
-    if edge is None:
-        raise NotEligibleError("equivalent sets are defined for two-MD chains only")
-    m1, m2 = edge
-    if m1.left_rel == m1.right_rel:
-        raise NotEligibleError(
-            "equivalent sets over a self-matched relation are not exposed; "
-            "classification handles that case internally"
-        )
-    view = _SideView(m1, m2)
-    out = []
-    for side in (_SIDE_L, _SIDE_R):
-        for cls in view.equivalent_sets(side):
-            attrs = tuple(sorted(view.real(a) for a in cls))
-            bound = any(a in view.lhs1_attrs for a in cls)
-            out.append(ESInfo(attrs, bound, view.side_name(side)))
-    return out
-
-
-def _classify_chain(mdset: MDSet) -> Classification:
-    m1, m2 = _chain_edge(mdset)  # type: ignore[misc]
+def _classify_chain(mdset: MDSet, m1: MD, m2: MD) -> Classification:
     evidence = [f"chain: {m1.mid} feeds {m2.mid}"]
-    try:
-        view = _SideView(m1, m2)
-    except NotEligibleError as exc:
-        return Classification("Unknown", (*evidence, str(exc)))
+    if (m1.left_rel, m1.right_rel) != (m2.left_rel, m2.right_rel):
+        evidence.append("the two MDs of a chain must span the same relations")
+        return Classification("Unknown", tuple(evidence))
+    view = _SideView(m1, m2)
 
     overlap = view.rhs1_attrs & view.lhs2_attrs
     l_comps_m1 = _classes((), view.lhs1)
@@ -702,8 +660,9 @@ def classify(mdset: MDSet) -> Classification:
             )
             return Classification("HitSimpleCycle", (ev,) + symmetric_ev)
 
-    if _chain_edge(mdset) is not None:
-        return _classify_chain(mdset)
+    edge = _chain_edge(mdset)
+    if edge is not None:
+        return _classify_chain(mdset, *edge)
 
     reasons = ["no fast structure and not a two-MD chain"]
     if pair_fail:

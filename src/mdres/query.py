@@ -26,7 +26,7 @@ position, and no non-free variable with two or more occurrences does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import BoundsExceededError, InputError, NotEligibleError, ParseError
 from .join import Const, Var, join, quote
@@ -231,9 +231,6 @@ class RewrittenQuery:
                 parts.append(_render_rewritten(ra, self.mdset.schema))
         return f"{head} :- {', '.join(parts)}"
 
-    def __str__(self) -> str:
-        return self.render()
-
 
 def _render_count(
     schema: Schema, member: Attr, ordinal: int, value_var: str,
@@ -275,7 +272,8 @@ def rewrite(q: ConjunctiveQuery, mdset: MDSet) -> RewrittenQuery:
 
     Checks its own eligibility: a query that is not join-safe (is_ujcq) or
     an MD set outside the fast classes (classify) raises one
-    NotEligibleError that names every failing reason.
+    NotEligibleError that names every failing reason and carries the
+    is_ujcq verdict as its `ujcq`.
 
     Atoms without free variables at changeable positions pass through. Every
     other atom gets a primed copy (the stored value at those positions is
@@ -291,7 +289,7 @@ def rewrite(q: ConjunctiveQuery, mdset: MDSet) -> RewrittenQuery:
             f"sets; this set classifies as {cls.label}"
         )
     if reasons:
-        raise NotEligibleError("; ".join(reasons))
+        raise NotEligibleError("; ".join(reasons), ujcq=(ok, witness))
     free = q.free
     out = []
     for atom in q.atoms:
@@ -382,12 +380,13 @@ def _oracle_answers(
         common = tuples if common is None else common & tuples
         if not common:
             break
-    return AnswerSet(tuple(sorted(common or set())), "oracle", ujcq=is_ujcq(q, mdset))
+    return AnswerSet(tuple(sorted(common or set())), "oracle")
 
 
 # The answer paths, in the order `auto` tries them. Each takes (query,
 # instance, MD set, oracle bounds) and refuses by raising NotEligibleError
-# before it does any work. The entries reach rewrite, eval_rewritten and
+# before it does any work; rewrite's refusal carries the is_ujcq verdict
+# it computed. The entries reach rewrite, eval_rewritten and
 # minimal_states through the module, so a wrapper set there sees every call.
 PATHS = {"rewrite": _rewrite_answers, "oracle": _oracle_answers}
 MODES = ("auto", *PATHS)
@@ -408,22 +407,30 @@ def resolved_answers(
     intersects over the MRIs, built one at a time (so max_materialized does
     not apply). "auto" takes the first path that does not refuse; when that
     path exceeds a bound, the error also names every refusal before it. The
-    answer set keeps the query's is_ujcq verdict as `ujcq`: (True, None) on
-    the rewrite path, which only a join-safe query reaches.
+    answer set keeps the query's is_ujcq verdict as `ujcq`, computed once:
+    (True, None) on the rewrite path, which only a join-safe query reaches;
+    after a refusal, the verdict that refusal carries; otherwise (the oracle
+    mode) one is_ujcq call.
     """
     bounds = bounds or OracleBounds()
-    if mode in PATHS:
-        return PATHS[mode](q, d, mdset, bounds)
-    if mode != "auto":
+    if mode != "auto" and mode not in PATHS:
         raise InputError(f"unknown answer mode {mode!r}")
+    ujcq = None
     refusals: list[str] = []
-    for name, path in PATHS.items():
+    for name in PATHS if mode == "auto" else (mode,):
         try:
-            return path(q, d, mdset, bounds)
+            answers = PATHS[name](q, d, mdset, bounds)
         except NotEligibleError as exc:
+            if mode != "auto":
+                raise
+            ujcq = exc.ujcq or ujcq
             refusals.append(f"the {name} path was not available: {exc}")
+            continue
         except BoundsExceededError as exc:
             if refusals:
                 raise BoundsExceededError(f"{exc} (and {'; '.join(refusals)})") from exc
             raise
+        if answers.ujcq is None:
+            answers = replace(answers, ujcq=ujcq or is_ujcq(q, mdset))
+        return answers
     raise NotEligibleError("; ".join(refusals))

@@ -299,9 +299,6 @@ class Instance:
             return NotImplemented
         return self.schema.names() == other.schema.names() and self.key() == other.key()
 
-    def __hash__(self) -> int:
-        return hash((self.schema.names(), self.key()))
-
 
 def _check_value(tag: str, value: str) -> str | None:
     """What is wrong with one cell, or None."""

@@ -171,10 +171,9 @@ def neighbours(spec: SimilaritySpec, values: Iterable[str]) -> dict[str, list[st
     """Map each of the values to those of them similar to it, itself first.
 
     u is listed under v exactly when similar(spec, v, u). Values are
-    compared in pairs only where an index cannot rule the pair out.
+    compared in pairs only where an index cannot rule the pair out;
+    equality is lev <= 0 there.
     """
-    if spec.kind == "eq":
-        return {v: [v] for v in values}
     if spec.kind == "table":
         present = set(values)
         adjacency = spec.adjacency

@@ -18,6 +18,7 @@ from mdres import (
     parse_mds,
     parse_query,
 )
+from mdres.mds import _SIDE_L, _SIDE_R, _chain_edge, _SideView
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -54,6 +55,22 @@ def load_bundle(name: str, mds: str = "mds.txt", sims: str | None = None) -> Bun
         simmap = check_all(simmap, instance.active_domain())
     mdset = parse_mds((root / mds).read_text(encoding="utf-8"), schema, simmap or None)
     return Bundle(root, schema, instance, mdset, simmap)
+
+
+def chain_equivalent_sets(mdset: MDSet) -> list[tuple[str, tuple, bool]]:
+    """The equivalent sets the chain analysis computes for a two-MD chain:
+    (side, sorted attributes, bound) for each set, side L first. A set is
+    bound when it holds a condition attribute of the chain's first MD."""
+    view = _SideView(*_chain_edge(mdset))
+    return [
+        (
+            view.side_name(side),
+            tuple(sorted(map(view.real, c))),
+            any(a in view.lhs1_attrs for a in c),
+        )
+        for side in (_SIDE_L, _SIDE_R)
+        for c in view.equivalent_sets(side)
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 import string
+from pathlib import Path
 
-from mdres import Instance, MDSet, Schema, load_instance, parse_mds, parse_schema
+from mdres import Instance, MDSet, Schema, load_instance, parse_mds, parse_schema, write_csv_dir
 from mdres.query import ConjunctiveQuery, parse_query
 from mdres.similarity import SimilaritySpec
 
@@ -268,17 +269,18 @@ def rand_keyed_case(rng: random.Random):
 
 def dn_instance(n: int):
     """The scaling family: n duplicate pairs, each contributing two choices."""
-    schema = parse_schema("relation R(A:str, B:str)")
+    schema = parse_schema(DN_SCHEMA)
     rows = []
     for i in range(1, n + 1):
         rows.append([f"a{i}", f"c{2 * i - 1}"])
         rows.append([f"a{i}", f"c{2 * i}"])
     instance = load_instance(schema, {"R": rows})
-    mdset = parse_mds("R[A] = R[A] -> R[B] == R[B]", schema)
+    mdset = parse_mds(DN_MDS, schema)
     return schema, instance, mdset
 
 
 LEV_CLUSTER_SIMS = "sim s = lev <= 1\n"
+LEV_CLUSTER_MDS = "R[A] ~s R[A] -> R[B] == R[B]\n"
 
 
 def lev_cluster_instance(n: int, size: int = 4, seed: int = 0):
@@ -299,12 +301,14 @@ def lev_cluster_instance(n: int, size: int = 4, seed: int = 0):
         for variant in letters[:size]:
             rows.append([code + variant, f"b{len(rows)}"])
     rng.shuffle(rows)
-    schema = parse_schema("relation R(A:str, B:str)")
+    schema = parse_schema(DN_SCHEMA)
     sims = {"s": SimilaritySpec(name="s", kind="lev", max_distance=1)}
-    mdset = parse_mds("R[A] ~s R[A] -> R[B] == R[B]", schema, sims)
+    mdset = parse_mds(LEV_CLUSTER_MDS, schema, sims)
     return schema, load_instance(schema, {"R": rows}), mdset
 
 
+DN_SCHEMA = "relation R(A:str, B:str)\n"
+DN_MDS = "R[A] = R[A] -> R[B] == R[B]\n"
 PLANTED_SCHEMA = "relation R(K:str, N:str, C:str)\nrelation S(C:str, P:str)\n"
 PLANTED_MDS = "R[K] = R[K] -> R[N] == R[N];\nS[C] = S[C] -> S[P] == S[P];\n"
 PLANTED_QUERY = "Q(k, x, p) :- R(k, x, c), S(c, p)\n"
@@ -333,6 +337,19 @@ def planted_majority_instance(n: int, keys: int = 1000, seed: int = 0):
     rng.shuffle(s_rows)
     instance = load_instance(schema, {"R": r_rows, "S": s_rows})
     return schema, instance, parse_mds(PLANTED_MDS, schema), sorted(answers)
+
+
+def write_case(out, d: Instance, schema: str, mds=None, sims=None, query=None,
+               data: str = "data") -> None:
+    """Write a case for the CLI into the directory out: the instance's CSV
+    files under out/<data>, the schema text as schema.txt, and each MD,
+    similarity or query text given as mds.txt, sims.txt or query.txt."""
+    out = Path(out)
+    write_csv_dir(d, out / data)
+    texts = {"schema": schema, "mds": mds, "sims": sims, "query": query}
+    for name, text in texts.items():
+        if text is not None:
+            (out / f"{name}.txt").write_text(text, encoding="utf-8")
 
 
 LINK_SCHEMA = parse_schema(

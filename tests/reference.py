@@ -397,8 +397,10 @@ def ref_ta_blocks(instance: Instance, mdset: MDSet):
     ]
     for p in universe:
         adj[p] = set()
+    reach = ref_reach(mdset.graph.vertices, mdset.graph.edges)
     for target in mdset.mds:
-        for feeder_id in sorted(_feeders(mdset, target.mid)):
+        feeders = {target.mid} | {v for v, ends in reach.items() if target.mid in ends}
+        for feeder_id in sorted(feeders):
             feeder = mdset.by_id(feeder_id)
             if (feeder.left_rel, feeder.right_rel) != (target.left_rel, target.right_rel):
                 continue
@@ -451,17 +453,14 @@ def ref_closure_text(blocks: list[dict]) -> list[str]:
     ]
 
 
-def _feeders(mdset: MDSet, mid: str) -> set[str]:
-    """Ids with a directed path to mid in the MD graph, plus mid itself."""
-    graph = mdset.graph
-    reach = {mid}
-    frontier = [mid]
-    while frontier:
-        node = frontier.pop()
-        for pred in graph.predecessors(node):
-            if pred not in reach:
-                reach.add(pred)
-                frontier.append(pred)
+def ref_reach(vertices, edges) -> dict[str, set[str]]:
+    """Each vertex's set of vertices at the end of a path of length >= 1
+    from it: the transitive closure of the edges by Warshall's algorithm."""
+    reach = {v: {b for a, b in edges if a == v} for v in vertices}
+    for k in vertices:
+        for i in vertices:
+            if k in reach[i]:
+                reach[i] |= reach[k]
     return reach
 
 

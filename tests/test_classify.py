@@ -7,12 +7,12 @@ produced each verdict, not just the label.
 
 import pytest
 
-from mdres import classify, equivalent_sets, parse_mds, parse_schema
+from mdres import classify, parse_mds, parse_schema
 from mdres.mds import FAST_LABELS, Conjunct
 from mdres.relation import format_attr
 from mdres.similarity import SimilaritySpec
 
-from conftest import load_bundle
+from conftest import chain_equivalent_sets, load_bundle
 
 
 def _ev(cls, needle: str) -> bool:
@@ -151,7 +151,7 @@ def test_chain_verdict_ignores_how_each_condition_is_written(name, mds, sims):
     )
     mdset = parse_mds(swapped, bundle.schema, bundle.mdset.sims)
     assert classify(mdset) == classify(bundle.mdset)
-    assert equivalent_sets(mdset) == equivalent_sets(bundle.mdset)
+    assert chain_equivalent_sets(mdset) == chain_equivalent_sets(bundle.mdset)
 
 
 def test_easy_and_hard_labels_are_not_fast():

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import mdres.cli
 from mdres import (
-    NotEligibleError, load_instance, parse_mds, parse_query, parse_schema, rewrite,
-    ta_closure,
+    NotEligibleError, load_csv_dir, load_instance, load_schema, parse_mds, parse_query,
+    parse_schema, rewrite, ta_closure,
 )
 from mdres.cli import _dump_json, _is_rows, main
 from mdres.query import PATHS
@@ -23,7 +23,9 @@ from mdres.relation import instance_as_json, write_csv_dir
 from mdres.taclosure import emit_datalog
 
 from conftest import FIXTURES, load_bundle
-from generators import LINK_VALUES, dn_instance, rand_link_case
+from generators import (
+    DN_MDS, DN_SCHEMA, LEV_CLUSTER_SIMS, LINK_VALUES, dn_instance, rand_link_case, write_case,
+)
 from reference import ref_closure_text, ref_partition_json
 
 
@@ -156,6 +158,31 @@ def test_answers_rewrite_refusal_exits_2(tmp_path):
     assert res.stderr == f"not eligible: {refusal.value}\n"
 
 
+def test_write_case_writes_what_the_cli_reads(tmp_path):
+    """The scale steps of CI write their input with write_case: each text it
+    is given lands in its file, the instance under the data directory named,
+    and the CLI reads the case back."""
+    _, d, _ = dn_instance(3)
+    query = "Q(x) :- R(x, y)\n"
+    write_case(tmp_path, d, DN_SCHEMA, DN_MDS, LEV_CLUSTER_SIMS, query, data="data3")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "data3", "mds.txt", "query.txt", "schema.txt", "sims.txt"
+    ]
+    for name, text in (("schema", DN_SCHEMA), ("mds", DN_MDS), ("sims", LEV_CLUSTER_SIMS),
+                       ("query", query)):
+        assert (tmp_path / f"{name}.txt").read_text(encoding="utf-8") == text
+    assert load_csv_dir(load_schema(tmp_path / "schema.txt"), tmp_path / "data3") == d
+    res = invoke([
+        "answers", "--schema", str(tmp_path / "schema.txt"), "--data", str(tmp_path / "data3"),
+        "--mds", str(tmp_path / "mds.txt"), "--sims", str(tmp_path / "sims.txt"),
+        "--query", str(tmp_path / "query.txt"),
+    ])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["answers"] == [["a1"], ["a2"], ["a3"]]
+    write_case(tmp_path / "bare", d, DN_SCHEMA)
+    assert sorted(p.name for p in (tmp_path / "bare").iterdir()) == ["data", "schema.txt"]
+
+
 @pytest.mark.parametrize("mode", list(PATHS))
 def test_answers_accepts_every_path_as_a_mode(mode):
     res = invoke(args_for("majority_column", "answers", "--mode", mode, query="query.txt"))
@@ -266,9 +293,17 @@ def test_answers_computes_verdicts_once(monkeypatch):
                     calls.append(_name)
                     return _original(*args, **kwargs)
                 monkeypatch.setattr(module, name, counted)
-    res = invoke(args_for("majority_column", "answers", query="query.txt"))
-    assert res.exit_code == 0
-    assert sorted(calls) == ["classify", "is_ujcq", "rewrite"]
+    # the rewrite path, the fallback past rewrite's refusal, and the oracle
+    for name, extra, mode, expected in (
+        ("majority_column", (), "rewrite", ["classify", "is_ujcq", "rewrite"]),
+        ("conp_regression", (), "oracle", ["classify", "is_ujcq", "rewrite"]),
+        ("conp_regression", ("--mode", "oracle"), "oracle", ["is_ujcq"]),
+    ):
+        calls.clear()
+        res = invoke(args_for(name, "answers", *extra, query="query.txt"))
+        assert res.exit_code == 0
+        assert json.loads(res.output)["mode"] == mode
+        assert sorted(calls) == expected
 
 
 def test_transitivity_verdict_is_taken_only_by_chain_classification(
@@ -473,6 +508,7 @@ def test_contract_base_invocation_runs(command):
     *_usage_errors(),
     pytest.param([], "Missing command.", id="bare"),
     pytest.param(["merge"], "No such command 'merge'.", id="unknown-command"),
+    pytest.param(["--bogus"], "No such option '--bogus'.", id="unknown-option"),
     pytest.param([*_valid_argv("classify"), "a\nb"], "Got unexpected extra argument (a\\nb)",
                  id="extra-argument"),
 ])

@@ -3,12 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from mdres import (
     InputError,
-    NotEligibleError,
+    MDGraph,
     ParseError,
     build_md_graph,
     eqr_class,
     eqr_classes,
-    equivalent_sets,
     load_instance,
     parse_mds,
     parse_schema,
@@ -20,7 +19,8 @@ from mdres.relation import Position
 from mdres.similarity import SimilaritySpec
 from mdres.taclosure import linked_pairs
 
-from reference import ref_tokens, run_pairs
+from conftest import chain_equivalent_sets
+from reference import ref_reach, ref_tokens, run_pairs
 
 
 def sims_for(*names, kind="eq"):
@@ -124,6 +124,49 @@ def test_previous_set_includes_self_and_feeders(hard_chain):
         previous_set(graph, "m9")
 
 
+GRAPH_IDS = tuple(f"m{i}" for i in range(1, 9))
+
+
+def _graphs(n: int):
+    """Graphs on the first n ids: any edges, self-loops included; an id
+    that no edge names is an isolated MD."""
+    ids = GRAPH_IDS[:n]
+    return st.tuples(
+        st.just(ids), st.frozensets(st.tuples(st.sampled_from(ids), st.sampled_from(ids)))
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, print_blob=False)
+@given(st.integers(1, len(GRAPH_IDS)).flatmap(_graphs))
+def test_graph_walk_matches_transitive_closure(graph_parts):
+    vertices, edges = graph_parts
+    graph = MDGraph(vertices, edges)
+    reach = ref_reach(vertices, edges)
+    for v in vertices:
+        assert graph.on_cycle(v) == (v in reach[v])
+        assert previous_set(graph, v) == {v} | {u for u in vertices if v in reach[u]}
+    # one cycle through every MD: strongly connected with |E| = |V|, so
+    # every MD has exactly one successor and one predecessor
+    single = len(edges) == len(vertices) and all(
+        reach[v] == set(vertices) for v in vertices
+    )
+    assert graph.is_single_cycle() == single
+
+
+def test_on_cycle_walks_once_from_all_predecessors(monkeypatch):
+    vertices = GRAPH_IDS
+    edges = frozenset((v, "m1") for v in vertices[1:]) | {("m1", "m8")}
+    graph = MDGraph(vertices, edges)
+    walks = []
+    walk = MDGraph._walk_back
+    monkeypatch.setattr(
+        MDGraph, "_walk_back", lambda self, starts: walks.append(1) or walk(self, starts)
+    )
+    assert graph.on_cycle("m1")
+    assert not graph.on_cycle("m2")
+    assert len(walks) == 2
+
+
 def test_eqr_classes_three_md_closure():
     schema = parse_schema(
         "relation R(A:str, C:str)\n"
@@ -148,14 +191,19 @@ def test_eqr_classes_three_md_closure():
 
 
 def test_equivalent_sets_bound_pair():
-    ess = equivalent_sets(_bound_pair())
-    by_side = {e.side: e for e in ess}
-    assert set(by_side) == {"R", "S"}
-    assert set(by_side["R"].attrs) == {
-        ("R", "A"), ("R", "F"), ("R", "H"), ("R", "I")
-    }
-    assert set(by_side["S"].attrs) == {("S", "B"), ("S", "D"), ("S", "E")}
-    assert all(e.bound for e in ess)
+    schema = parse_schema(
+        "relation R(A:str, C:str, F:str, H:str, I:str, M:str)\n"
+        "relation S(B:str, D:str, E:str, G:str, N:str)"
+    )
+    mdset = parse_mds(
+        "R[A] ~u S[B] -> R[C] == S[D], R[C] == S[E], R[F] == S[G], R[H] == S[G];"
+        "R[F] ~u S[E], R[I] ~u S[E], R[A] ~u S[E], R[F] ~u S[B] -> R[M] == S[N]",
+        schema, sims_for("u"),
+    )
+    assert chain_equivalent_sets(mdset) == [
+        ("R", (("R", "A"), ("R", "F"), ("R", "H"), ("R", "I")), True),
+        ("S", (("S", "B"), ("S", "D"), ("S", "E")), True),
+    ]
 
 
 def test_equivalent_sets_multi_target_pair():
@@ -168,30 +216,10 @@ def test_equivalent_sets_multi_target_pair():
         "R[E] ~t S[F], R[G] ~t S[F] -> R[H] == S[I]",
         schema, sims_for("t"),
     )
-    ess = equivalent_sets(mdset)
-    by_side = {e.side: e for e in ess}
-    assert set(by_side["R"].attrs) == {("R", "C"), ("R", "E"), ("R", "G")}
-    assert set(by_side["S"].attrs) == {("S", "F")}
-    assert not any(e.bound for e in ess)
-
-
-def test_equivalent_sets_rejects_non_chains(dup_groups, two_rule_cycle):
-    with pytest.raises(NotEligibleError):
-        equivalent_sets(dup_groups.mdset)
-    with pytest.raises(NotEligibleError):
-        equivalent_sets(two_rule_cycle.mdset)
-
-
-def _bound_pair():
-    schema = parse_schema(
-        "relation R(A:str, C:str, F:str, H:str, I:str, M:str)\n"
-        "relation S(B:str, D:str, E:str, G:str, N:str)"
-    )
-    return parse_mds(
-        "R[A] ~u S[B] -> R[C] == S[D], R[C] == S[E], R[F] == S[G], R[H] == S[G];"
-        "R[F] ~u S[E], R[I] ~u S[E], R[A] ~u S[E], R[F] ~u S[B] -> R[M] == S[N]",
-        schema, sims_for("u"),
-    )
+    assert chain_equivalent_sets(mdset) == [
+        ("R", (("R", "C"), ("R", "E"), ("R", "G")), False),
+        ("S", (("S", "F"),), False),
+    ]
 
 
 def test_reversed_self_condition_is_a_different_md():

@@ -47,12 +47,17 @@ def test_parse_schema_two_relations():
 
 
 def test_parse_schema_rejects_duplicates():
-    with pytest.raises(InputError):
-        parse_schema("relation R(A:str)\nrelation R(B:str)")
-    with pytest.raises(ParseError):
-        parse_schema("relation R(A:str, A:str)")
-    with pytest.raises(ParseError):
-        parse_schema("relation R(A:float)")
+    for text, error, message in [
+        ("relation R(A:str)\nrelation R(B:str)", InputError, "duplicate relation 'R' in schema"),
+        ("relation R(A:str, A:str)", ParseError, "line 1: duplicate attribute 'A' in relation R"),
+        ("relation R(A:float)", ParseError,
+         "line 1: unknown domain tag 'float' (expected one of ('str', 'int'))"),
+        ("relation R()", ParseError, "line 1: relation R declares no attributes"),
+        ("relation R(A str)", ParseError, "line 1: cannot parse attribute 'A str'"),
+    ]:
+        with pytest.raises(error) as exc:
+            parse_schema(text)
+        assert str(exc.value) == message
 
 
 def test_load_instance_assigns_dense_tids():

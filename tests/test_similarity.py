@@ -192,6 +192,7 @@ _TABLE_CASES = st.integers(min_value=0, max_value=2**32 - 1).map(_table_case)
 @example((_lev(3), ["abcdefgh", "axbcxdexfgh"]))  # only the last segment, at delta = k
 @example((_lev(3), ["abcdefgh", "abcxdexfgxh"]))  # only the first segment
 @example((_lev(4), ["abcdefghij", "acefgxhixj"]))  # a middle one, i characters left
+@example((EQUALITY, ["ab", "", "a", "ab", "ba", "b"]))  # equality: lev <= 0
 def test_neighbours_match_all_pairs(case):
     spec, values = case
     near = neighbours(spec, values)
